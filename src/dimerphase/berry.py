@@ -28,9 +28,7 @@ from .errors import (
     NearSingularLoopError,
     SingularLimitError,
 )
-from .model import Eigenstate, state_overlap
-
-TWO_PI = 2.0 * math.pi
+from .model import TWO_PI, Eigenstate, _check_overlap, state_overlap
 
 # Lower bound on 1 - sin(theta)*s (general quadrature) and 1 - sin(theta)
 # (unit-overlap limit) before the integrands are declared singular.
@@ -104,8 +102,7 @@ def frame_from_deltas(
     off-diagonal element vanish: the perturbation does not split the pair
     and no frame angles exist.
     """
-    if not 0.0 <= overlap <= 1.0:
-        raise ValueError("overlap modulus must lie in [0, 1]")
+    _check_overlap(overlap)
     dnn = float(dnn)
     dn1n1 = float(dn1n1)
     doff = complex(doff)
@@ -219,8 +216,7 @@ def berry_phase_perturbative(loop: FrameLoop) -> PhasePair:
 
 def berry_phase_constant_theta(theta: float, overlap: float) -> PhasePair:
     """Closed form of the loop quadrature when theta is constant."""
-    if not 0.0 <= overlap <= 1.0:
-        raise ValueError("overlap modulus must lie in [0, 1]")
+    _check_overlap(overlap)
     s = overlap
     st, ct = math.sin(theta), math.cos(theta)
     if 1.0 - st * s < SINGULARITY_GUARD:
@@ -240,10 +236,7 @@ def berry_phase_small_overlap(loop: FrameLoop) -> PhasePair:
     """
     s = loop.overlap
     om = solid_angle(loop)
-    om_companion = -_loop_integral(
-        loop, lambda t: 1.0 + math.cos(0.5 * math.pi + 2.0 * t)
-    )
-    corr = (0.25 * om_companion + 0.5 * math.pi) * s
+    corr = (0.25 * companion_solid_angle(loop) + 0.5 * math.pi) * s
     return PhasePair(_wrap(0.5 * om + corr), _wrap(-0.5 * om + corr))
 
 

@@ -16,7 +16,7 @@ import hashlib
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import make_dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,94 +31,14 @@ from .echo import (
     trace_mean,
 )
 from .errors import DimerPhaseError, ModelDegenerateError
-from .model import Eigenstate, ModelParams, stationary_states
+from .model import Eigenstate, ModelParams, _has_states, stationary_states
 from .triple import transport_sign
 
 MODES = ("spectrum", "berry", "witness", "echo", "triple")
 
-_DEFAULTS = {
-    "R": "0",
-    "v": "1",
-    "c": "1",
-    "phi": "0",
-    "loop_points": "256",
-    "dt": "0.002",
-    "T": "20",
-    "tol": "1e-9",
-    "theta": repr(0.5 * math.pi),
-    "amp": "1",
-    "workers": "1",
-}
-
-_CONFIG_KEYS = set(_DEFAULTS) | {"out"}
-
 
 class UsageError(Exception):
     """Bad flags or config; maps to exit code 2."""
-
-
-@dataclass(frozen=True)
-class ScanConfig:
-    mode: str
-    R: object  # float or 1-D ndarray
-    v: object
-    c: float
-    phi: float
-    loop_points: int
-    dt: float
-    T: float
-    tol: float
-    theta: float
-    amp: float
-    workers: int
-    out: Optional[str]
-    config_hash: str
-    summary: str
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dimerphase",
-        description="Scans over a nonlinear two-mode model: spectra, phases, witnesses, echoes.",
-    )
-    sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in MODES:
-        sp = sub.add_parser(mode, help=f"run a {mode} scan")
-        sp.add_argument("--out", help="output CSV path (default: stdout)")
-        sp.add_argument("--config", help="flat key = value config file")
-        sp.add_argument("--R", help="bias: value or start:stop:count axis")
-        sp.add_argument("--v", help="coupling: value or start:stop:count axis")
-        sp.add_argument("--c", help="nonlinearity strength")
-        sp.add_argument("--phi", help="coupling phase")
-        sp.add_argument("--loop-points", help="loop samples for transport scans")
-        sp.add_argument("--dt", help="integrator time step")
-        sp.add_argument("--T", help="drive duration")
-        sp.add_argument("--tol", help="validation tolerance")
-        sp.add_argument("--theta", help="drive polar angle (echo)")
-        sp.add_argument("--amp", help="drive amplitude (echo)")
-        sp.add_argument("--workers", help="parallel workers for grid scans")
-    return parser
-
-
-def load_config_file(path: str) -> dict[str, str]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected key = value")
-        key, _, val = line.partition("=")
-        key = key.strip().replace("-", "_")
-        if key not in _CONFIG_KEYS:
-            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = val.strip()
-    return values
 
 
 def _parse_axis(text: str, name: str):
@@ -153,6 +73,73 @@ def _parse_int(text: str, name: str) -> int:
         raise UsageError(f"--{name}: expected an integer, got {text!r}") from exc
 
 
+# Every run setting: key -> (default, parser, help).  Each key is a --flag
+# (underscores spelled as dashes), a config-file key and a ScanConfig field.
+_KEYS = {
+    "R": ("0", _parse_axis, "bias: value or start:stop:count axis"),
+    "v": ("1", _parse_axis, "coupling: value or start:stop:count axis"),
+    "c": ("1", _parse_float, "nonlinearity strength"),
+    "phi": ("0", _parse_float, "coupling phase"),
+    "loop_points": ("256", _parse_int, "loop samples for transport scans"),
+    "dt": ("0.002", _parse_float, "integrator time step"),
+    "T": ("20", _parse_float, "drive duration"),
+    "tol": ("1e-9", _parse_float, "validation tolerance"),
+    "theta": (repr(0.5 * math.pi), _parse_float, "drive polar angle (echo)"),
+    "amp": ("1", _parse_float, "drive amplitude (echo)"),
+    "workers": ("1", _parse_int, "parallel workers for grid scans"),
+}
+
+_CONFIG_KEYS = set(_KEYS) | {"out"}
+
+# R and v hold a float or a 1-D ndarray axis; out is an optional path.
+ScanConfig = make_dataclass(
+    "ScanConfig",
+    ["mode", *_KEYS, "out", "config_hash", "summary"],
+    frozen=True,
+    namespace={"__module__": __name__},
+)
+
+
+def _flag(key: str) -> str:
+    return key.replace("_", "-")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="dimerphase",
+        description="Scans over a nonlinear two-mode model: spectra, phases, witnesses, echoes.",
+    )
+    sub = parser.add_subparsers(dest="mode", required=True)
+    for mode in MODES:
+        sp = sub.add_parser(mode, help=f"run a {mode} scan")
+        sp.add_argument("--out", help="output CSV path (default: stdout)")
+        sp.add_argument("--config", help="flat key = value config file")
+        for key, (_, _, help_text) in _KEYS.items():
+            sp.add_argument(f"--{_flag(key)}", help=help_text)
+    return parser
+
+
+def load_config_file(path: str) -> dict[str, str]:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}") from exc
+    values: dict[str, str] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected key = value")
+        key, _, val = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if key not in _CONFIG_KEYS:
+            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+        values[key] = val.strip()
+    return values
+
+
 def resolve_config(args: argparse.Namespace) -> ScanConfig:
     file_values: dict[str, str] = {}
     if args.config:
@@ -164,60 +151,33 @@ def resolve_config(args: argparse.Namespace) -> ScanConfig:
             return flag
         if key in file_values:
             return file_values[key]
-        return _DEFAULTS[key]
+        return _KEYS[key][0]
 
-    raw = {key: pick(key) for key in _DEFAULTS}
+    raw = {key: pick(key) for key in _KEYS}
     out = args.out if args.out is not None else file_values.get("out")
+    val = {key: parse(raw[key], _flag(key)) for key, (_, parse, _) in _KEYS.items()}
 
-    R = _parse_axis(raw["R"], "R")
-    v = _parse_axis(raw["v"], "v")
-    c = _parse_float(raw["c"], "c")
-    phi = _parse_float(raw["phi"], "phi")
-    loop_points = _parse_int(raw["loop_points"], "loop-points")
-    dt = _parse_float(raw["dt"], "dt")
-    T = _parse_float(raw["T"], "T")
-    tol = _parse_float(raw["tol"], "tol")
-    theta = _parse_float(raw["theta"], "theta")
-    amp = _parse_float(raw["amp"], "amp")
-    workers = _parse_int(raw["workers"], "workers")
-
-    if tol <= 0 or dt <= 0 or T <= 0:
+    if val["tol"] <= 0 or val["dt"] <= 0 or val["T"] <= 0:
         raise UsageError("tol, dt, and T must all be positive")
-    if loop_points < 16:
+    if val["loop_points"] < 16:
         raise UsageError("--loop-points: need at least 16")
-    if workers < 1:
+    if val["workers"] < 1:
         raise UsageError("--workers: need at least 1")
-    if not 0.0 <= theta <= math.pi:
+    if not 0.0 <= val["theta"] <= math.pi:
         raise UsageError("--theta: must lie in [0, pi]")
-    if amp < 0.0:
+    if val["amp"] < 0.0:
         raise UsageError("--amp: must be >= 0")
-    if isinstance(v, float) and v < 0.0:
+    if isinstance(val["v"], float) and val["v"] < 0.0:
         raise UsageError("--v: coupling must be >= 0")
     if args.mode in ("echo", "triple"):
-        for name, val in (("R", R), ("v", v)):
-            if isinstance(val, np.ndarray):
+        for name in ("R", "v"):
+            if isinstance(val[name], np.ndarray):
                 raise UsageError(f"--{name}: {args.mode} takes a fixed value, not an axis")
 
     canonical = "\n".join([f"mode={args.mode}"] + [f"{k}={raw[k]}" for k in sorted(raw)])
     digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
     summary = " ".join(f"{k}={raw[k]}" for k in sorted(raw))
-    return ScanConfig(
-        mode=args.mode,
-        R=R,
-        v=v,
-        c=c,
-        phi=phi,
-        loop_points=loop_points,
-        dt=dt,
-        T=T,
-        tol=tol,
-        theta=theta,
-        amp=amp,
-        workers=workers,
-        out=out,
-        config_hash=digest,
-        summary=summary,
-    )
+    return ScanConfig(mode=args.mode, **val, out=out, config_hash=digest, summary=summary)
 
 
 def _fmt(x: float) -> str:
@@ -230,12 +190,20 @@ def _axis_values(spec) -> list[float]:
     return [float(spec)]
 
 
+# Grid modes and their CSV columns.
+_GRID_COLUMNS = {
+    "spectrum": ("R", "v", "E1", "E2", "E3", "E4"),
+    "berry": ("R", "v", "gamma_over_pi"),
+    "witness": ("v_over_c", "R", "witness"),
+}
+
+
 def _eval_point(task: tuple) -> tuple:
     """One grid point; module-level so worker processes can import it."""
     mode, R, v, c, phi, tol = task
     params = ModelParams(R=R, c=c, v=v, phi=phi)
     if mode == "spectrum":
-        if v == 0.0 and R == 0.0:
+        if not _has_states(params):
             return (R, v, None, None, None, None)
         energies = list(stationary_states(params, tol).energies)
         energies += [None] * (4 - len(energies))
@@ -259,46 +227,26 @@ def _map_tasks(tasks: list[tuple], workers: int) -> list[tuple]:
         return list(pool.map(_eval_point, tasks, chunksize=chunk))
 
 
-def _grid_rows(cfg: ScanConfig) -> list[tuple]:
+def run_grid_scan(cfg: ScanConfig):
     tasks = [
         (cfg.mode, R, v, cfg.c, cfg.phi, cfg.tol)
         for R in _axis_values(cfg.R)
         for v in _axis_values(cfg.v)
     ]
-    return _map_tasks(tasks, cfg.workers)
-
-
-def run_spectrum_scan(cfg: ScanConfig):
-    columns = ("R", "v", "E1", "E2", "E3", "E4")
-    return columns, [], _grid_rows(cfg)
-
-
-def run_berry_scan(cfg: ScanConfig):
-    columns = ("R", "v", "gamma_over_pi")
-    return columns, [], _grid_rows(cfg)
-
-
-def run_witness_scan(cfg: ScanConfig):
-    columns = ("v_over_c", "R", "witness")
-    return columns, [], _grid_rows(cfg)
-
-
-def _echo_initial(base: ModelParams, tol: float) -> Eigenstate:
-    if base.v > 0.0 or base.R != 0.0:
-        return stationary_states(base, tol).states[0]
-    # Fully degenerate base: the first basis state is stationary at -c/2.
-    return Eigenstate(1.0 + 0.0j, 0.0j, -0.5 * base.c, -1.0, 0.0)
+    return _GRID_COLUMNS[cfg.mode], [], _map_tasks(tasks, cfg.workers)
 
 
 def run_echo(cfg: ScanConfig):
     base = ModelParams(R=float(cfg.R), c=cfg.c, v=float(cfg.v), phi=cfg.phi)
-    initial = _echo_initial(base, cfg.tol)
-    if base.v > 0.0 or base.R != 0.0:
+    if _has_states(base):
+        initial = stationary_states(base, cfg.tol).states[0]
         try:
             s = nonlinearity_witness(base, cfg.tol).witness
         except ModelDegenerateError:
             s = 0.0
     else:
+        # Fully degenerate base: the first basis state is stationary at -c/2.
+        initial = Eigenstate(1.0 + 0.0j, 0.0j, -0.5 * base.c, -1.0, 0.0)
         s = 0.0
     drive = circular_drive(base, cfg.amp, cfg.theta, cfg.T)
     trace = loschmidt_dynamical(initial, base, drive, cfg.dt)
@@ -347,9 +295,9 @@ def _render(cfg: ScanConfig, columns, comments, rows) -> str:
 
 
 _RUNNERS = {
-    "spectrum": run_spectrum_scan,
-    "berry": run_berry_scan,
-    "witness": run_witness_scan,
+    "spectrum": run_grid_scan,
+    "berry": run_grid_scan,
+    "witness": run_grid_scan,
     "echo": run_echo,
     "triple": run_triple_table,
 }

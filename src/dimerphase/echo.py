@@ -19,7 +19,6 @@ phase between the split branches; time-averaging recovers it.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -27,9 +26,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import AmbiguousRegimeError, ModelDegenerateError, StepSizeError
-from .model import Eigenstate, ModelParams, state_overlap, stationary_states
-
-TWO_PI = 2.0 * math.pi
+from .model import (
+    TWO_PI,
+    Eigenstate,
+    ModelParams,
+    _apply,
+    _check_overlap,
+    state_overlap,
+    stationary_states,
+)
 
 # One-step norm drift above this aborts the integration: the step is too big
 # for the classical fourth-order scheme to be trusted.
@@ -138,8 +143,7 @@ def loschmidt_adiabatic(theta: float, overlap: float) -> float:
     (cos(t/2) + s sin(t/2))^2 = (1 + cos t)/2 + s sin t + s^2 (1 - cos t)/2,
     which keeps the equator value at s = 0 exactly 1/2 in floating point.
     """
-    if not 0.0 <= overlap <= 1.0:
-        raise ValueError("overlap modulus must lie in [0, 1]")
+    _check_overlap(overlap)
     s = overlap
     st, ct = math.sin(theta), math.cos(theta)
     num = 0.5 * (1.0 + ct) + s * st + s * s * 0.5 * (1.0 - ct)
@@ -155,23 +159,12 @@ def loschmidt_adiabatic_limit(overlap: float, ordering: float) -> float:
     only the overlap channel, s^2.  Exactly zero is the equator, where neither
     limit applies.
     """
-    if not 0.0 <= overlap <= 1.0:
-        raise ValueError("overlap modulus must lie in [0, 1]")
+    _check_overlap(overlap)
     if ordering > 0.0:
         return 1.0
     if ordering < 0.0:
         return overlap * overlap
     raise AmbiguousRegimeError("ordering = 0 sits between the two limit regimes")
-
-
-def _rhs(params: ModelParams, a1: complex, a2: complex) -> tuple[complex, complex]:
-    m = (a2.real * a2.real + a2.imag * a2.imag) - (a1.real * a1.real + a1.imag * a1.imag)
-    diag = 0.5 * params.R + 0.5 * params.c * m
-    coup = 0.5 * params.v * cmath.exp(1j * params.phi)
-    return (
-        -1j * (diag * a1 + coup * a2),
-        -1j * (coup.conjugate() * a1 - diag * a2),
-    )
 
 
 def evolve_nonlinear(
@@ -205,10 +198,16 @@ def evolve_nonlinear(
         p1 = params_at(t + 0.5 * h)
         p2 = params_at(t + h)
 
-        k1a, k1b = _rhs(p0, a1, a2)
-        k2a, k2b = _rhs(p1, a1 + 0.5 * h * k1a, a2 + 0.5 * h * k1b)
-        k3a, k3b = _rhs(p1, a1 + 0.5 * h * k2a, a2 + 0.5 * h * k2b)
-        k4a, k4b = _rhs(p2, a1 + h * k3a, a2 + h * k3b)
+        # Each stage is d(psi)/dt = -i H(psi) psi, with the model's kernel called
+        # directly: a wrapper around it costs one more Python call per stage.
+        f1, f2 = _apply(p0, a1, a2)
+        k1a, k1b = -1j * f1, -1j * f2
+        f1, f2 = _apply(p1, a1 + 0.5 * h * k1a, a2 + 0.5 * h * k1b)
+        k2a, k2b = -1j * f1, -1j * f2
+        f1, f2 = _apply(p1, a1 + 0.5 * h * k2a, a2 + 0.5 * h * k2b)
+        k3a, k3b = -1j * f1, -1j * f2
+        f1, f2 = _apply(p2, a1 + h * k3a, a2 + h * k3b)
+        k4a, k4b = -1j * f1, -1j * f2
 
         a1 = a1 + (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
         a2 = a2 + (h / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)

@@ -117,6 +117,23 @@ def _imbalance(a1: complex, a2: complex) -> float:
     return (a2.real * a2.real + a2.imag * a2.imag) - (a1.real * a1.real + a1.imag * a1.imag)
 
 
+def _apply(params: ModelParams, a1: complex, a2: complex) -> tuple[complex, complex]:
+    """H(psi) psi for the amplitude pair (a1, a2); the one copy of the model's formula."""
+    diag = 0.5 * params.R + 0.5 * params.c * _imbalance(a1, a2)
+    coup = 0.5 * params.v * cmath.exp(1j * params.phi)
+    return diag * a1 + coup * a2, coup.conjugate() * a1 - diag * a2
+
+
+def _check_overlap(overlap: float) -> None:
+    if not 0.0 <= overlap <= 1.0:
+        raise ValueError("overlap modulus must lie in [0, 1]")
+
+
+def _has_states(params: ModelParams) -> bool:
+    """False only at the fully degenerate origin v = R = 0, which has no preferred states."""
+    return params.v > 0.0 or params.R != 0.0
+
+
 def hamiltonian_apply(params: ModelParams, state: Sequence[complex]) -> np.ndarray:
     """Apply the state-dependent Hamiltonian to a normalized amplitude pair.
 
@@ -126,10 +143,7 @@ def hamiltonian_apply(params: ModelParams, state: Sequence[complex]) -> np.ndarr
     norm2 = abs(a1) ** 2 + abs(a2) ** 2
     if abs(norm2 - 1.0) > 1e-9:
         raise InvalidStateError(f"amplitude pair norm^2 = {norm2!r}, expected 1")
-    m = _imbalance(a1, a2)
-    diag = 0.5 * params.R + 0.5 * params.c * m
-    coup = 0.5 * params.v * cmath.exp(1j * params.phi)
-    return np.array([diag * a1 + coup * a2, coup.conjugate() * a1 - diag * a2])
+    return np.array(_apply(params, a1, a2))
 
 
 def quartic_coefficients(params: ModelParams) -> tuple[float, float, float, float, float]:
@@ -280,13 +294,11 @@ def _build_state(params: ModelParams, energy: float, m: float) -> Eigenstate:
     norm = math.sqrt(abs(a1) ** 2 + abs(a2) ** 2)
     a1, a2 = a1 / norm, a2 / norm
 
-    m_actual = _imbalance(a1, a2)
-    diag = 0.5 * R + 0.5 * c * m_actual
-    coup = 0.5 * v * cmath.exp(1j * phi)
-    r1 = diag * a1 + coup * a2 - energy * a1
-    r2 = coup.conjugate() * a1 - diag * a2 - energy * a2
+    h1, h2 = _apply(params, a1, a2)
+    r1 = h1 - energy * a1
+    r2 = h2 - energy * a2
     residual = math.sqrt(abs(r1) ** 2 + abs(r2) ** 2)
-    return Eigenstate(a1, a2, float(energy), m_actual, residual)
+    return Eigenstate(a1, a2, float(energy), _imbalance(a1, a2), residual)
 
 
 def reconstruct_states(
@@ -332,7 +344,7 @@ def stationary_states(params: ModelParams, tol: float = 1e-9) -> StationaryFamil
     Needs v > 0 or R != 0; the fully degenerate origin has no preferred states.
     Between two and four states exist whenever v > 0.
     """
-    if params.v == 0.0 and params.R == 0.0:
+    if not _has_states(params):
         raise InvalidStateError("need v > 0 or R != 0 to define stationary states")
 
     roots = solve_quartic_real_roots(quartic_coefficients(params), tol)

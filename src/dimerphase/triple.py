@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AtDegeneracyError, LoopTooCoarseError, NonCoplanarLoopError
-
-TWO_PI = 2.0 * math.pi
+from .model import TWO_PI
 
 # Map a level offset relative to n onto its row in the eigensystem tables.
 _LEVEL_ROW = {-1: 0, 0: 1, +1: 2}
