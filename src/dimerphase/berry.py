@@ -267,11 +267,12 @@ def berry_phase_unit_overlap(loop: FrameLoop) -> PhasePair:
     return PhasePair(_wrap(g_n), _wrap(g_n1))
 
 
-def berry_phase_closed_form(v: float, energy: float) -> float:
+def berry_phase_closed_form(v: float, energy: float, imbalance: float) -> float:
     """Coupling-phase-loop geometric phase of a dimer stationary state.
 
-    gamma = pi * (1 - sqrt(1 - v^2 / (4 E^2))), valid because every
-    stationary state satisfies 4 E^2 >= v^2.
+    gamma = pi * (1 + m), reduced to [0, 2*pi).  Every stationary state
+    satisfies 4 E^2 >= v^2, and (v, E) fix |m| = sqrt(1 - v^2 / (4 E^2)); the
+    sign of m, which (v, E) cannot carry, is taken from the state's imbalance.
     """
     if v < 0.0:
         raise ValueError("coupling magnitude v must be >= 0")
@@ -280,7 +281,7 @@ def berry_phase_closed_form(v: float, energy: float) -> float:
     if energy == 0.0 or 4.0 * energy * energy < v * v * (1.0 - 1e-12):
         raise InvalidStateError("4 E^2 >= v^2 fails: not a stationary-state energy")
     radicand = max(0.0, 1.0 - (v * v) / (4.0 * energy * energy))
-    return math.pi * (1.0 - math.sqrt(radicand))
+    return _wrap(math.pi * (1.0 + math.copysign(math.sqrt(radicand), imbalance)))
 
 
 def berry_phase_discrete(branch: Sequence[Eigenstate]) -> float:

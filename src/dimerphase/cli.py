@@ -210,7 +210,7 @@ def _eval_point(task: tuple) -> tuple:
         return (R, v) + tuple(energies[:4])
     if mode == "berry":
         lowest = stationary_states(params, tol).states[0]
-        gamma = berry_phase_closed_form(v, lowest.energy)
+        gamma = berry_phase_closed_form(v, lowest.energy, lowest.imbalance)
         return (R, v, gamma / math.pi)
     if mode == "witness":
         report = nonlinearity_witness(params, tol)

@@ -316,29 +316,29 @@ def test_unit_overlap_singular_on_equator():
 
 
 def test_closed_form_half_filled_band():
-    assert berry_phase_closed_form(2.0, -1.0) == pytest.approx(math.pi)
+    assert berry_phase_closed_form(2.0, -1.0, 0.0) == pytest.approx(math.pi)
 
 
 def test_closed_form_partial():
-    assert berry_phase_closed_form(1.2, -1.0) == pytest.approx(0.2 * math.pi)
+    assert berry_phase_closed_form(1.2, -1.0, -0.8) == pytest.approx(0.2 * math.pi)
 
 
 def test_closed_form_matches_tilt_geometry():
-    got = berry_phase_closed_form(1.0, -math.sqrt(2.0) / 2.0)
+    got = berry_phase_closed_form(1.0, -math.sqrt(2.0) / 2.0, -math.sqrt(0.5))
     assert got == pytest.approx(math.pi * (1.0 - 1.0 / math.sqrt(2.0)))
 
 
 def test_closed_form_zero_coupling():
-    assert berry_phase_closed_form(0.0, -1.0) == 0.0
+    assert berry_phase_closed_form(0.0, -1.0, -1.0) == 0.0
 
 
 def test_closed_form_rejects_unphysical_energy():
     with pytest.raises(InvalidStateError):
-        berry_phase_closed_form(2.0, 0.0)
+        berry_phase_closed_form(2.0, 0.0, 0.0)
     with pytest.raises(InvalidStateError):
-        berry_phase_closed_form(2.0, 0.5)
+        berry_phase_closed_form(2.0, 0.5, 0.0)
     with pytest.raises(ValueError):
-        berry_phase_closed_form(-1.0, 1.0)
+        berry_phase_closed_form(-1.0, 1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +367,23 @@ def test_discrete_degenerate_branch_loop():
 def test_discrete_matches_closed_form_generic():
     params = ModelParams(R=0.0, c=1.0, v=0.5)
     branch = _ground_branch(params, 2048)
-    expect = berry_phase_closed_form(params.v, branch[0].energy)
+    expect = berry_phase_closed_form(params.v, branch[0].energy, branch[0].imbalance)
     assert berry_phase_discrete(branch) == pytest.approx(expect, abs=1e-5)
+
+
+@pytest.mark.parametrize(
+    "R, c, v, index",
+    [(0.5, 1.0, 0.7, 0), (0.0, 2.0, 1.0, 1)],
+    ids=["biased-ground-state", "self-trapped-upper-imbalance"],
+)
+def test_closed_form_matches_discrete_for_positive_imbalance(R, c, v, index):
+    params = ModelParams(R=R, c=c, v=v)
+    state = stationary_states(params).states[index]
+    assert state.imbalance > 0.5
+    branch = continue_branch(phi_loop(params, 2048), state)
+    got = berry_phase_closed_form(v, state.energy, state.imbalance)
+    assert got == pytest.approx(math.pi * (1.0 + state.imbalance), abs=1e-9)
+    assert got == pytest.approx(berry_phase_discrete(branch), abs=1e-5)
 
 
 def test_discrete_constant_branch_is_flat():
