@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import make_dataclass
@@ -102,6 +103,25 @@ ScanConfig = make_dataclass(
 
 def _flag(key: str) -> str:
     return key.replace("_", "-")
+
+
+_VALUE_FLAGS = {f"--{_flag(key)}" for key in _KEYS}
+
+
+def _join_negative_values(argv: Sequence[str]) -> list[str]:
+    """Write "--R -2:2:5" as "--R=-2:2:5" for every setting flag.
+
+    argparse takes a value that starts with "-" for an option unless it is a
+    plain negative number, so "-2:2:5" or "-1e-3" would leave the flag
+    before it without its argument.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _VALUE_FLAGS and re.match(r"-[0-9.]", arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -305,7 +325,7 @@ _RUNNERS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         cfg = resolve_config(args)
     except UsageError as exc:

@@ -73,6 +73,14 @@ def test_spectrum_linear_model_band():
         assert energies == pytest.approx([-half, half], abs=1e-9)
 
 
+def test_negative_axis_is_read_with_or_without_equals_sign():
+    spaced = run_cli("spectrum", "--R", "-2:2:5", "--v", "0.5")
+    joined = run_cli("spectrum", "--R=-2:2:5", "--v", "0.5")
+    assert spaced.stdout == joined.stdout
+    _, _, rows = parse_csv(spaced.stdout)
+    assert [row[0] for row in rows] == ["-2", "-1", "0", "1", "2"]
+
+
 def test_spectrum_fully_degenerate_point_is_blank():
     proc = run_cli("spectrum", "--R", "0", "--v", "0", "--c", "1")
     _, _, rows = parse_csv(proc.stdout)
