@@ -210,7 +210,11 @@ def _axis_values(spec) -> list[float]:
     return [float(spec)]
 
 
-# Grid modes and their CSV columns.
+# Errors of a computation that cannot evaluate a point or a run: main maps
+# them to exit code 1, a grid scan to a skipped point.
+_COMPUTE_ERRORS = (DimerPhaseError, ValueError, ArithmeticError)
+
+# Grid modes and their CSV columns; the first two hold the point's coordinates.
 _GRID_COLUMNS = {
     "spectrum": ("R", "v", "E1", "E2", "E3", "E4"),
     "berry": ("R", "v", "gamma_over_pi"),
@@ -218,28 +222,40 @@ _GRID_COLUMNS = {
 }
 
 
-def _eval_point(task: tuple) -> tuple:
-    """One grid point; module-level so worker processes can import it."""
-    mode, R, v, c, phi, tol = task
-    params = ModelParams(R=R, c=c, v=v, phi=phi)
+def _point_cells(mode: str, params: ModelParams, tol: float) -> tuple:
     if mode == "spectrum":
-        if not _has_states(params):
-            return (R, v, None, None, None, None)
         energies = list(stationary_states(params, tol).energies)
-        energies += [None] * (4 - len(energies))
-        return (R, v) + tuple(energies[:4])
+        return tuple((energies + [None] * 4)[:4])
     if mode == "berry":
-        lowest = stationary_states(params, tol).states[0]
-        gamma = berry_phase_closed_form(v, lowest.energy, lowest.imbalance)
-        return (R, v, gamma / math.pi)
-    if mode == "witness":
-        report = nonlinearity_witness(params, tol)
-        ratio = v / c if c > 0 else None
-        return (ratio, R, report.witness)
-    raise ValueError(f"no point evaluator for mode {mode!r}")
+        states = stationary_states(params, tol).states
+        if not states:
+            raise ModelDegenerateError(f"no stationary state at {params}")
+        lowest = states[0]
+        gamma = berry_phase_closed_form(params.v, lowest.energy, lowest.imbalance)
+        return (gamma / math.pi,)
+    return (nonlinearity_witness(params, tol).witness,)
 
 
-def _map_tasks(tasks: list[tuple], workers: int) -> list[tuple]:
+def _eval_point(task: tuple) -> tuple[tuple, bool]:
+    """One grid point's row, and whether it was skipped.
+
+    The fully degenerate origin has blank cells by design; a point whose
+    computation raises gets blank cells too and counts as skipped.
+    Module-level so worker processes can import it.
+    """
+    mode, R, v, c, phi, tol = task
+    coords = (v / c if c > 0 else None, R) if mode == "witness" else (R, v)
+    params = ModelParams(R=R, c=c, v=v, phi=phi)
+    skipped = False
+    if _has_states(params):
+        try:
+            return coords + _point_cells(mode, params, tol), False
+        except _COMPUTE_ERRORS:
+            skipped = True
+    return coords + (None,) * (len(_GRID_COLUMNS[mode]) - 2), skipped
+
+
+def _map_tasks(tasks: list[tuple], workers: int) -> list[tuple[tuple, bool]]:
     if workers <= 1 or len(tasks) < 4:
         return [_eval_point(t) for t in tasks]
     chunk = max(1, len(tasks) // (4 * workers))
@@ -253,7 +269,10 @@ def run_grid_scan(cfg: ScanConfig):
         for R in _axis_values(cfg.R)
         for v in _axis_values(cfg.v)
     ]
-    return _GRID_COLUMNS[cfg.mode], [], _map_tasks(tasks, cfg.workers)
+    results = _map_tasks(tasks, cfg.workers)
+    skipped = sum(skip for _, skip in results)
+    comments = [f"skipped: {skipped}"] if skipped else []
+    return _GRID_COLUMNS[cfg.mode], comments, [row for row, _ in results]
 
 
 def run_echo(cfg: ScanConfig):
@@ -343,7 +362,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"dimerphase: cannot write {cfg.out}: {exc}", file=sys.stderr)
         return 1
-    except (DimerPhaseError, ValueError, ArithmeticError) as exc:
+    except _COMPUTE_ERRORS as exc:
         print(f"dimerphase: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+from dimerphase import cli
+
 
 def run_cli(*args, expect=0):
     proc = subprocess.run(
@@ -86,6 +88,31 @@ def test_spectrum_fully_degenerate_point_is_blank():
     _, _, rows = parse_csv(proc.stdout)
     (row,) = rows
     assert row[2:] == ["", "", "", ""]
+
+
+@pytest.mark.parametrize("mode", ["berry", "witness"])
+def test_fully_degenerate_point_is_blank_in_every_grid_mode(mode):
+    proc = run_cli(mode, "--R", "0:1:3", "--v", "0:1:3", "--c", "1")
+    header, _, rows = parse_csv(proc.stdout)
+    assert rows[0] == ["0", "0", ""]
+    assert all(row[2] != "" for row in rows[1:])
+    assert not any(h.startswith("# skipped:") for h in header)
+
+
+def test_failing_point_is_skipped_and_counted(monkeypatch, capsys):
+    real = cli.nonlinearity_witness
+
+    def fails_at_half_bias(params, tol):
+        if params.R == 0.5:
+            raise ArithmeticError("no stationary states")
+        return real(params, tol)
+
+    monkeypatch.setattr(cli, "nonlinearity_witness", fails_at_half_bias)
+    assert cli.main(["witness", "--R", "0:1:3", "--v", "0.5"]) == 0
+    header, _, rows = parse_csv(capsys.readouterr().out)
+    assert "# skipped: 1" in header
+    assert rows[1] == ["0.5", "0.5", ""]
+    assert rows[0][2] != "" and rows[2][2] != ""
 
 
 # ---------------------------------------------------------------------------
