@@ -194,9 +194,12 @@ def resolve_config(args: argparse.Namespace) -> ScanConfig:
             if isinstance(val[name], np.ndarray):
                 raise UsageError(f"--{name}: {args.mode} takes a fixed value, not an axis")
 
-    canonical = "\n".join([f"mode={args.mode}"] + [f"{k}={raw[k]}" for k in sorted(raw)])
+    # workers changes how a scan runs, not what it computes, so it stays out
+    # of the run's identity: identical results carry identical headers.
+    settings = [f"{k}={raw[k]}" for k in sorted(raw) if k != "workers"]
+    canonical = "\n".join([f"mode={args.mode}"] + settings)
     digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
-    summary = " ".join(f"{k}={raw[k]}" for k in sorted(raw))
+    summary = " ".join(settings)
     return ScanConfig(mode=args.mode, **val, out=out, config_hash=digest, summary=summary)
 
 
