@@ -239,26 +239,30 @@ def _point_cells(mode: str, params: ModelParams, tol: float) -> tuple:
     return (nonlinearity_witness(params, tol).witness,)
 
 
-def _eval_point(task: tuple) -> tuple[tuple, bool]:
-    """One grid point's row, and whether it was skipped.
+# Cell value of a point whose computation raised: it renders blank, like the
+# None cells of the fully degenerate origin, but counts as skipped.
+_SKIPPED = ""
 
-    The fully degenerate origin has blank cells by design; a point whose
-    computation raises gets blank cells too and counts as skipped.
-    Module-level so worker processes can import it.
+
+def _eval_point(task: tuple) -> tuple:
+    """One grid point; module-level so worker processes can import it.
+
+    The fully degenerate origin has None cells by design; a point whose
+    computation raises gets _SKIPPED cells.
     """
     mode, R, v, c, phi, tol = task
     coords = (v / c if c > 0 else None, R) if mode == "witness" else (R, v)
     params = ModelParams(R=R, c=c, v=v, phi=phi)
-    skipped = False
+    blank = None
     if _has_states(params):
         try:
-            return coords + _point_cells(mode, params, tol), False
+            return coords + _point_cells(mode, params, tol)
         except _COMPUTE_ERRORS:
-            skipped = True
-    return coords + (None,) * (len(_GRID_COLUMNS[mode]) - 2), skipped
+            blank = _SKIPPED
+    return coords + (blank,) * (len(_GRID_COLUMNS[mode]) - 2)
 
 
-def _map_tasks(tasks: list[tuple], workers: int) -> list[tuple[tuple, bool]]:
+def _map_tasks(tasks: list[tuple], workers: int) -> list[tuple]:
     if workers <= 1 or len(tasks) < 4:
         return [_eval_point(t) for t in tasks]
     chunk = max(1, len(tasks) // (4 * workers))
@@ -272,10 +276,10 @@ def run_grid_scan(cfg: ScanConfig):
         for R in _axis_values(cfg.R)
         for v in _axis_values(cfg.v)
     ]
-    results = _map_tasks(tasks, cfg.workers)
-    skipped = sum(skip for _, skip in results)
+    rows = _map_tasks(tasks, cfg.workers)
+    skipped = sum(row[-1] == _SKIPPED for row in rows)
     comments = [f"skipped: {skipped}"] if skipped else []
-    return _GRID_COLUMNS[cfg.mode], comments, [row for row, _ in results]
+    return _GRID_COLUMNS[cfg.mode], comments, rows
 
 
 def run_echo(cfg: ScanConfig):
