@@ -6,12 +6,11 @@ imbalance m = |psi2|^2 - |psi1|^2 of the state it acts on:
     H(psi) = [[ R/2 + c*m/2,      (v/2) e^{+i phi} ],
               [ (v/2) e^{-i phi}, -R/2 - c*m/2     ]]
 
-Stationary states solve the
-self-consistency condition H(psi) psi = E psi, so there can be more of them
-than the dimension of the matrix: energies are real roots of a monic quartic,
-and a candidate root is kept only when a normalized state can be rebuilt
-around it with a small stationarity residual.  Rebuilding, not root
-bookkeeping, is what rejects spurious roots.
+Stationary states solve the self-consistency condition H(psi) psi = E psi, so
+there can be more of them than the dimension of the matrix.  Each is
+psi(beta) = (sin beta/2, -cos beta/2 e^{-i phi}) for a real root
+t = tan(beta/2) of one quartic, with imbalance m = cos beta and a closed-form
+energy; a root is kept when the rebuilt state's stationarity residual is small.
 """
 
 from __future__ import annotations
@@ -27,11 +26,6 @@ import numpy as np
 from .errors import BranchLostError, InvalidStateError
 
 TWO_PI = 2.0 * math.pi
-
-# Roots of the quartic closer than this (absolute, at unit scale) are treated
-# as one multiple root; companion-matrix output for a true double root is only
-# good to ~sqrt(eps), so the radius must sit well above that.
-_CLUSTER_RADIUS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -147,217 +141,148 @@ def hamiltonian_apply(params: ModelParams, state: Sequence[complex]) -> np.ndarr
 
 
 def quartic_coefficients(params: ModelParams) -> tuple[float, float, float, float, float]:
-    """Monic quartic in E whose real roots are the candidate stationary energies.
+    """Quartic in t = tan(beta/2) whose real roots are the stationary states.
+
+    The state psi(beta) = (sin beta/2, -cos beta/2 e^{-i phi}) has imbalance
+    m = cos beta and is stationary when (R + c m) sin beta = v cos beta, that
+    is when v t^4 + 2(R - c) t^3 + 2(R + c) t - v = 0.  At v = 0 the leading
+    coefficient vanishes and t = inf, psi = (1, 0), is a root as well.
 
     Independent of phi: the coupling phase is a gauge choice for the spectrum.
     """
     R, c, v = params.R, params.c, params.v
-    return (
-        1.0,
-        c,
-        0.25 * (c * c - v * v - R * R),
-        -0.25 * v * v * c,
-        -v * v * c * c / 16.0,
-    )
+    return (v, 2.0 * (R - c), 0.0, 2.0 * (R + c), -v)
 
 
-def _horner(coeffs: Sequence[float], z: complex) -> complex:
-    acc = 0.0 + 0.0j
-    for ck in coeffs:
-        acc = acc * z + ck
-    return acc
+def _derivative(coeffs: list) -> list:
+    top = len(coeffs) - 1
+    return [ck * (top - k) for k, ck in enumerate(coeffs[:-1])]
 
 
-# Companion-matrix eigenvalues of a mu-fold root scatter like eps**(1/mu), so
-# the acceptance radius for each multiplicity hypothesis must grow with mu.
-_MULT_RADIUS = {1: 1e-5, 2: 3e-6, 3: 3e-5, 4: 3e-4}
-
-
-def _newton(target: Sequence[float], dtarget: Sequence[float], z0: complex) -> tuple[complex, float]:
-    z = complex(z0)
-    step = math.inf
+def _polish(coeffs: list, z: complex) -> complex:
+    """Polish z as a root of the polynomial coeffs, highest power first."""
+    slope_coeffs = _derivative(coeffs)
+    last = math.inf
     for _ in range(60):
-        dz = _horner(dtarget, z)
-        if dz == 0:
+        value, slope = 0.0, 0.0
+        for ck in coeffs:
+            value = value * z + ck
+        for ck in slope_coeffs:
+            slope = slope * z + ck
+        if slope == 0:
             break
-        delta = _horner(target, z) / dz
-        z = z - delta
-        step = abs(delta)
-        if step <= 1e-15 * (1.0 + abs(z)):
+        step = value / slope
+        # Steps that stop shrinking are rounding noise: z is as good as it gets.
+        if not abs(step) < last:
             break
-    return z, step
-
-
-def _identify_root(z0: complex, derivs: Sequence[Sequence[float]]) -> complex:
-    """Polish a companion estimate, detecting the root's true multiplicity.
-
-    Clustering alone cannot group a multiple root whose eigenvalue scatter
-    exceeds the cluster radius (a triple root scatters ~eps**(1/3)), and plain
-    Newton stalls there in rounding noise.  So try each multiplicity mu from
-    high to low: polish on the (mu-1)-th derivative, where the root is simple,
-    and accept when the iteration converged near z0 with p and every lower
-    derivative vanishing to roundoff levels.
-    """
-    for mu in (4, 3, 2, 1):
-        z, step = _newton(derivs[mu - 1], derivs[mu], z0)
-        if step > 1e-10 * (1.0 + abs(z)):
-            continue
-        if abs(z - z0) > _MULT_RADIUS[mu] * (1.0 + abs(z0)):
-            continue
-        scale = max(1.0, abs(z))
-        p_bound = (1e-12 if mu > 1 else 1e-9) * scale**4
-        if abs(_horner(derivs[0], z)) > p_bound:
-            continue
-        if any(
-            abs(_horner(derivs[k], z)) > 1e-10 * scale ** (4 - k) for k in range(1, mu)
-        ):
-            continue
-        return z
-    z, _ = _newton(derivs[0], derivs[1], z0)
+        z -= step
+        last = abs(step)
     return z
+
+
+# Companion eigenvalues of a mu-fold root scatter like eps**(1/mu) around it,
+# about 3e-6 relative for a triple root, so estimates this close are one root.
+_GROUP_RADIUS = 1e-5
 
 
 def solve_quartic_real_roots(
     coeffs: Sequence[float], tol: float = 1e-9
 ) -> list[tuple[float, int]]:
-    """Real roots of a monic quartic with multiplicities, ascending.
+    """Real roots of a quartic with their multiplicities, ascending.
 
-    Starts from companion-matrix eigenvalues, clusters near-coincident
-    estimates, then polishes each cluster with a multiplicity-detecting Newton
-    ladder so double and triple roots converge quadratically instead of
-    stalling in rounding noise.  A root counts as real when
-    |Im| <= tol * (1 + |Re|); members of a multiple root that scatter into
-    tight conjugate pairs are folded back onto the axis by the polish.
+    Companion-matrix eigenvalues within a relative 1e-5 of each other form one
+    root, and the group's size is its multiplicity.  The group's centroid is
+    polished by Newton on the (mu-1)-th derivative, where a mu-fold root is
+    simple: in t when |t| <= 1, in 1/t (reversed coefficients) otherwise.  A
+    root counts as real when |Im| <= tol * (1 + |Re|).  Leading zero
+    coefficients (v = 0 in the t-quartic) are a root at infinity, returned
+    as math.inf with one multiplicity per zero.
     """
     cs = [float(x) for x in coeffs]
     if len(cs) != 5:
         raise ValueError("expected five quartic coefficients")
-    if abs(cs[0] - 1.0) > 1e-12:
-        raise ValueError("quartic must be monic")
-    cs[0] = 1.0
 
-    raw = list(np.roots(cs))
-
-    # Greedy chain clustering; degree four, so quadratic cost is irrelevant.
-    clusters: list[list[complex]] = []
-    for z in sorted(raw, key=lambda w: (w.real, w.imag)):
-        for group in clusters:
-            radius = _CLUSTER_RADIUS * (1.0 + abs(group[0]))
-            if abs(z - group[0]) <= radius:
+    groups: list[list[complex]] = []
+    for z in sorted(np.roots(cs).tolist(), key=lambda w: (w.real, w.imag)):
+        for group in groups:
+            if any(abs(z - w) <= _GROUP_RADIUS * max(abs(z), abs(w)) for w in group):
                 group.append(z)
                 break
         else:
-            clusters.append([z])
-
-    # Derivative coefficient table: index k holds the k-th derivative.
-    derivs = [np.array(cs)]
-    for _ in range(4):
-        derivs.append(np.polyder(derivs[-1]))
+            groups.append([z])
 
     found: list[tuple[float, int]] = []
-    for group in clusters:
-        z = _identify_root(sum(group) / len(group), derivs)
-        if abs(z.imag) > tol * (1.0 + abs(z.real)):
-            continue
-        root = z.real
-        bound = tol * max(1.0, abs(root) ** 4)
-        if abs(_horner(cs, complex(root))) > bound:
-            raise ArithmeticError(
-                f"quartic polish failed at {root!r}: residual above {bound!r}"
-            )
-        found.append((root, len(group)))
-
-    # Merge clusters that polished onto the same point.
-    found.sort(key=lambda rm: rm[0])
-    merged: list[tuple[float, int]] = []
-    for root, mult in found:
-        if merged and abs(root - merged[-1][0]) <= 1e-8 * (1.0 + abs(root)):
-            prev_root, prev_mult = merged[-1]
-            merged[-1] = (prev_root, min(4, prev_mult + mult))
-        else:
-            merged.append((root, mult))
-    return merged
-
-
-def _build_state(params: ModelParams, energy: float, m: float) -> Eigenstate:
-    R, c, v, phi = params.R, params.c, params.v, params.phi
-    p1sq = max(0.0, 0.5 * (1.0 - m))
-    p2sq = max(0.0, 0.5 * (1.0 + m))
-    a1 = math.sqrt(p1sq) + 0.0j
-    diag = 0.5 * R + 0.5 * c * m
-    if v > 0.0 and p1sq > 1e-24:
-        ratio = (energy - diag) / (0.5 * v * cmath.exp(1j * phi))
-        a2 = a1 * ratio
-    else:
-        # No coupling, or the first mode is empty: second amplitude carries the gauge.
-        a2 = math.sqrt(p2sq) + 0.0j
-    norm = math.sqrt(abs(a1) ** 2 + abs(a2) ** 2)
-    a1, a2 = a1 / norm, a2 / norm
-
-    h1, h2 = _apply(params, a1, a2)
-    r1 = h1 - energy * a1
-    r2 = h2 - energy * a2
-    residual = math.sqrt(abs(r1) ** 2 + abs(r2) ** 2)
-    return Eigenstate(a1, a2, float(energy), _imbalance(a1, a2), residual)
+    for group in groups:
+        mult = len(group)
+        z = sum(group) / mult
+        inverted = abs(z) > 1.0
+        target = cs[::-1] if inverted else cs
+        for _ in range(mult - 1):
+            target = _derivative(target)
+        z = _polish(target, 1.0 / z if inverted else z)
+        if inverted:
+            z = 1.0 / z
+        if abs(z.imag) <= tol * (1.0 + abs(z.real)):
+            found.append((z.real, mult))
+    at_infinity = len(cs) - len(np.trim_zeros(cs, "f"))
+    if at_infinity:
+        found.append((math.inf, at_infinity))
+    found.sort()
+    return found
 
 
 def reconstruct_states(
-    params: ModelParams, energy: float, tol: float = 1e-9
+    params: ModelParams, root: float, tol: float = 1e-9
 ) -> list[Eigenstate]:
-    """States stationary at the given energy: zero, one, or two of them.
+    """The state at a root t = tan(beta/2) of the t-quartic: a list of zero or one.
 
-    Generic branch (|2E + c| > tol): the imbalance is forced, m = -R/(2E + c).
-    Degenerate branch (2E + c and R both ~ 0): m^2 = 1 - (v/c)^2, a pair that
-    exists only for c >= v.  Candidates with |m| > 1, residual >= tol, or
-    4E^2 < v^2 are dropped.
+    Amplitudes (|t|, -sign(t) e^{-i phi}) / sqrt(1 + t^2), with amp2 = 1 at
+    t = 0 and psi = (1, 0) at t = inf; energy E = -v (1 + t^2) / (4 t), whose
+    limits are -(R + c)/2 at t = 0 and (R - c)/2 at t = inf.  The state is
+    kept when its stationarity residual |H(psi) psi - E psi| is below tol.
     """
     R, c, v = params.R, params.c, params.v
-    E = float(energy)
-
-    if abs(2.0 * E + c) > tol:
-        candidates = [-R / (2.0 * E + c)]
-    elif abs(R) <= tol and c > tol:
-        msq = 1.0 - (v / c) ** 2
-        if msq < -tol:
-            return []
-        m0 = math.sqrt(max(0.0, msq))
-        candidates = [-m0, m0] if m0 > tol else [0.0]
+    t = float(root)
+    if math.isinf(t):
+        a1, a2, energy = 1.0 + 0.0j, 0.0j, 0.5 * (R - c)
+    elif t == 0.0:
+        a1, a2, energy = 0.0j, 1.0 + 0.0j, -0.5 * (R + c)
     else:
-        return []
+        tsq = t * t
+        a1 = complex(math.sqrt(tsq / (1.0 + tsq)))
+        a2 = -math.copysign(math.sqrt(1.0 / (1.0 + tsq)), t) * cmath.exp(-1j * params.phi)
+        energy = -v * (1.0 + tsq) / (4.0 * t)
 
-    out = []
-    for m in candidates:
-        if abs(m) > 1.0 + 1e-12:
-            continue
-        state = _build_state(params, E, min(1.0, max(-1.0, m)))
-        if state.residual >= tol:
-            continue
-        if 4.0 * E * E < v * v - tol:
-            continue
-        out.append(state)
-    return out
+    h1, h2 = _apply(params, a1, a2)
+    residual = math.sqrt(abs(h1 - energy * a1) ** 2 + abs(h2 - energy * a2) ** 2)
+    if not residual < tol:
+        return []
+    return [Eigenstate(a1, a2, energy, _imbalance(a1, a2), residual)]
 
 
 def stationary_states(params: ModelParams, tol: float = 1e-9) -> StationaryFamily:
-    """All stationary states at one parameter point.
+    """All stationary states at one parameter point, one per real root of the t-quartic.
 
     Needs v > 0 or R != 0; the fully degenerate origin has no preferred states.
-    Between two and four states exist whenever v > 0.
+    Between two and four states exist whenever v > 0.  At v = 0 the relative
+    phase is free, so the roots +t and -t are one state, reported once.
+    Energies equal to within 1e-12 (relative) are one degenerate level: they
+    share one value and are ordered by imbalance.
     """
     if not _has_states(params):
         raise InvalidStateError("need v > 0 or R != 0 to define stationary states")
 
     roots = solve_quartic_real_roots(quartic_coefficients(params), tol)
-    states: list[Eigenstate] = []
-    for root, _ in roots:
-        for cand in reconstruct_states(params, root, tol):
-            dup = any(
-                abs(cand.energy - kept.energy) <= 1e-8 * (1.0 + abs(cand.energy))
-                and abs(cand.imbalance - kept.imbalance) <= 1e-8
-                for kept in states
-            )
-            if not dup:
-                states.append(cand)
+    if params.v == 0.0:
+        roots = [(t, mult) for t, mult in roots if t >= 0.0]
+    states = sorted(
+        (s for t, _ in roots for s in reconstruct_states(params, t, tol)),
+        key=lambda s: s.energy,
+    )
+    for i in range(1, len(states)):
+        low, high = states[i - 1].energy, states[i].energy
+        if high - low <= 1e-12 * max(abs(low), abs(high)):
+            states[i] = dataclasses.replace(states[i], energy=low)
     states.sort(key=lambda s: (s.energy, s.imbalance))
 
     if params.v > 0.0 and not 2 <= len(states) <= 4:

@@ -3,9 +3,9 @@
 Each file under tests/golden/ holds the output of `dimerphase <args>` with its
 `#` comment lines removed, so header changes (version, config summary, hash)
 do not touch it while every data byte does.  The spectrum grid includes the
-fully degenerate origin and the v = 0 row, whose missing fully polarized
-states are a known solver defect pinned here until it is fixed; the berry
-and witness grids each cover R < 0, R = 0 and R > 0.
+fully degenerate origin and the v = 0 row, where the fully polarized states
+and, for |R| < c, the E = 0 state with a free relative phase are each listed
+once; the berry and witness grids each cover R < 0, R = 0 and R > 0.
 """
 
 from pathlib import Path

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from dimerphase import (
     BranchLostError,
@@ -63,10 +64,10 @@ def test_hamiltonian_apply_rejects_unnormalized():
 @pytest.mark.parametrize(
     ("params", "expected"),
     [
-        (ModelParams(R=0.0, c=0.0, v=2.0), (1.0, 0.0, -1.0, 0.0, 0.0)),
-        (ModelParams(R=0.0, c=1.0, v=2.0), (1.0, 1.0, -0.75, -1.0, -0.25)),
-        (ModelParams(R=1.0, c=1.0, v=1.0), (1.0, 1.0, -0.25, -0.25, -0.0625)),
-        (ModelParams(R=0.0, c=2.0, v=0.5), (1.0, 2.0, 0.9375, -0.125, -0.0625)),
+        (ModelParams(R=0.0, c=0.0, v=2.0), (2.0, 0.0, 0.0, 0.0, -2.0)),
+        (ModelParams(R=0.0, c=1.0, v=2.0), (2.0, -2.0, 0.0, 2.0, -2.0)),
+        (ModelParams(R=1.0, c=1.0, v=1.0), (1.0, 0.0, 0.0, 4.0, -1.0)),
+        (ModelParams(R=0.0, c=2.0, v=0.5), (0.5, -4.0, 0.0, 4.0, -0.5)),
     ],
 )
 def test_quartic_coefficients(params, expected):
@@ -93,26 +94,29 @@ def test_quartic_roots_double_at_half():
 
 
 def test_quartic_roots_from_model_coefficients():
+    # R = 0: t = -1 and 1 are the m = 0 states, t = 4 -+ sqrt(15) the
+    # self-trapped pair, whose two roots have product 1.
     coeffs = quartic_coefficients(ModelParams(R=0.0, c=2.0, v=0.5))
     roots = solve_quartic_real_roots(coeffs)
     values = [r for r, _ in roots]
     mults = [m for _, m in roots]
-    np.testing.assert_allclose(values, [-1.0, -0.25, 0.25], atol=1e-12)
-    assert mults == [2, 1, 1]
+    root15 = math.sqrt(15.0)
+    np.testing.assert_allclose(values, [-1.0, 4.0 - root15, 1.0, 4.0 + root15], rtol=1e-12)
+    assert mults == [1, 1, 1, 1]
 
 
 def test_quartic_triple_root_at_critical_coupling():
     coeffs = quartic_coefficients(ModelParams(R=0.0, c=1.0, v=1.0))
     roots = solve_quartic_real_roots(coeffs)
-    values = [r for r, _ in roots]
-    mults = [m for _, m in roots]
-    np.testing.assert_allclose(values, [-0.5, 0.5], atol=1e-12)
-    assert mults == [3, 1]
+    assert roots == [(-1.0, 1), (1.0, 3)]
 
 
-def test_quartic_rejects_nonmonic():
-    with pytest.raises(ValueError):
-        solve_quartic_real_roots((2.0, 0.0, -1.0, 0.0, 0.0))
+def test_quartic_root_at_infinity_without_coupling():
+    coeffs = quartic_coefficients(ModelParams(R=-1.8, c=1.0, v=0.0))
+    assert solve_quartic_real_roots(coeffs) == [(0.0, 1), (math.inf, 1)]
+
+
+def test_quartic_rejects_wrong_length():
     with pytest.raises(ValueError):
         solve_quartic_real_roots((1.0, 0.0, -1.0, 0.0))
 
@@ -131,12 +135,19 @@ def test_quartic_matches_companion_roots_randomly():
 
 
 def test_reconstruct_rejects_spurious_root():
-    assert reconstruct_states(ModelParams(R=0.0, c=1.0, v=2.0), -0.5) == []
+    # t = 0.5 is not a root: psi(beta) there is not stationary.
+    assert reconstruct_states(ModelParams(R=0.0, c=1.0, v=2.0), 0.5) == []
 
 
 def test_reconstruct_degenerate_pair():
-    states = reconstruct_states(ModelParams(R=0.0, c=2.0, v=1.0), -1.0)
+    # R = 0, c = 2, v = 1: t = 2 -+ sqrt(3) between the m = 0 roots -1 and 1.
+    params = ModelParams(R=0.0, c=2.0, v=1.0)
+    roots = [t for t, _ in solve_quartic_real_roots(quartic_coefficients(params))]
+    pair = [2.0 - math.sqrt(3.0), 2.0 + math.sqrt(3.0)]
+    np.testing.assert_allclose(roots, [-1.0, pair[0], 1.0, pair[1]], rtol=1e-12)
+    states = [s for t in roots[1::2] for s in reconstruct_states(params, t)]
     assert len(states) == 2
+    np.testing.assert_allclose([s.energy for s in states], [-1.0, -1.0], atol=1e-12)
     np.testing.assert_allclose(
         sorted(s.imbalance for s in states), [-ROOT3_OVER_2, ROOT3_OVER_2], atol=1e-12
     )
@@ -146,7 +157,7 @@ def test_reconstruct_degenerate_pair():
 
 def test_reconstruct_linear_ground_state():
     for phi in (0.0, math.pi / 3.0):
-        states = reconstruct_states(ModelParams(R=0.0, c=0.0, v=2.0, phi=phi), -1.0)
+        states = reconstruct_states(ModelParams(R=0.0, c=0.0, v=2.0, phi=phi), 1.0)
         assert len(states) == 1
         st = states[0]
         assert st.imbalance == pytest.approx(0.0, abs=1e-12)
@@ -305,3 +316,91 @@ def test_state_overlap_hermitian_symmetry():
 def test_eigenstate_amplitudes_roundtrip():
     st = Eigenstate(1.0 + 0.0j, 0.0j, 0.5, -1.0, 0.0)
     np.testing.assert_allclose(st.amplitudes, [1.0, 0.0])
+
+
+# ---------------------------------------------------------------------------
+# properties over the whole parameter range
+
+_PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+couplings = st.floats(-9.0, 1.0).map(lambda e: 10.0**e)
+biases = st.one_of(st.floats(-10.0, 10.0), st.just(0.0), st.floats(-1e-3, 1e-3))
+nonlinearities = st.floats(0.0, 10.0)
+
+
+def _astroid_side(R, c, v):
+    """-1 inside |R|^(2/3) + v^(2/3) = c^(2/3), +1 outside, 0 within 1e-6 of it."""
+    gap = abs(R) ** (2.0 / 3.0) + v ** (2.0 / 3.0) - c ** (2.0 / 3.0)
+    if abs(gap) <= 1e-6 * c ** (2.0 / 3.0):
+        return 0
+    return -1 if gap < 0.0 else 1
+
+
+@_PROPERTY
+@given(R=biases, c=nonlinearities, v=couplings)
+def test_four_states_inside_astroid_two_outside(R, c, v):
+    side = _astroid_side(R, c, v)
+    assume(side != 0)
+    fam = stationary_states(ModelParams(R=R, c=c, v=v))
+    assert len(fam) == (4 if side < 0 else 2)
+    assert all(s.residual < 1e-9 for s in fam.states)
+
+
+@_PROPERTY
+@given(R=biases, c=nonlinearities, v=couplings, phi=st.floats(0.0, 6.28))
+def test_phi_rotates_states_and_keeps_energies(R, c, v, phi):
+    assume(_astroid_side(R, c, v) != 0)
+    base = stationary_states(ModelParams(R=R, c=c, v=v)).states
+    turned = stationary_states(ModelParams(R=R, c=c, v=v, phi=phi)).states
+    assert [s.energy for s in turned] == [s.energy for s in base]
+    for a, b in zip(base, turned):
+        assert b.amp1 == a.amp1
+        assert abs(b.amp2 - a.amp2 * cmath.exp(-1j * phi)) < 1e-12
+
+
+@_PROPERTY
+@given(R=biases, c=nonlinearities, v=couplings)
+def test_bias_reversal_keeps_energies(R, c, v):
+    assume(_astroid_side(R, c, v) != 0)
+    plus = stationary_states(ModelParams(R=R, c=c, v=v)).energies
+    minus = stationary_states(ModelParams(R=-R, c=c, v=v)).energies
+    np.testing.assert_allclose(minus, plus, rtol=1e-12, atol=0.0)
+
+
+@_PROPERTY
+@given(c=nonlinearities, v=couplings)
+def test_self_trapped_pair_shares_energy_and_starts_at_negative_imbalance(c, v):
+    assume(c > v * (1.0 + 1e-6))
+    states = stationary_states(ModelParams(R=0.0, c=c, v=v)).states
+    assert states[0].energy == states[1].energy
+    assert states[0].imbalance < 0.0
+
+
+def test_uncoupled_bias_beyond_nonlinearity_is_fully_polarized():
+    fam = stationary_states(ModelParams(R=-1.8, c=1.0, v=0.0))
+    assert fam.energies == pytest.approx([-1.4, 0.4], abs=1e-15)
+    assert [s.imbalance for s in fam.states] == [-1.0, 1.0]
+
+
+@pytest.mark.parametrize(("R", "count"), [(0.3, 4), (5.0, 2)])
+def test_tiny_coupling_keeps_every_state(R, count):
+    fam = stationary_states(ModelParams(R=R, c=1.0, v=1e-8))
+    assert len(fam) == count
+
+
+def test_tiny_coupling_resolves_the_inner_pair():
+    fam = stationary_states(ModelParams(R=0.3, c=1.0, v=1e-6))
+    assert len(fam) == 4
+    np.testing.assert_allclose(fam.energies[2:], [-5.2414e-7, 5.2414e-7], rtol=1e-4)
+
+
+def test_near_full_polarization_keeps_self_trapped_state():
+    fam = stationary_states(ModelParams(R=0.0013683897444756177, c=1.0141692229906407, v=0.04))
+    assert len(fam) == 4
+    assert min(s.imbalance for s in fam.states) == pytest.approx(-0.9992, abs=1e-4)
+
+
+def test_self_trapped_pair_order_at_loop_point():
+    states = stationary_states(ModelParams(R=0.0, c=2.068564590147837, v=0.9128062876453995)).states
+    assert states[0].energy == states[1].energy
+    assert states[0].imbalance < 0.0 < states[1].imbalance
