@@ -16,7 +16,6 @@ import hashlib
 import math
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import make_dataclass
 from typing import Optional, Sequence
 
@@ -87,7 +86,6 @@ _KEYS = {
     "tol": ("1e-9", _parse_float, "validation tolerance"),
     "theta": (repr(0.5 * math.pi), _parse_float, "drive polar angle (echo)"),
     "amp": ("1", _parse_float, "drive amplitude (echo)"),
-    "workers": ("1", _parse_int, "parallel workers for grid scans"),
 }
 
 _CONFIG_KEYS = set(_KEYS) | {"out"}
@@ -181,22 +179,20 @@ def resolve_config(args: argparse.Namespace) -> ScanConfig:
         raise UsageError("tol, dt, and T must all be positive")
     if val["loop_points"] < 16:
         raise UsageError("--loop-points: need at least 16")
-    if val["workers"] < 1:
-        raise UsageError("--workers: need at least 1")
     if not 0.0 <= val["theta"] <= math.pi:
         raise UsageError("--theta: must lie in [0, pi]")
     if val["amp"] < 0.0:
         raise UsageError("--amp: must be >= 0")
-    if isinstance(val["v"], float) and val["v"] < 0.0:
+    if np.any(val["v"] < 0.0):
         raise UsageError("--v: coupling must be >= 0")
+    if val["c"] < 0.0:
+        raise UsageError("--c: nonlinearity must be >= 0")
     if args.mode in ("echo", "triple"):
         for name in ("R", "v"):
             if isinstance(val[name], np.ndarray):
                 raise UsageError(f"--{name}: {args.mode} takes a fixed value, not an axis")
 
-    # workers changes how a scan runs, not what it computes, so it stays out
-    # of the run's identity: identical results carry identical headers.
-    settings = [f"{k}={raw[k]}" for k in sorted(raw) if k != "workers"]
+    settings = [f"{k}={raw[k]}" for k in sorted(raw)]
     canonical = "\n".join([f"mode={args.mode}"] + settings)
     digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
     summary = " ".join(settings)
@@ -204,7 +200,8 @@ def resolve_config(args: argparse.Namespace) -> ScanConfig:
 
 
 def _fmt(x: float) -> str:
-    return "%.12g" % x
+    # Adding 0.0 turns -0.0 into 0.0, so a zero prints as "0" whatever its sign.
+    return "%.12g" % (x + 0.0)
 
 
 def _axis_values(spec) -> list[float]:
@@ -244,39 +241,30 @@ def _point_cells(mode: str, params: ModelParams, tol: float) -> tuple:
 _SKIPPED = ""
 
 
-def _eval_point(task: tuple) -> tuple:
-    """One grid point; module-level so worker processes can import it.
+def _eval_point(cfg: ScanConfig, R: float, v: float) -> tuple:
+    """One grid point.
 
     The fully degenerate origin has None cells by design; a point whose
     computation raises gets _SKIPPED cells.
     """
-    mode, R, v, c, phi, tol = task
+    mode, c = cfg.mode, cfg.c
     coords = (v / c if c > 0 else None, R) if mode == "witness" else (R, v)
-    params = ModelParams(R=R, c=c, v=v, phi=phi)
+    params = ModelParams(R=R, c=c, v=v, phi=cfg.phi)
     blank = None
     if _has_states(params):
         try:
-            return coords + _point_cells(mode, params, tol)
+            return coords + _point_cells(mode, params, cfg.tol)
         except _COMPUTE_ERRORS:
             blank = _SKIPPED
     return coords + (blank,) * (len(_GRID_COLUMNS[mode]) - 2)
 
 
-def _map_tasks(tasks: list[tuple], workers: int) -> list[tuple]:
-    if workers <= 1 or len(tasks) < 4:
-        return [_eval_point(t) for t in tasks]
-    chunk = max(1, len(tasks) // (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_eval_point, tasks, chunksize=chunk))
-
-
 def run_grid_scan(cfg: ScanConfig):
-    tasks = [
-        (cfg.mode, R, v, cfg.c, cfg.phi, cfg.tol)
+    rows = [
+        _eval_point(cfg, R, v)
         for R in _axis_values(cfg.R)
         for v in _axis_values(cfg.v)
     ]
-    rows = _map_tasks(tasks, cfg.workers)
     skipped = sum(row[-1] == _SKIPPED for row in rows)
     comments = [f"skipped: {skipped}"] if skipped else []
     return _GRID_COLUMNS[cfg.mode], comments, rows

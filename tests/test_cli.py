@@ -75,6 +75,12 @@ def test_spectrum_linear_model_band():
         assert energies == pytest.approx([-half, half], abs=1e-9)
 
 
+def test_zero_energy_prints_without_sign():
+    assert cli._fmt(-0.0) == "0"
+    proc = run_cli("spectrum", "--R=-1", "--v", "0", "--c", "1")
+    assert proc.stdout.splitlines()[-1] == "-1,0,-1,0,,"
+
+
 def test_negative_axis_is_read_with_or_without_equals_sign():
     spaced = run_cli("spectrum", "--R", "-2:2:5", "--v", "0.5")
     joined = run_cli("spectrum", "--R=-2:2:5", "--v", "0.5")
@@ -254,12 +260,6 @@ def test_out_flag_writes_file(tmp_path):
     assert rows[0][0] == "phi"
 
 
-def test_workers_do_not_change_results():
-    serial = run_cli("spectrum", "--R", "0:2:5", "--v", "0.5:1.5:3", "--workers", "1")
-    parallel = run_cli("spectrum", "--R", "0:2:5", "--v", "0.5:1.5:3", "--workers", "2")
-    assert serial.stdout == parallel.stdout
-
-
 # ---------------------------------------------------------------------------
 # determinism
 
@@ -314,7 +314,12 @@ def test_out_of_range_flags_are_usage_errors():
     run_cli("triple", "--loop-points", "8", expect=2)
     run_cli("echo", "--theta", "4", expect=2)
     run_cli("echo", "--amp", "-1", expect=2)
-    run_cli("spectrum", "--workers", "0", expect=2)
+    for args, flag in [
+        (("spectrum", "--v=-1:1:3"), "--v"),
+        (("spectrum", "--c", "-1"), "--c"),
+        (("echo", "--c", "-1"), "--c"),
+    ]:
+        assert flag in run_cli(*args, expect=2).stderr
 
 
 def test_unwritable_output_path_fails_cleanly(tmp_path):
