@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -77,20 +77,32 @@ class PhasePair:
         return (self.gamma_n, self.gamma_n1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrameLoop:
-    """Closed ordered frame samples; the overlap s is constant along the loop."""
+    """Closed loop of frame angles with a constant overlap s.
 
-    frames: tuple[PerturbationFrame, ...]
+    thetas   polar angles in [0, pi], one per sample
+    phis     azimuths as an unwrapped loop coordinate, one per sample
+    overlap  modulus s of the unperturbed states' inner product, in [0, 1]
+    """
+
+    thetas: np.ndarray
+    phis: np.ndarray
     overlap: float
 
     def __post_init__(self):
-        object.__setattr__(self, "frames", tuple(self.frames))
-        if len(self.frames) < 3:
+        thetas = np.asarray(self.thetas, dtype=float)
+        phis = np.asarray(self.phis, dtype=float)
+        if thetas.ndim != 1 or thetas.shape != phis.shape:
+            raise ValueError("theta and phi samples must be 1-D arrays of one length")
+        if len(thetas) < 3:
             raise ValueError("a loop needs at least three samples")
-        for f in self.frames:
-            if abs(f.overlap - self.overlap) > 1e-12:
-                raise ValueError("all frames on a loop must share one overlap")
+        if not np.all((thetas >= 0.0) & (thetas <= math.pi)):
+            raise ValueError("theta samples must lie in [0, pi]")
+        _check_overlap(self.overlap)
+        object.__setattr__(self, "thetas", thetas)
+        object.__setattr__(self, "phis", phis)
+        object.__setattr__(self, "overlap", float(self.overlap))
 
 
 def frame_from_deltas(
@@ -130,71 +142,31 @@ def frame_loop(
     theta: float | Sequence[float] | Callable[[float], float],
     overlap: float,
     n_points: int = 1024,
-    magnitude: float = 1.0,
 ) -> FrameLoop:
-    """Loop of frames with azimuth winding once through [0, 2*pi).
+    """Loop whose azimuth winds once from 0 to 2*pi in n_points equal steps.
 
     theta may be a constant, a callable theta(phi), or an array of
-    n_points + 1 samples.  Frames are built from matrix elements of size
-    `magnitude`, which the angles do not depend on.
+    n_points + 1 samples.
     """
     if n_points < 3:
         raise ValueError("need at least three loop segments")
     phis = np.linspace(0.0, TWO_PI, n_points + 1)
     if callable(theta):
-        thetas = [float(theta(p)) for p in phis]
-    elif np.ndim(theta) == 0:
-        thetas = [float(theta)] * (n_points + 1)
-    else:
-        thetas = [float(t) for t in theta]
-        if len(thetas) != n_points + 1:
-            raise ValueError("theta array must have n_points + 1 samples")
-
-    frames = []
-    for p, t in zip(phis, thetas):
-        f = frame_from_deltas(
-            0.5 * magnitude * math.cos(t),
-            -0.5 * magnitude * math.cos(t),
-            0.5 * magnitude * math.sin(t) * cmath.exp(1j * p),
-            overlap,
-        )
-        # A sample sitting exactly at a pole has doff = 0 and loses its
-        # azimuth; restore the loop coordinate so quadrature spacing survives.
-        if f.doff == 0:
-            f = replace(f, phi_angle=p % TWO_PI)
-        frames.append(f)
-    return FrameLoop(tuple(frames), float(overlap))
+        theta = [theta(p) for p in phis]
+    thetas = np.asarray(theta, dtype=float)
+    if thetas.ndim == 0:
+        thetas = np.full_like(phis, thetas)
+    return FrameLoop(thetas, phis, overlap)
 
 
-def _segments(loop: FrameLoop) -> Iterable[tuple[PerturbationFrame, PerturbationFrame, float]]:
-    frames = loop.frames
-    for k in range(len(frames) - 1):
-        a, b = frames[k], frames[k + 1]
-        dphi = math.remainder(b.phi_angle - a.phi_angle, TWO_PI)
-        yield a, b, dphi
-
-
-def _loop_integral(loop: FrameLoop, integrand: Callable[[float], float]) -> float:
-    """Trapezoid integral of a function of theta against d(phi) around the loop."""
-    total = 0.0
-    for a, b, dphi in _segments(loop):
-        total += 0.5 * (integrand(a.theta) + integrand(b.theta)) * dphi
-    return total
+def _loop_integral(loop: FrameLoop, values: np.ndarray) -> float:
+    """Trapezoid integral against d(phi) of an integrand sampled on the loop."""
+    return float(0.5 * np.sum((values[:-1] + values[1:]) * np.diff(loop.phis)))
 
 
 def solid_angle(loop: FrameLoop) -> float:
     """Oriented solid angle enclosed by the frame axis, integral of (1 - cos theta) d(phi)."""
-    return _loop_integral(loop, lambda t: 1.0 - math.cos(t))
-
-
-def _check_minus_guard(loop: FrameLoop) -> None:
-    s = loop.overlap
-    for f in loop.frames:
-        if 1.0 - math.sin(f.theta) * s < SINGULARITY_GUARD:
-            raise NearSingularLoopError(
-                "1 - sin(theta)*s fell below the quadrature guard; "
-                "use the unit-overlap limit instead"
-            )
+    return _loop_integral(loop, 1.0 - np.cos(loop.thetas))
 
 
 def berry_phase_perturbative(loop: FrameLoop) -> PhasePair:
@@ -203,14 +175,15 @@ def berry_phase_perturbative(loop: FrameLoop) -> PhasePair:
     gamma_n   = 1/2 int (1 - cos theta + s sin theta) / (1 + s sin theta) dphi
     gamma_n+1 = 1/2 int (1 + cos theta - s sin theta) / (1 - s sin theta) dphi
     """
-    _check_minus_guard(loop)
-    s = loop.overlap
-    g_n = 0.5 * _loop_integral(
-        loop, lambda t: (1.0 - math.cos(t) + s * math.sin(t)) / (1.0 + s * math.sin(t))
-    )
-    g_n1 = 0.5 * _loop_integral(
-        loop, lambda t: (1.0 + math.cos(t) - s * math.sin(t)) / (1.0 - s * math.sin(t))
-    )
+    s_sin = loop.overlap * np.sin(loop.thetas)
+    if np.min(1.0 - s_sin) < SINGULARITY_GUARD:
+        raise NearSingularLoopError(
+            "1 - sin(theta)*s fell below the quadrature guard; "
+            "use the unit-overlap limit instead"
+        )
+    cos = np.cos(loop.thetas)
+    g_n = 0.5 * _loop_integral(loop, (1.0 - cos + s_sin) / (1.0 + s_sin))
+    g_n1 = 0.5 * _loop_integral(loop, (1.0 + cos - s_sin) / (1.0 - s_sin))
     return PhasePair(_wrap(g_n), _wrap(g_n1))
 
 
@@ -242,7 +215,7 @@ def berry_phase_small_overlap(loop: FrameLoop) -> PhasePair:
 
 def companion_solid_angle(loop: FrameLoop) -> float:
     """The auxiliary integral entering the small-overlap correction; -2*pi on the equator."""
-    return -_loop_integral(loop, lambda t: 1.0 + math.cos(0.5 * math.pi + 2.0 * t))
+    return -_loop_integral(loop, 1.0 + np.cos(0.5 * math.pi + 2.0 * loop.thetas))
 
 
 def berry_phase_unit_overlap(loop: FrameLoop) -> PhasePair:
@@ -255,15 +228,11 @@ def berry_phase_unit_overlap(loop: FrameLoop) -> PhasePair:
     constant-theta expressions: level n takes the -cos/(1+sin) branch.
     Loops touching sin(theta) = 1 make the n+1 integrand blow up.
     """
-    for f in loop.frames:
-        if 1.0 - math.sin(f.theta) < SINGULARITY_GUARD:
-            raise SingularLimitError("unit-overlap integrand singular at sin(theta) = 1")
-    g_n = 0.5 * _loop_integral(
-        loop, lambda t: 1.0 - math.cos(t) / (1.0 + math.sin(t))
-    )
-    g_n1 = 0.5 * _loop_integral(
-        loop, lambda t: 1.0 + math.cos(t) / (1.0 - math.sin(t))
-    )
+    sin, cos = np.sin(loop.thetas), np.cos(loop.thetas)
+    if np.min(1.0 - sin) < SINGULARITY_GUARD:
+        raise SingularLimitError("unit-overlap integrand singular at sin(theta) = 1")
+    g_n = 0.5 * _loop_integral(loop, 1.0 - cos / (1.0 + sin))
+    g_n1 = 0.5 * _loop_integral(loop, 1.0 + cos / (1.0 - sin))
     return PhasePair(_wrap(g_n), _wrap(g_n1))
 
 

@@ -42,35 +42,28 @@ class UsageError(Exception):
 
 
 def _parse_axis(text: str, name: str):
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise UsageError(f"--{name}: axis spec must be start:stop:count")
-        try:
-            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise UsageError(f"--{name}: bad axis spec {text!r}") from exc
-        if count < 2:
-            raise UsageError(f"--{name}: an axis needs at least 2 points")
-        return np.linspace(start, stop, count)
+    if ":" not in text:
+        return _parse_float(text, name)
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise UsageError(f"--{name}: axis spec must be start:stop:count")
     try:
-        return float(text)
+        count = int(parts[2])
     except ValueError as exc:
-        raise UsageError(f"--{name}: expected a number or axis spec") from exc
+        raise UsageError(f"--{name}: bad axis spec {text!r}") from exc
+    if count < 2:
+        raise UsageError(f"--{name}: an axis needs at least 2 points")
+    return np.linspace(_parse_float(parts[0], name), _parse_float(parts[1], name), count)
 
 
 def _parse_float(text: str, name: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise UsageError(f"--{name}: expected a number, got {text!r}") from exc
-
-
-def _parse_int(text: str, name: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise UsageError(f"--{name}: expected an integer, got {text!r}") from exc
+    if not math.isfinite(value):
+        raise UsageError(f"--{name}: expected a finite number, got {text!r}")
+    return value
 
 
 # Every run setting: key -> (default, parser, help).  Each key is a --flag
@@ -79,8 +72,6 @@ _KEYS = {
     "R": ("0", _parse_axis, "bias: value or start:stop:count axis"),
     "v": ("1", _parse_axis, "coupling: value or start:stop:count axis"),
     "c": ("1", _parse_float, "nonlinearity strength"),
-    "phi": ("0", _parse_float, "coupling phase"),
-    "loop_points": ("256", _parse_int, "loop samples for transport scans"),
     "dt": ("0.002", _parse_float, "integrator time step"),
     "T": ("20", _parse_float, "drive duration"),
     "tol": ("1e-9", _parse_float, "validation tolerance"),
@@ -177,8 +168,6 @@ def resolve_config(args: argparse.Namespace) -> ScanConfig:
 
     if val["tol"] <= 0 or val["dt"] <= 0 or val["T"] <= 0:
         raise UsageError("tol, dt, and T must all be positive")
-    if val["loop_points"] < 16:
-        raise UsageError("--loop-points: need at least 16")
     if not 0.0 <= val["theta"] <= math.pi:
         raise UsageError("--theta: must lie in [0, pi]")
     if val["amp"] < 0.0:
@@ -249,7 +238,7 @@ def _eval_point(cfg: ScanConfig, R: float, v: float) -> tuple:
     """
     mode, c = cfg.mode, cfg.c
     coords = (v / c if c > 0 else None, R) if mode == "witness" else (R, v)
-    params = ModelParams(R=R, c=c, v=v, phi=cfg.phi)
+    params = ModelParams(R=R, c=c, v=v)
     blank = None
     if _has_states(params):
         try:
@@ -271,7 +260,7 @@ def run_grid_scan(cfg: ScanConfig):
 
 
 def run_echo(cfg: ScanConfig):
-    base = ModelParams(R=float(cfg.R), c=cfg.c, v=float(cfg.v), phi=cfg.phi)
+    base = ModelParams(R=float(cfg.R), c=cfg.c, v=float(cfg.v))
     if _has_states(base):
         initial = stationary_states(base, cfg.tol).states[0]
         try:
@@ -301,7 +290,7 @@ def run_triple_table(cfg: ScanConfig):
     columns = ("loop", "psi_n_minus_1", "psi_n", "psi_n_plus_1")
     rows = []
     for loop_name in ("phi", "theta"):
-        signs = [transport_sign(loop_name, lvl, cfg.loop_points) for lvl in (-1, 0, 1)]
+        signs = [transport_sign(loop_name, lvl) for lvl in (-1, 0, 1)]
         rows.append((loop_name, "%+d" % signs[0], "%+d" % signs[1], "%+d" % signs[2]))
     return columns, [], rows
 

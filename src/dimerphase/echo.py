@@ -236,8 +236,6 @@ def loschmidt_dynamical(
     """
     t_base, traj_base = evolve_nonlinear(initial, zero_drive(base, drive.total_time), dt)
     t_pert, traj_pert = evolve_nonlinear(initial, drive, dt)
-    if len(t_base) != len(t_pert):
-        raise ValueError("base and drive spans disagree")
     inner = np.sum(np.conj(traj_pert) * traj_base, axis=1)
     values = np.abs(inner) ** 2
     return EchoTrace(t_base, values)

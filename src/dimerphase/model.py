@@ -224,7 +224,7 @@ def solve_quartic_real_roots(
             z = 1.0 / z
         if abs(z.imag) <= tol * (1.0 + abs(z.real)):
             found.append((z.real, mult))
-    at_infinity = len(cs) - len(np.trim_zeros(cs, "f"))
+    at_infinity = next((k for k, x in enumerate(cs) if x != 0.0), len(cs))
     if at_infinity:
         found.append((math.inf, at_infinity))
     found.sort()

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AtDegeneracyError, LoopTooCoarseError, NonCoplanarLoopError
+from .errors import AtDegeneracyError, NonCoplanarLoopError
 from .model import TWO_PI
 
 # Map a level offset relative to n onto its row in the eigensystem tables.
@@ -123,19 +123,11 @@ def transport_sign(loop_angle: str, level: int, samples: int = 256) -> int:
     else:
         raise ValueError("loop_angle must be 'phi' or 'theta'")
 
-    start = eigenvector_rows(*angle_pairs[0])[row]
-    prev = start
-    for pair in angle_pairs[1:]:
-        cur = eigenvector_rows(*pair)[row]
-        dot = float(np.dot(prev, cur))
-        if abs(dot) < 0.5:
-            raise LoopTooCoarseError(
-                f"consecutive transport overlap {abs(dot):.3f}; increase samples"
-            )
-        if dot < 0.0:
-            cur = -cur
-        prev = cur
-    closure = float(np.dot(start, prev))
+    # With 16 or more samples a step turns the vector by at most pi/8, so each
+    # neighbour overlap has modulus >= cos(pi/8) and its sign marks a flip.
+    rows = np.array([eigenvector_rows(*pair)[row] for pair in angle_pairs])
+    dots = np.sum(rows[:-1] * rows[1:], axis=1)
+    closure = np.prod(np.sign(dots)) * float(np.dot(rows[0], rows[-1]))
     return 1 if closure > 0.0 else -1
 
 
@@ -179,10 +171,9 @@ def encloses_degeneracy(
         raise AtDegeneracyError("loop passes through the degeneracy")
 
     closed = np.hypot(xs[0] - xs[-1], ys[0] - ys[-1]) < tol * scale
-    idx = list(range(len(xs))) if closed else list(range(len(xs))) + [0]
     angles = np.arctan2(ys, xs)
-    winding = 0.0
-    for k in range(len(idx) - 1):
-        a, b = angles[idx[k]], angles[idx[k + 1]]
-        winding += math.remainder(b - a, TWO_PI)
+    if not closed:
+        angles = np.append(angles, angles[0])
+    steps = np.diff(angles)
+    winding = np.sum(steps - TWO_PI * np.round(steps / TWO_PI))
     return abs(round(winding / TWO_PI)) != 0

@@ -98,17 +98,9 @@ def test_frame_invariants_random():
         assert f.overlap == s
 
 
-def test_frame_loop_requires_consistent_overlap():
-    a = frame_from_deltas(1.0, -1.0, 0.1, 0.2)
-    b = frame_from_deltas(1.0, -1.0, 0.1, 0.3)
-    with pytest.raises(ValueError):
-        FrameLoop((a, b, a), 0.2)
-
-
 def test_frame_loop_requires_three_samples():
-    a = frame_from_deltas(1.0, -1.0, 0.1, 0.2)
     with pytest.raises(ValueError):
-        FrameLoop((a, a), 0.2)
+        FrameLoop(np.array([0.5, 0.5]), np.array([0.0, TWO_PI]), 0.2)
 
 
 def test_frame_loop_builder_validation():
@@ -116,19 +108,32 @@ def test_frame_loop_builder_validation():
         frame_loop(0.5, 0.0, n_points=2)
     with pytest.raises(ValueError):
         frame_loop([0.5] * 10, 0.0, n_points=16)
+    with pytest.raises(ValueError):
+        frame_loop(0.5, 1.5, n_points=16)
+    for bad_theta in (-0.1, math.pi + 0.1, math.nan):
+        with pytest.raises(ValueError):
+            frame_loop(bad_theta, 0.0, n_points=16)
 
 
 def test_frame_loop_polar_samples_keep_azimuth():
     loop = frame_loop(0.0, 0.0, n_points=8)
-    phis = [f.phi_angle for f in loop.frames]
-    expect = [wrap(TWO_PI * k / 8.0) for k in range(9)]
-    np.testing.assert_allclose(phis, expect, atol=1e-12)
+    np.testing.assert_array_equal(loop.phis, np.linspace(0.0, TWO_PI, 9))
 
 
-def test_frame_loop_magnitude_does_not_move_angles():
-    a = frame_loop(1.0, 0.0, n_points=64, magnitude=1.0)
-    b = frame_loop(1.0, 0.0, n_points=64, magnitude=7.5)
-    assert solid_angle(a) == pytest.approx(solid_angle(b), abs=1e-14)
+def test_frame_loop_theta_forms_agree():
+    n = 64
+    loops = [
+        frame_loop(theta, 0.4, n_points=n)
+        for theta in (1.1, lambda phi: 1.1, np.full(n + 1, 1.1))
+    ]
+    for loop in loops[1:]:
+        np.testing.assert_array_equal(loop.thetas, loops[0].thetas)
+        for phase in (
+            berry_phase_perturbative,
+            berry_phase_small_overlap,
+            berry_phase_unit_overlap,
+        ):
+            assert phase(loop).as_tuple() == phase(loops[0]).as_tuple()
 
 
 # ---------------------------------------------------------------------------

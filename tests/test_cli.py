@@ -221,14 +221,6 @@ def test_triple_sign_table():
     assert rows[1] == ["theta", "-1", "+1", "-1"]
 
 
-def test_triple_resolution_independent():
-    coarse = run_cli("triple", "--loop-points", "16")
-    fine = run_cli("triple", "--loop-points", "4096")
-    _, _, rows_coarse = parse_csv(coarse.stdout)
-    _, _, rows_fine = parse_csv(fine.stdout)
-    assert rows_coarse == rows_fine
-
-
 # ---------------------------------------------------------------------------
 # config files and output
 
@@ -311,7 +303,6 @@ def test_missing_config_file_is_usage_error(tmp_path):
 
 
 def test_out_of_range_flags_are_usage_errors():
-    run_cli("triple", "--loop-points", "8", expect=2)
     run_cli("echo", "--theta", "4", expect=2)
     run_cli("echo", "--amp", "-1", expect=2)
     for args, flag in [
@@ -320,6 +311,28 @@ def test_out_of_range_flags_are_usage_errors():
         (("echo", "--c", "-1"), "--c"),
     ]:
         assert flag in run_cli(*args, expect=2).stderr
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (("spectrum", "--v", "nan"), "--v"),
+        (("spectrum", "--v=0:nan:3"), "--v"),
+        (("berry", "--c", "inf"), "--c"),
+        (("echo", "--c", "nan"), "--c"),
+        (("echo", "--dt", "nan"), "--dt"),
+    ],
+)
+def test_non_finite_values_are_usage_errors(args, flag):
+    assert flag in run_cli(*args, expect=2).stderr
+
+
+@pytest.mark.parametrize("key", ["phi", "loop_points"])
+def test_retired_settings_are_unknown(key, tmp_path):
+    run_cli("triple", f"--{key.replace('_', '-')}", "16", expect=2)
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(f"{key} = 16\n")
+    assert key in run_cli("triple", "--config", str(cfg), expect=2).stderr
 
 
 def test_unwritable_output_path_fails_cleanly(tmp_path):

@@ -7,7 +7,6 @@ import pytest
 
 from dimerphase import (
     AtDegeneracyError,
-    LoopTooCoarseError,
     NonCoplanarLoopError,
     delta_matrix,
     eigenvector_rows,
