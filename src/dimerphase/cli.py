@@ -66,8 +66,8 @@ def _parse_float(text: str, name: str) -> float:
     return value
 
 
-# Every run setting: key -> (default, parser, help).  Each key is a --flag
-# (underscores spelled as dashes), a config-file key and a ScanConfig field.
+# Every run setting: key -> (default, parser, help).  Each key is a --flag,
+# a config-file key and a ScanConfig field.
 _KEYS = {
     "R": ("0", _parse_axis, "bias: value or start:stop:count axis"),
     "v": ("1", _parse_axis, "coupling: value or start:stop:count axis"),
@@ -90,11 +90,7 @@ ScanConfig = make_dataclass(
 )
 
 
-def _flag(key: str) -> str:
-    return key.replace("_", "-")
-
-
-_VALUE_FLAGS = {f"--{_flag(key)}" for key in _KEYS}
+_VALUE_FLAGS = {f"--{key}" for key in _KEYS}
 
 
 def _join_negative_values(argv: Sequence[str]) -> list[str]:
@@ -124,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="output CSV path (default: stdout)")
         sp.add_argument("--config", help="flat key = value config file")
         for key, (_, _, help_text) in _KEYS.items():
-            sp.add_argument(f"--{_flag(key)}", help=help_text)
+            sp.add_argument(f"--{key}", help=help_text)
     return parser
 
 
@@ -142,7 +138,7 @@ def load_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key = value")
         key, _, val = line.partition("=")
-        key = key.strip().replace("-", "_")
+        key = key.strip()
         if key not in _CONFIG_KEYS:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = val.strip()
@@ -164,7 +160,7 @@ def resolve_config(args: argparse.Namespace) -> ScanConfig:
 
     raw = {key: pick(key) for key in _KEYS}
     out = args.out if args.out is not None else file_values.get("out")
-    val = {key: parse(raw[key], _flag(key)) for key, (_, parse, _) in _KEYS.items()}
+    val = {key: parse(raw[key], key) for key, (_, parse, _) in _KEYS.items()}
 
     if val["tol"] <= 0 or val["dt"] <= 0 or val["T"] <= 0:
         raise UsageError("tol, dt, and T must all be positive")
@@ -272,7 +268,7 @@ def run_echo(cfg: ScanConfig):
         initial = Eigenstate(1.0 + 0.0j, 0.0j, -0.5 * base.c, -1.0, 0.0)
         s = 0.0
     drive = circular_drive(base, cfg.amp, cfg.theta, cfg.T)
-    trace = loschmidt_dynamical(initial, base, drive, cfg.dt)
+    trace = loschmidt_dynamical(initial, drive, cfg.dt)
     comments = [
         "summary: theta=%s s=%s L_adiabatic=%s L_mean=%s"
         % (

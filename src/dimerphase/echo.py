@@ -6,9 +6,11 @@ of a degenerate pair is an order parameter for nonlinearity; on the dimer's
 bias-free degeneracy it equals v/c below the critical coupling and drops to
 zero above it.
 
-The echo compares evolution under a base Hamiltonian with evolution under a
-slowly driven perturbation of it, L(t) = |<psi_pert(t)|psi_base(t)>|^2.  For
-an adiabatic drive the surviving branch population is
+The echo starts a stationary state psi_0 of a base Hamiltonian and drives the
+base slowly around a loop.  Undriven, psi_0 would only pick up the phase
+exp(-i E t), so the echo against the undriven flow is the survival
+probability of the driven run, L(t) = |<psi_0|psi(t)>|^2.  For an adiabatic
+drive the surviving branch population is
 
     L = |cos(theta/2) + sin(theta/2) s|^2 / (1 + sin(theta) s),
 
@@ -21,17 +23,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .errors import AmbiguousRegimeError, ModelDegenerateError, StepSizeError
+from .errors import (
+    AmbiguousRegimeError,
+    InvalidStateError,
+    ModelDegenerateError,
+    StepSizeError,
+)
 from .model import (
     TWO_PI,
     Eigenstate,
     ModelParams,
     _apply,
     _check_overlap,
+    _residual,
     state_overlap,
     stationary_states,
 )
@@ -39,6 +47,9 @@ from .model import (
 # One-step norm drift above this aborts the integration: the step is too big
 # for the classical fourth-order scheme to be trusted.
 _DRIFT_LIMIT = 1e-6
+
+# The package's default tol: how stationary an echo's initial state must be.
+_STATIONARY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -78,7 +89,7 @@ class DriveSchedule:
 
 @dataclass(frozen=True)
 class EchoTrace:
-    """Echo samples L(t_k); starts at exactly 1 and stays within [0, 1 + 1e-9]."""
+    """Echo samples L(t_k); L(0) = 1 to rounding, and values stay within [0, 1 + 1e-9]."""
 
     times: np.ndarray
     values: np.ndarray
@@ -104,8 +115,10 @@ def circular_drive(
     """
     if not 0.0 <= polar_angle <= math.pi:
         raise ValueError("polar angle must lie in [0, pi] so the coupling stays >= 0")
-    if total_time <= 0.0:
-        raise ValueError("total_time must be positive")
+    if not math.isfinite(amplitude):
+        raise ValueError("amplitude must be finite")
+    if not 0.0 < total_time < math.inf:
+        raise ValueError("total_time must be positive and finite")
     if amplitude == 0.0:
         return zero_drive(base, total_time)
     dR = amplitude * math.cos(polar_angle)
@@ -213,7 +226,8 @@ def evolve_nonlinear(
         a2 = a2 + (h / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
 
         norm = math.sqrt(abs(a1) ** 2 + abs(a2) ** 2)
-        if abs(norm - 1.0) > _DRIFT_LIMIT:
+        # Written so that a nan norm fails the test too.
+        if not abs(norm - 1.0) <= _DRIFT_LIMIT:
             raise StepSizeError(
                 f"norm drifted by {abs(norm - 1.0):.3e} in one step at t={t + h:.6g}"
             )
@@ -222,23 +236,21 @@ def evolve_nonlinear(
     return times, out
 
 
-def loschmidt_dynamical(
-    initial: Eigenstate,
-    base: ModelParams,
-    drive: DriveSchedule,
-    dt: float,
-) -> EchoTrace:
-    """Echo trace between the driven flow and the undriven base flow.
+def loschmidt_dynamical(initial: Eigenstate, drive: DriveSchedule, dt: float) -> EchoTrace:
+    """Echo trace L(t) = |<psi_0|psi(t)>|^2 of one driven run from psi_0 = initial.
 
-    Both trajectories start from the same state; the base one is also
-    integrated (not replaced by a phase factor) so the comparison is between
-    two runs of the same integrator.
+    initial must be stationary for drive.base, |H(psi_0) psi_0 - E psi_0| <=
+    1e-9 with E its stored energy, or InvalidStateError is raised: only then
+    is the undriven flow the phase exp(-i E t), which drops out of the echo.
     """
-    t_base, traj_base = evolve_nonlinear(initial, zero_drive(base, drive.total_time), dt)
-    t_pert, traj_pert = evolve_nonlinear(initial, drive, dt)
-    inner = np.sum(np.conj(traj_pert) * traj_base, axis=1)
-    values = np.abs(inner) ** 2
-    return EchoTrace(t_base, values)
+    residual = _residual(drive.base, initial.amp1, initial.amp2, initial.energy)
+    if not residual <= _STATIONARY_TOL:
+        raise InvalidStateError(
+            f"initial state is not stationary for the drive's base: residual {residual:.3e}"
+        )
+    times, traj = evolve_nonlinear(initial, drive, dt)
+    values = np.abs(traj @ np.conj(traj[0])) ** 2
+    return EchoTrace(times, values)
 
 
 def trace_mean(trace: EchoTrace) -> float:

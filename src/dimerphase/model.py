@@ -36,6 +36,8 @@ class ModelParams:
     c    nonlinearity strength, >= 0
     v    coupling magnitude, >= 0
     phi  coupling phase, stored reduced to [0, 2*pi)
+
+    All four must be finite.
     """
 
     R: float
@@ -44,14 +46,16 @@ class ModelParams:
     phi: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "R", float(self.R))
-        object.__setattr__(self, "c", float(self.c))
-        object.__setattr__(self, "v", float(self.v))
+        for name in ("R", "c", "v", "phi"):
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            object.__setattr__(self, name, value)
         if self.v < 0.0:
             raise ValueError("coupling magnitude v must be >= 0 (move signs into phi)")
         if self.c < 0.0:
             raise ValueError("nonlinearity c must be >= 0")
-        object.__setattr__(self, "phi", float(self.phi) % TWO_PI)
+        object.__setattr__(self, "phi", self.phi % TWO_PI)
 
 
 @dataclass(frozen=True)
@@ -116,6 +120,12 @@ def _apply(params: ModelParams, a1: complex, a2: complex) -> tuple[complex, comp
     diag = 0.5 * params.R + 0.5 * params.c * _imbalance(a1, a2)
     coup = 0.5 * params.v * cmath.exp(1j * params.phi)
     return diag * a1 + coup * a2, coup.conjugate() * a1 - diag * a2
+
+
+def _residual(params: ModelParams, a1: complex, a2: complex, energy: float) -> float:
+    """Stationarity residual |H(psi) psi - E psi| of the amplitude pair (a1, a2)."""
+    h1, h2 = _apply(params, a1, a2)
+    return math.sqrt(abs(h1 - energy * a1) ** 2 + abs(h2 - energy * a2) ** 2)
 
 
 def _check_overlap(overlap: float) -> None:
@@ -253,8 +263,7 @@ def reconstruct_states(
         a2 = -math.copysign(math.sqrt(1.0 / (1.0 + tsq)), t) * cmath.exp(-1j * params.phi)
         energy = -v * (1.0 + tsq) / (4.0 * t)
 
-    h1, h2 = _apply(params, a1, a2)
-    residual = math.sqrt(abs(h1 - energy * a1) ** 2 + abs(h2 - energy * a2) ** 2)
+    residual = _residual(params, a1, a2, energy)
     if not residual < tol:
         return []
     return [Eigenstate(a1, a2, energy, _imbalance(a1, a2), residual)]

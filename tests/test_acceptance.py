@@ -164,7 +164,7 @@ def test_criterion_07_echo_convergence():
 
     def err(T):
         drive = circular_drive(base, 1.0, 0.5 * math.pi, T)
-        trace = loschmidt_dynamical(initial, base, drive, 0.002)
+        trace = loschmidt_dynamical(initial, drive, 0.002)
         return abs(trace_mean(trace) - 0.5)
 
     e50, e100, e200 = err(50.0), err(100.0), err(200.0)

@@ -6,12 +6,14 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.integrate import solve_ivp
 
 from dimerphase import (
     AmbiguousRegimeError,
     DriveSchedule,
     EchoTrace,
     Eigenstate,
+    InvalidStateError,
     ModelDegenerateError,
     ModelParams,
     StepSizeError,
@@ -133,6 +135,16 @@ def test_circular_drive_validation():
         circular_drive(base, 1.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "amplitude, total_time",
+    [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.inf), (1.0, math.nan)],
+)
+def test_circular_drive_rejects_non_finite(amplitude, total_time):
+    base = ModelParams(R=0.0, c=1.0, v=1.0)
+    with pytest.raises(ValueError):
+        circular_drive(base, amplitude, 1.0, total_time)
+
+
 def test_circular_drive_zero_amplitude_is_zero_drive():
     base = ModelParams(R=0.2, c=0.5, v=1.0)
     drive = circular_drive(base, 0.0, 1.0, 10.0)
@@ -210,6 +222,14 @@ def test_evolve_rejects_oversized_step():
         evolve_nonlinear(_state(1.0, 0.0), zero_drive(base, 10.0), 5.0)
 
 
+def test_evolve_rejects_non_finite_norm():
+    # The first stage overflows to inf and the later ones to nan; a nan norm
+    # must fail the drift check instead of filling the trajectory with nan.
+    base = ModelParams(R=1e200, c=0.0, v=1e200)
+    with pytest.raises(StepSizeError):
+        evolve_nonlinear(_state(0.6, 0.8), zero_drive(base, 1.0), 1.0)
+
+
 def test_evolve_rejects_bad_dt():
     base = ModelParams(R=0.0, c=0.0, v=1.0)
     with pytest.raises(ValueError):
@@ -222,8 +242,57 @@ def test_evolve_rejects_bad_dt():
 
 def test_echo_zero_drive_is_unity():
     base = ModelParams(R=0.3, c=0.8, v=1.1)
-    trace = loschmidt_dynamical(_state(1.0, 0.0), base, zero_drive(base, 5.0), 1e-2)
+    initial = stationary_states(base).states[0]
+    trace = loschmidt_dynamical(initial, zero_drive(base, 5.0), 1e-2)
     np.testing.assert_allclose(trace.values, 1.0, atol=1e-10)
+
+
+def test_echo_rejects_non_stationary_state():
+    base = ModelParams(R=0.3, c=0.8, v=1.1)
+    with pytest.raises(InvalidStateError):
+        loschmidt_dynamical(_state(1.0, 0.0), zero_drive(base, 5.0), 1e-2)
+
+
+def _two_flow_echo(initial, drive, times):
+    """|<psi_base(t)|psi_pert(t)>|^2 from two DOP853 runs, undriven and driven."""
+
+    def rhs(schedule):
+        def f(t, psi):
+            p = schedule.params_at(t)
+            m = abs(psi[1]) ** 2 - abs(psi[0]) ** 2
+            diag = 0.5 * (p.R + p.c * m)
+            coup = 0.5 * p.v * cmath.exp(1j * p.phi)
+            return -1j * np.array(
+                [diag * psi[0] + coup * psi[1], coup.conjugate() * psi[0] - diag * psi[1]]
+            )
+
+        return f
+
+    def run(schedule):
+        sol = solve_ivp(
+            rhs(schedule), (0.0, times[-1]), initial.amplitudes, method="DOP853",
+            t_eval=times, rtol=1e-12, atol=1e-13,
+        )
+        return sol.y
+
+    base = run(zero_drive(drive.base, drive.total_time))
+    pert = run(drive)
+    return np.abs(np.sum(np.conj(base) * pert, axis=0)) ** 2
+
+
+@pytest.mark.parametrize(
+    "R, c, v",
+    [(0.5, 1.0, 0.3), (0.0, 2.0, 1.0)],
+    ids=["biased", "self-trapped"],
+)
+def test_echo_matches_two_flow_reference(R, c, v):
+    base = ModelParams(R=R, c=c, v=v)
+    initial = stationary_states(base).states[0]
+    assert abs(initial.imbalance) > 0.1
+    drive = circular_drive(base, 1.0, 1.0, 2.0)
+    trace = loschmidt_dynamical(initial, drive, 0.002)
+    reference = _two_flow_echo(initial, drive, trace.times)
+    assert np.max(np.abs(trace.values - reference)) < 1e-9
 
 
 def test_echo_diagonal_drive_is_unity():
@@ -231,14 +300,14 @@ def test_echo_diagonal_drive_is_unity():
     # started basis state never mixes and the moduli agree at all times.
     base = ModelParams(R=0.0, c=0.0, v=0.0)
     drive = circular_drive(base, 1.0, 0.0, 20.0)
-    trace = loschmidt_dynamical(_state(1.0, 0.0), base, drive, 2e-3)
+    trace = loschmidt_dynamical(_state(1.0, 0.0), drive, 2e-3)
     np.testing.assert_allclose(trace.values, 1.0, atol=1e-6)
 
 
 def test_echo_trace_shape_and_bounds():
     base = ModelParams(R=0.0, c=0.0, v=0.0)
     drive = circular_drive(base, 1.0, RIGHT_ANGLE, 10.0)
-    trace = loschmidt_dynamical(_state(1.0, 0.0), base, drive, 2e-3)
+    trace = loschmidt_dynamical(_state(1.0, 0.0), drive, 2e-3)
     assert trace.values[0] == pytest.approx(1.0, abs=1e-12)
     assert np.all(np.diff(trace.times) > 0)
     assert np.all(trace.values >= 0.0)
@@ -248,7 +317,7 @@ def test_echo_trace_shape_and_bounds():
 def test_echo_equator_mean_approaches_half():
     base = ModelParams(R=0.0, c=0.0, v=0.0)
     drive = circular_drive(base, 1.0, RIGHT_ANGLE, 50.0)
-    trace = loschmidt_dynamical(_state(1.0, 0.0), base, drive, 2e-3)
+    trace = loschmidt_dynamical(_state(1.0, 0.0), drive, 2e-3)
     assert trace_mean(trace) == pytest.approx(0.5, abs=1e-3)
 
 

@@ -34,6 +34,14 @@ def test_params_reject_negative_coupling():
         ModelParams(R=0.0, c=-1.0, v=0.5)
 
 
+@pytest.mark.parametrize("field", ["R", "c", "v", "phi"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_params_reject_non_finite(field, value):
+    values = {"R": 0.0, "c": 1.0, "v": 1.0, "phi": 0.0, field: value}
+    with pytest.raises(ValueError, match=field):
+        ModelParams(**values)
+
+
 def test_params_reduce_phi():
     p = ModelParams(R=0.0, c=1.0, v=1.0, phi=5.0 * math.pi)
     assert 0.0 <= p.phi < 2.0 * math.pi
