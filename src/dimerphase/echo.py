@@ -249,7 +249,9 @@ def loschmidt_dynamical(initial: Eigenstate, drive: DriveSchedule, dt: float) ->
             f"initial state is not stationary for the drive's base: residual {residual:.3e}"
         )
     times, traj = evolve_nonlinear(initial, drive, dt)
-    values = np.abs(traj @ np.conj(traj[0])) ** 2
+    # An elementwise sum, not a matmul: BLAS would wake a worker thread that
+    # keeps spinning through the next run's pure-Python integration.
+    values = np.abs(np.sum(traj * np.conj(traj[0]), axis=1)) ** 2
     return EchoTrace(times, values)
 
 

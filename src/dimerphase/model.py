@@ -145,7 +145,7 @@ def hamiltonian_apply(params: ModelParams, state: Sequence[complex]) -> np.ndarr
     """
     a1, a2 = complex(state[0]), complex(state[1])
     norm2 = abs(a1) ** 2 + abs(a2) ** 2
-    if abs(norm2 - 1.0) > 1e-9:
+    if not abs(norm2 - 1.0) <= 1e-9:
         raise InvalidStateError(f"amplitude pair norm^2 = {norm2!r}, expected 1")
     return np.array(_apply(params, a1, a2))
 

@@ -67,6 +67,8 @@ def test_hamiltonian_apply_balanced_state():
 def test_hamiltonian_apply_rejects_unnormalized():
     with pytest.raises(InvalidStateError):
         hamiltonian_apply(ModelParams(R=0.0, c=0.0, v=1.0), (1.0, 1.0))
+    with pytest.raises(InvalidStateError):
+        hamiltonian_apply(ModelParams(R=0.0, c=0.0, v=1.0), (math.nan, 0.0))
 
 
 @pytest.mark.parametrize(
