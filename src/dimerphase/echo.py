@@ -48,9 +48,6 @@ from .model import (
 # for the classical fourth-order scheme to be trusted.
 _DRIFT_LIMIT = 1e-6
 
-# The package's default tol: how stationary an echo's initial state must be.
-_STATIONARY_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class WitnessReport:
@@ -244,7 +241,7 @@ def loschmidt_dynamical(initial: Eigenstate, drive: DriveSchedule, dt: float) ->
     is the undriven flow the phase exp(-i E t), which drops out of the echo.
     """
     residual = _residual(drive.base, initial.amp1, initial.amp2, initial.energy)
-    if not residual <= _STATIONARY_TOL:
+    if not residual <= 1e-9:
         raise InvalidStateError(
             f"initial state is not stationary for the drive's base: residual {residual:.3e}"
         )
