@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import math
 import re
 import sys
@@ -24,6 +25,7 @@ import numpy as np
 from . import __version__
 from .berry import berry_phase_closed_form
 from .echo import (
+    _pair_witness,
     circular_drive,
     loschmidt_adiabatic,
     loschmidt_dynamical,
@@ -31,7 +33,13 @@ from .echo import (
     trace_mean,
 )
 from .errors import DimerPhaseError, ModelDegenerateError
-from .model import Eigenstate, ModelParams, _has_states, stationary_states
+from .model import (
+    Eigenstate,
+    ModelParams,
+    _has_states,
+    stationary_arrays,
+    stationary_states,
+)
 from .triple import transport_sign
 
 MODES = ("spectrum", "berry", "witness", "echo", "triple")
@@ -189,12 +197,6 @@ def _fmt(x: float) -> str:
     return "%.12g" % (x + 0.0)
 
 
-def _axis_values(spec) -> list[float]:
-    if isinstance(spec, np.ndarray):
-        return [float(x) for x in spec]
-    return [float(spec)]
-
-
 # Errors of a computation that cannot evaluate a point or a run: main maps
 # them to exit code 1, a grid scan to a skipped point.
 _COMPUTE_ERRORS = (DimerPhaseError, ValueError, ArithmeticError)
@@ -206,50 +208,77 @@ _GRID_COLUMNS = {
     "witness": ("v_over_c", "R", "witness"),
 }
 
-
-def _point_cells(mode: str, params: ModelParams, tol: float) -> tuple:
-    if mode == "spectrum":
-        energies = list(stationary_states(params, tol).energies)
-        return tuple((energies + [None] * 4)[:4])
-    if mode == "berry":
-        states = stationary_states(params, tol).states
-        if not states:
-            raise ModelDegenerateError(f"no stationary state at {params}")
-        lowest = states[0]
-        gamma = berry_phase_closed_form(params.v, lowest.energy, lowest.imbalance)
-        return (gamma / math.pi,)
-    return (nonlinearity_witness(params, tol).witness,)
+# Grid points per stationary_arrays call.  Rows are built block by block: one
+# call for a whole 101 x 101 grid peaked at 49.6 MiB, against 38.6 MiB.
+_BLOCK = 1024
 
 
-# Cell value of a point whose computation raised: it renders blank, like the
-# None cells of the fully degenerate origin, but counts as skipped.
+def _spectrum_cells(states, v: np.ndarray) -> list:
+    return [
+        tuple(energies[:n]) + (None,) * (4 - n)
+        for energies, n in zip(states.energy.tolist(), states.count.tolist())
+    ]
+
+
+def _berry_cells(states, v: np.ndarray) -> list:
+    """The loop phase of each point's lowest state; None where it has none or it raises."""
+    cells = []
+    lowest = zip(v.tolist(), states.energy[:, 0].tolist(), states.imbalance[:, 0].tolist())
+    for n, (vk, energy, imbalance) in zip(states.count.tolist(), lowest):
+        try:
+            gamma = berry_phase_closed_form(vk, energy, imbalance) if n else None
+        except _COMPUTE_ERRORS:
+            gamma = None
+        cells.append(None if gamma is None else (gamma / math.pi,))
+    return cells
+
+
+def _witness_cells(states, v: np.ndarray) -> list:
+    """nonlinearity_witness of each point; None where it has fewer than two states."""
+    pairs = zip(states.amp1[:, :2].tolist(), states.amp2[:, :2].tolist())
+    return [
+        (_pair_witness(a1[0], a2[0], a1[1], a2[1]),) if n >= 2 else None
+        for n, (a1, a2) in zip(states.count.tolist(), pairs)
+    ]
+
+
+_GRID_CELLS = {"spectrum": _spectrum_cells, "berry": _berry_cells, "witness": _witness_cells}
+
+# Cell value of a point that could not be computed: it renders blank, like
+# the None cells of the fully degenerate origin, but counts as skipped.
 _SKIPPED = ""
 
 
-def _eval_point(cfg: ScanConfig, R: float, v: float) -> tuple:
-    """One grid point.
+def _grid_rows(cfg: ScanConfig, points: list[tuple[float, float]]) -> list[tuple]:
+    """Rows of one block of (R, v) grid points.
 
     The fully degenerate origin has None cells by design; a point whose
-    computation raises gets _SKIPPED cells.
+    states fail the kernel's count check, or whose cell raises, gets
+    _SKIPPED cells.
     """
     mode, c = cfg.mode, cfg.c
-    coords = (v / c if c > 0 else None, R) if mode == "witness" else (R, v)
-    params = ModelParams(R=R, c=c, v=v)
-    blank = None
-    if _has_states(params):
-        try:
-            return coords + _point_cells(mode, params, cfg.tol)
-        except _COMPUTE_ERRORS:
-            blank = _SKIPPED
-    return coords + (blank,) * (len(_GRID_COLUMNS[mode]) - 2)
+    R, v = np.array(points).T
+    states = stationary_arrays(R, v, 0.0, c, cfg.tol)
+    cells = _GRID_CELLS[mode](states, v)
+    width = len(_GRID_COLUMNS[mode]) - 2
+    rows = []
+    for (Rk, vk), has, failed, cell in zip(
+        points, _has_states(R, v).tolist(), states.failed.tolist(), cells
+    ):
+        coords = (vk / c if c > 0 else None, Rk) if mode == "witness" else (Rk, vk)
+        if not has:
+            cell = (None,) * width
+        elif failed or cell is None:
+            cell = (_SKIPPED,) * width
+        rows.append(coords + cell)
+    return rows
 
 
 def run_grid_scan(cfg: ScanConfig):
-    rows = [
-        _eval_point(cfg, R, v)
-        for R in _axis_values(cfg.R)
-        for v in _axis_values(cfg.v)
-    ]
+    points = itertools.product(np.atleast_1d(cfg.R).tolist(), np.atleast_1d(cfg.v).tolist())
+    rows = []
+    while block := list(itertools.islice(points, _BLOCK)):
+        rows += _grid_rows(cfg, block)
     skipped = sum(row[-1] == _SKIPPED for row in rows)
     comments = [f"skipped: {skipped}"] if skipped else []
     return _GRID_COLUMNS[cfg.mode], comments, rows
@@ -257,7 +286,7 @@ def run_grid_scan(cfg: ScanConfig):
 
 def run_echo(cfg: ScanConfig):
     base = ModelParams(R=float(cfg.R), c=cfg.c, v=float(cfg.v))
-    if _has_states(base):
+    if _has_states(base.R, base.v):
         initial = stationary_states(base, cfg.tol).states[0]
         try:
             s = nonlinearity_witness(base, cfg.tol).witness

@@ -21,6 +21,7 @@ phase between the split branches; time-averaging recovers it.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -39,8 +40,8 @@ from .model import (
     ModelParams,
     _apply,
     _check_overlap,
+    _overlap,
     _residual,
-    state_overlap,
     stationary_states,
 )
 
@@ -142,8 +143,13 @@ def nonlinearity_witness(params: ModelParams, tol: float = 1e-9) -> WitnessRepor
             f"witness needs two stationary states, found {len(family)}"
         )
     lo, hi = family.states[0], family.states[1]
-    value = abs(state_overlap(lo, hi))
-    return WitnessReport(params, (lo.energy, hi.energy), min(1.0, value))
+    value = _pair_witness(lo.amp1, lo.amp2, hi.amp1, hi.amp2)
+    return WitnessReport(params, (lo.energy, hi.energy), value)
+
+
+def _pair_witness(lo1: complex, lo2: complex, hi1: complex, hi2: complex) -> float:
+    """min(1, |<lo|hi>|) of a state pair given by its amplitudes."""
+    return min(1.0, abs(_overlap(lo1, lo2, hi1, hi2)))
 
 
 def loschmidt_adiabatic(theta: float, overlap: float) -> float:
@@ -153,6 +159,8 @@ def loschmidt_adiabatic(theta: float, overlap: float) -> float:
     (cos(t/2) + s sin(t/2))^2 = (1 + cos t)/2 + s sin t + s^2 (1 - cos t)/2,
     which keeps the equator value at s = 0 exactly 1/2 in floating point.
     """
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
     _check_overlap(overlap)
     s = overlap
     st, ct = math.sin(theta), math.cos(theta)
@@ -207,16 +215,19 @@ def evolve_nonlinear(
         p0 = params_at(t)
         p1 = params_at(t + 0.5 * h)
         p2 = params_at(t + h)
+        e0 = cmath.exp(1j * p0.phi)
+        e1 = cmath.exp(1j * p1.phi)
+        e2 = cmath.exp(1j * p2.phi)
 
         # Each stage is d(psi)/dt = -i H(psi) psi, with the model's kernel called
         # directly: a wrapper around it costs one more Python call per stage.
-        f1, f2 = _apply(p0, a1, a2)
+        f1, f2 = _apply(p0.R, p0.c, p0.v, e0, a1, a2)
         k1a, k1b = -1j * f1, -1j * f2
-        f1, f2 = _apply(p1, a1 + 0.5 * h * k1a, a2 + 0.5 * h * k1b)
+        f1, f2 = _apply(p1.R, p1.c, p1.v, e1, a1 + 0.5 * h * k1a, a2 + 0.5 * h * k1b)
         k2a, k2b = -1j * f1, -1j * f2
-        f1, f2 = _apply(p1, a1 + 0.5 * h * k2a, a2 + 0.5 * h * k2b)
+        f1, f2 = _apply(p1.R, p1.c, p1.v, e1, a1 + 0.5 * h * k2a, a2 + 0.5 * h * k2b)
         k3a, k3b = -1j * f1, -1j * f2
-        f1, f2 = _apply(p2, a1 + h * k3a, a2 + h * k3b)
+        f1, f2 = _apply(p2.R, p2.c, p2.v, e2, a1 + h * k3a, a2 + h * k3b)
         k4a, k4b = -1j * f1, -1j * f2
 
         a1 = a1 + (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
@@ -240,7 +251,11 @@ def loschmidt_dynamical(initial: Eigenstate, drive: DriveSchedule, dt: float) ->
     1e-9 with E its stored energy, or InvalidStateError is raised: only then
     is the undriven flow the phase exp(-i E t), which drops out of the echo.
     """
-    residual = _residual(drive.base, initial.amp1, initial.amp2, initial.energy)
+    base = drive.base
+    residual = _residual(
+        base.R, base.c, base.v, cmath.exp(1j * base.phi), initial.amp1, initial.amp2,
+        initial.energy,
+    )
     if not residual <= 1e-9:
         raise InvalidStateError(
             f"initial state is not stationary for the drive's base: residual {residual:.3e}"

@@ -11,6 +11,13 @@ there can be more of them than the dimension of the matrix.  Each is
 psi(beta) = (sin beta/2, -cos beta/2 e^{-i phi}) for a real root
 t = tan(beta/2) of one quartic, with imbalance m = cos beta and a closed-form
 energy; a root is kept when the rebuilt state's stationarity residual is small.
+
+stationary_arrays is the one solver: it takes arrays of parameter points and
+returns their states as arrays.  The quartic ignores phi, so each distinct
+(R, c, v) is solved once.  Simple roots come from one batch of companion
+matrices polished by Newton; points with a multiple root, and v = 0 points,
+take the scalar grouping path, solve_quartic_real_roots.  stationary_states
+is the same solver for one point.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._batch import GROUP_RADIUS, simple_real_roots
 from .errors import BranchLostError, InvalidStateError
 
 TWO_PI = 2.0 * math.pi
@@ -55,7 +63,9 @@ class ModelParams:
             raise ValueError("coupling magnitude v must be >= 0 (move signs into phi)")
         if self.c < 0.0:
             raise ValueError("nonlinearity c must be >= 0")
-        object.__setattr__(self, "phi", self.phi % TWO_PI)
+        phi = self.phi % TWO_PI
+        # A tiny negative phi reduces to 2*pi - tiny, which rounds to 2*pi itself.
+        object.__setattr__(self, "phi", 0.0 if phi == TWO_PI else phi)
 
 
 @dataclass(frozen=True)
@@ -93,6 +103,31 @@ class StationaryFamily:
         return len(self.states)
 
 
+@dataclass(frozen=True, eq=False)
+class StationaryArrays:
+    """Stationary states at n parameter points, one row per point.
+
+    energy, amp1, amp2, imbalance and residual have shape (n, 4): row k holds
+    the count[k] states of point k, sorted by (energy, imbalance) as in a
+    StationaryFamily, and NaN after them.  failed[k] marks a point with
+    v > 0 whose state count is outside 2..4.  The fully degenerate origin
+    v = R = 0 has count 0 and is not failed.
+    """
+
+    energy: np.ndarray
+    amp1: np.ndarray
+    amp2: np.ndarray
+    imbalance: np.ndarray
+    residual: np.ndarray
+    count: np.ndarray
+    failed: np.ndarray
+
+    def take(self, k, j) -> list[Eigenstate]:
+        """The states in rows k, columns j (index arrays of one length), as records."""
+        fields = (self.amp1, self.amp2, self.energy, self.imbalance, self.residual)
+        return [Eigenstate(*state) for state in zip(*(f[k, j].tolist() for f in fields))]
+
+
 @dataclass(frozen=True)
 class ParamPath:
     """Ordered parameter samples along a curve.  closed=True requires first == last."""
@@ -111,21 +146,29 @@ class ParamPath:
                 raise ValueError("closed path must end where it starts (within 1e-12)")
 
 
-def _imbalance(a1: complex, a2: complex) -> float:
+def _imbalance(a1, a2):
+    """|a2|^2 - |a1|^2; elementwise on arrays."""
     return (a2.real * a2.real + a2.imag * a2.imag) - (a1.real * a1.real + a1.imag * a1.imag)
 
 
-def _apply(params: ModelParams, a1: complex, a2: complex) -> tuple[complex, complex]:
-    """H(psi) psi for the amplitude pair (a1, a2); the one copy of the model's formula."""
-    diag = 0.5 * params.R + 0.5 * params.c * _imbalance(a1, a2)
-    coup = 0.5 * params.v * cmath.exp(1j * params.phi)
+def _apply(R, c, v, phase, a1, a2):
+    """H(psi) psi for the amplitude pair (a1, a2); the one copy of the model's formula.
+
+    phase is e^{i phi}.  Works elementwise on arrays as well as on scalars.
+    """
+    diag = 0.5 * R + 0.5 * c * _imbalance(a1, a2)
+    coup = 0.5 * v * phase
     return diag * a1 + coup * a2, coup.conjugate() * a1 - diag * a2
 
 
-def _residual(params: ModelParams, a1: complex, a2: complex, energy: float) -> float:
-    """Stationarity residual |H(psi) psi - E psi| of the amplitude pair (a1, a2)."""
-    h1, h2 = _apply(params, a1, a2)
-    return math.sqrt(abs(h1 - energy * a1) ** 2 + abs(h2 - energy * a2) ** 2)
+def _residual(R, c, v, phase, a1, a2, energy):
+    """Stationarity residual |H(psi) psi - E psi| of amplitude pairs; elementwise.
+
+    phase is e^{i phi}.
+    """
+    h1, h2 = _apply(R, c, v, phase, a1, a2)
+    d1, d2 = h1 - energy * a1, h2 - energy * a2
+    return np.hypot(np.hypot(d1.real, d1.imag), np.hypot(d2.real, d2.imag))
 
 
 def _check_overlap(overlap: float) -> None:
@@ -133,9 +176,9 @@ def _check_overlap(overlap: float) -> None:
         raise ValueError("overlap modulus must lie in [0, 1]")
 
 
-def _has_states(params: ModelParams) -> bool:
+def _has_states(R, v):
     """False only at the fully degenerate origin v = R = 0, which has no preferred states."""
-    return params.v > 0.0 or params.R != 0.0
+    return (v > 0.0) | (R != 0.0)
 
 
 def hamiltonian_apply(params: ModelParams, state: Sequence[complex]) -> np.ndarray:
@@ -147,7 +190,12 @@ def hamiltonian_apply(params: ModelParams, state: Sequence[complex]) -> np.ndarr
     norm2 = abs(a1) ** 2 + abs(a2) ** 2
     if not abs(norm2 - 1.0) <= 1e-9:
         raise InvalidStateError(f"amplitude pair norm^2 = {norm2!r}, expected 1")
-    return np.array(_apply(params, a1, a2))
+    phase = cmath.exp(1j * params.phi)
+    return np.array(_apply(params.R, params.c, params.v, phase, a1, a2))
+
+
+def _quartic(R, c, v):
+    return (v, 2.0 * (R - c), 0.0, 2.0 * (R + c), -v)
 
 
 def quartic_coefficients(params: ModelParams) -> tuple[float, float, float, float, float]:
@@ -160,8 +208,7 @@ def quartic_coefficients(params: ModelParams) -> tuple[float, float, float, floa
 
     Independent of phi: the coupling phase is a gauge choice for the spectrum.
     """
-    R, c, v = params.R, params.c, params.v
-    return (v, 2.0 * (R - c), 0.0, 2.0 * (R + c), -v)
+    return _quartic(params.R, params.c, params.v)
 
 
 def _derivative(coeffs: list) -> list:
@@ -190,11 +237,6 @@ def _polish(coeffs: list, z: complex) -> complex:
     return z
 
 
-# Companion eigenvalues of a mu-fold root scatter like eps**(1/mu) around it,
-# about 3e-6 relative for a triple root, so estimates this close are one root.
-_GROUP_RADIUS = 1e-5
-
-
 def solve_quartic_real_roots(
     coeffs: Sequence[float], tol: float = 1e-9
 ) -> list[tuple[float, int]]:
@@ -215,7 +257,7 @@ def solve_quartic_real_roots(
     groups: list[list[complex]] = []
     for z in sorted(np.roots(cs).tolist(), key=lambda w: (w.real, w.imag)):
         for group in groups:
-            if any(abs(z - w) <= _GROUP_RADIUS * max(abs(z), abs(w)) for w in group):
+            if any(abs(z - w) <= GROUP_RADIUS * max(abs(z), abs(w)) for w in group):
                 group.append(z)
                 break
         else:
@@ -241,32 +283,132 @@ def solve_quartic_real_roots(
     return found
 
 
+def _real_roots(R, c, v, tol):
+    """Real roots of the t-quartic of each (R, c, v) row, ascending and NaN-padded.
+
+    The fully degenerate origin, and rows whose coefficients overflow, get none.
+    """
+    coeffs = np.stack(np.broadcast_arrays(*_quartic(R, c, v)), axis=1)
+    roots = np.full((len(coeffs), 4), np.nan)
+    scalar = np.isfinite(coeffs).all(axis=1) & _has_states(R, v)
+    batch = np.flatnonzero(scalar & (v > 0.0))
+    simple, simple_roots = simple_real_roots(coeffs[batch], tol)
+    roots[batch[simple]] = simple_roots
+
+    scalar[batch[simple]] = False
+    for i in np.flatnonzero(scalar):
+        found = [t for t, _ in solve_quartic_real_roots(coeffs[i], tol)]
+        roots[i, : len(found)] = found
+    return roots
+
+
+def _amplitudes(t, at_zero, at_inf, rot):
+    """amp1 and amp2 of the states at roots t, with rot = e^{-i phi}."""
+    with np.errstate(all="ignore"):
+        tsq = t * t
+        a1 = np.sqrt(tsq / (1.0 + tsq))
+        s = np.sqrt(1.0 / (1.0 + tsq))
+        a2 = np.where(t < 0.0, s, -s) * rot
+    amp1 = np.where(at_zero, 0.0, np.where(at_inf, 1.0, a1)).astype(complex)
+    amp2 = np.where(at_zero, 1.0 + 0.0j, np.where(at_inf, 0.0j, a2))
+    return amp1, amp2
+
+
+def _states_at_roots(R, c, v, phi, t, tol) -> StationaryArrays:
+    """The states at candidate roots t (n, 4) of the points (R, c, v, phi).
+
+    Amplitudes (|t|, -sign(t) e^{-i phi}) / sqrt(1 + t^2), with amp2 = 1 at
+    t = 0 and psi = (1, 0) at t = inf; energy E = -v (1 + t^2) / (4 t), whose
+    limits are -(R + c)/2 at t = 0 and (R - c)/2 at t = inf.  A state is
+    kept when its stationarity residual |H(psi) psi - E psi| is below tol.
+    Energies equal to within 1e-12 (relative) are one degenerate level: they
+    share one value and are ordered by imbalance.
+    """
+    R, c, v = (x[:, None] for x in (R, c, v))
+    at_zero, at_inf = t == 0.0, np.isinf(t)
+    # e^{-i phi} from cmath, so each amplitude rounds as Python's complex product
+    # x * cmath.exp(-1j * phi) does.
+    rot = np.array([cmath.exp(-1j * p) for p in phi.tolist()], dtype=complex)[:, None]
+    amp1, amp2 = _amplitudes(t, at_zero, at_inf, rot)
+    with np.errstate(all="ignore"):
+        energy = -v * (1.0 + t * t) / (4.0 * t)
+    energy = np.where(at_zero, -0.5 * (R + c), np.where(at_inf, 0.5 * (R - c), energy))
+    imbalance = _imbalance(amp1, amp2)
+    residual = _residual(R, c, v, rot.conjugate(), amp1, amp2, energy)
+    energy = np.where(residual < tol, energy, np.nan)
+
+    # Sort by energy (rejected states, NaN, go last), merge, then sort by
+    # (energy, imbalance); both sorts are stable.
+    rows = np.arange(len(t))[:, None]
+    order = np.argsort(energy, axis=1, kind="stable")
+    energy = energy[rows, order]
+    for k in range(1, energy.shape[1]):
+        low, high = energy[:, k - 1], energy[:, k]
+        merge = high - low <= 1e-12 * np.maximum(np.abs(low), np.abs(high))
+        energy[:, k] = np.where(merge, low, high)
+    resort = np.lexsort((imbalance[rows, order], energy), axis=1)
+    energy, order = energy[rows, resort], order[rows, resort]
+    kept = ~np.isnan(energy)
+
+    def pick(a):
+        return np.where(kept, a[rows, order], np.nan)
+
+    count = kept.sum(axis=1)
+    failed = (v[:, 0] > 0.0) & ((count < 2) | (count > 4))
+    return StationaryArrays(
+        energy, pick(amp1), pick(amp2), pick(imbalance), pick(residual), count, failed
+    )
+
+
+def stationary_arrays(R, v, phi, c, tol: float = 1e-9) -> StationaryArrays:
+    """All stationary states at many parameter points, as (n, 4) arrays.
+
+    R, v, phi and c are scalars or 1-D arrays that broadcast to n points;
+    phi is used as given (ModelParams stores it reduced to [0, 2*pi)).  Each
+    point gets exactly what stationary_states gives it, whatever the other
+    points of the call: between two and four states whenever v > 0, and at
+    v = 0 the roots +t and -t as one state, reported once, since the
+    relative phase is free there.  A point that fails marks only its own row.
+    """
+    R, v, phi, c = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(x, dtype=float)) for x in (R, v, phi, c))
+    )
+    if R.ndim != 1:
+        raise ValueError("expected scalars or 1-D arrays of parameter values")
+    if not all(np.isfinite(x).all() for x in (R, v, phi, c)):
+        raise ValueError("parameters must be finite")
+    if (v < 0.0).any() or (c < 0.0).any():
+        raise ValueError("v and c must be >= 0")
+
+    # The quartic ignores phi: each distinct (R, c, v) is solved once.
+    index: dict[tuple[float, float, float], int] = {}
+    rows = [index.setdefault(key, len(index)) for key in zip(R.tolist(), c.tolist(), v.tolist())]
+    distinct = np.array(list(index), dtype=float).reshape(-1, 3).T
+    roots = _real_roots(*distinct, tol)[rows]
+    roots[(v == 0.0)[:, None] & (roots < 0.0)] = np.nan
+    return _states_at_roots(R, c, v, phi, roots, tol)
+
+
+def _require_states(states: StationaryArrays, k: int, params: ModelParams) -> None:
+    if not _has_states(params.R, params.v):
+        raise InvalidStateError("need v > 0 or R != 0 to define stationary states")
+    if states.failed[k]:
+        raise ArithmeticError(
+            f"expected 2..4 stationary states at {params}, found {states.count[k]}"
+        )
+
+
 def reconstruct_states(
     params: ModelParams, root: float, tol: float = 1e-9
 ) -> list[Eigenstate]:
     """The state at a root t = tan(beta/2) of the t-quartic: a list of zero or one.
 
-    Amplitudes (|t|, -sign(t) e^{-i phi}) / sqrt(1 + t^2), with amp2 = 1 at
-    t = 0 and psi = (1, 0) at t = inf; energy E = -v (1 + t^2) / (4 t), whose
-    limits are -(R + c)/2 at t = 0 and (R - c)/2 at t = inf.  The state is
-    kept when its stationarity residual |H(psi) psi - E psi| is below tol.
+    Built as stationary_arrays builds it, and kept when its stationarity
+    residual is below tol.
     """
-    R, c, v = params.R, params.c, params.v
-    t = float(root)
-    if math.isinf(t):
-        a1, a2, energy = 1.0 + 0.0j, 0.0j, 0.5 * (R - c)
-    elif t == 0.0:
-        a1, a2, energy = 0.0j, 1.0 + 0.0j, -0.5 * (R + c)
-    else:
-        tsq = t * t
-        a1 = complex(math.sqrt(tsq / (1.0 + tsq)))
-        a2 = -math.copysign(math.sqrt(1.0 / (1.0 + tsq)), t) * cmath.exp(-1j * params.phi)
-        energy = -v * (1.0 + tsq) / (4.0 * t)
-
-    residual = _residual(params, a1, a2, energy)
-    if not residual < tol:
-        return []
-    return [Eigenstate(a1, a2, energy, _imbalance(a1, a2), residual)]
+    point = (np.array([x]) for x in (params.R, params.c, params.v, params.phi))
+    states = _states_at_roots(*point, np.array([[root, np.nan, np.nan, np.nan]]), tol)
+    return states.take([0] * states.count[0], [0] * states.count[0])
 
 
 def stationary_states(params: ModelParams, tol: float = 1e-9) -> StationaryFamily:
@@ -276,34 +418,22 @@ def stationary_states(params: ModelParams, tol: float = 1e-9) -> StationaryFamil
     Between two and four states exist whenever v > 0.  At v = 0 the relative
     phase is free, so the roots +t and -t are one state, reported once.
     Energies equal to within 1e-12 (relative) are one degenerate level: they
-    share one value and are ordered by imbalance.
+    share one value and are ordered by imbalance.  This is stationary_arrays
+    for one point.
     """
-    if not _has_states(params):
-        raise InvalidStateError("need v > 0 or R != 0 to define stationary states")
+    states = stationary_arrays(params.R, params.v, params.phi, params.c, tol)
+    _require_states(states, 0, params)
+    n = int(states.count[0])
+    return StationaryFamily(params, tuple(states.take([0] * n, list(range(n)))))
 
-    roots = solve_quartic_real_roots(quartic_coefficients(params), tol)
-    if params.v == 0.0:
-        roots = [(t, mult) for t, mult in roots if t >= 0.0]
-    states = sorted(
-        (s for t, _ in roots for s in reconstruct_states(params, t, tol)),
-        key=lambda s: s.energy,
-    )
-    for i in range(1, len(states)):
-        low, high = states[i - 1].energy, states[i].energy
-        if high - low <= 1e-12 * max(abs(low), abs(high)):
-            states[i] = dataclasses.replace(states[i], energy=low)
-    states.sort(key=lambda s: (s.energy, s.imbalance))
 
-    if params.v > 0.0 and not 2 <= len(states) <= 4:
-        raise ArithmeticError(
-            f"expected 2..4 stationary states at {params}, found {len(states)}"
-        )
-    return StationaryFamily(params, tuple(states))
+def _overlap(a1: complex, a2: complex, b1: complex, b2: complex) -> complex:
+    return a1.conjugate() * b1 + a2.conjugate() * b2
 
 
 def state_overlap(a: Eigenstate, b: Eigenstate) -> complex:
     """Inner product <a|b> of two amplitude pairs."""
-    return a.amp1.conjugate() * b.amp1 + a.amp2.conjugate() * b.amp2
+    return _overlap(a.amp1, a.amp2, b.amp1, b.amp2)
 
 
 def phi_loop(params: ModelParams, n_points: int) -> ParamPath:
@@ -345,21 +475,29 @@ def continue_branch(
     At each point the candidate maximizing |<previous|candidate>| is taken;
     if even the best overlap falls below 0.5 the branch has been lost (folded
     away or the path is sampled too coarsely) and BranchLostError is raised.
+    The whole path is solved in one stationary_arrays call; the tracking
+    then walks its candidates.
     """
-    current = seed
-    branch: list[Eigenstate] = []
-    for pt in path.points:
-        family = stationary_states(pt, tol)
-        best = None
-        best_ov = -1.0
-        for cand in family.states:
-            ov = abs(state_overlap(current, cand))
+    points = path.points
+    R, c, v, phi = (np.array([getattr(p, f) for p in points]) for f in ("R", "c", "v", "phi"))
+    states = stationary_arrays(R, v, phi, c, tol)
+    bad = (states.failed | ~_has_states(R, v)).tolist()
+
+    a1, a2 = seed.amp1, seed.amp2
+    chosen = []
+    for k, (pt, n) in enumerate(zip(points, states.count.tolist())):
+        if bad[k]:
+            _require_states(states, k, pt)
+        cands = list(zip(states.amp1[k, :n].tolist(), states.amp2[k, :n].tolist()))
+        best, best_ov = None, -1.0
+        for j, (b1, b2) in enumerate(cands):
+            ov = abs(_overlap(a1, a2, b1, b2))
             if ov > best_ov:
-                best, best_ov = cand, ov
+                best, best_ov = j, ov
         if best is None or best_ov < 0.5:
             raise BranchLostError(
                 f"best overlap {best_ov:.3f} at {pt}; refine the path or stop earlier"
             )
-        branch.append(best)
-        current = best
-    return branch
+        chosen.append(best)
+        a1, a2 = cands[best]
+    return states.take(np.arange(len(points)), chosen)

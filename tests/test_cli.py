@@ -1,5 +1,6 @@
 """End-to-end command-line checks, run through `python -m dimerphase`."""
 
+import dataclasses
 import math
 import re
 import subprocess
@@ -106,15 +107,32 @@ def test_fully_degenerate_point_is_blank_in_every_grid_mode(mode):
 
 
 def test_failing_point_is_skipped_and_counted(monkeypatch, capsys):
-    real = cli.nonlinearity_witness
+    # The three points are solved in one batch; the kernel reports the middle
+    # one as failing its state-count check.
+    real = cli.stationary_arrays
 
-    def fails_at_half_bias(params, tol):
-        if params.R == 0.5:
-            raise ArithmeticError("no stationary states")
-        return real(params, tol)
+    def fails_at_half_bias(R, v, phi, c, tol):
+        states = real(R, v, phi, c, tol)
+        return dataclasses.replace(states, failed=states.failed | (R == 0.5))
 
-    monkeypatch.setattr(cli, "nonlinearity_witness", fails_at_half_bias)
+    monkeypatch.setattr(cli, "stationary_arrays", fails_at_half_bias)
     assert cli.main(["witness", "--R", "0:1:3", "--v", "0.5"]) == 0
+    header, _, rows = parse_csv(capsys.readouterr().out)
+    assert "# skipped: 1" in header
+    assert rows[1] == ["0.5", "0.5", ""]
+    assert rows[0][2] != "" and rows[2][2] != ""
+
+
+def test_raising_berry_cell_is_skipped_and_counted(monkeypatch, capsys):
+    real = cli.berry_phase_closed_form
+
+    def fails_at_half_coupling(v, energy, imbalance):
+        if v == 0.5:
+            raise ArithmeticError("not a stationary-state energy")
+        return real(v, energy, imbalance)
+
+    monkeypatch.setattr(cli, "berry_phase_closed_form", fails_at_half_coupling)
+    assert cli.main(["berry", "--R", "0.5", "--v", "0:1:3"]) == 0
     header, _, rows = parse_csv(capsys.readouterr().out)
     assert "# skipped: 1" in header
     assert rows[1] == ["0.5", "0.5", ""]

@@ -111,6 +111,12 @@ def test_adiabatic_range_and_validation():
         loschmidt_adiabatic(1.0, 1.2)
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_adiabatic_rejects_non_finite_theta(theta):
+    with pytest.raises(ValueError, match="theta"):
+        loschmidt_adiabatic(theta, 0.5)
+
+
 def test_adiabatic_limit_regimes():
     assert loschmidt_adiabatic_limit(0.3, -1.0) == pytest.approx(0.09)
     assert loschmidt_adiabatic_limit(0.3, 2.0) == 1.0

@@ -1,11 +1,12 @@
 """Stationary-state machinery: quartic, reconstruction, families, tracking."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dimerphase import (
     BranchLostError,
@@ -21,6 +22,7 @@ from dimerphase import (
     reconstruct_states,
     solve_quartic_real_roots,
     state_overlap,
+    stationary_arrays,
     stationary_states,
 )
 
@@ -46,6 +48,12 @@ def test_params_reduce_phi():
     p = ModelParams(R=0.0, c=1.0, v=1.0, phi=5.0 * math.pi)
     assert 0.0 <= p.phi < 2.0 * math.pi
     assert p.phi == pytest.approx(math.pi)
+
+
+@pytest.mark.parametrize("phi", [-1e-17, -1e-300, -0.0, 2.0 * math.pi])
+def test_params_reduce_phi_below_two_pi(phi):
+    p = ModelParams(R=0.0, c=1.0, v=1.0, phi=phi)
+    assert 0.0 <= p.phi < 2.0 * math.pi
 
 
 def test_hamiltonian_apply_offdiagonal_flip():
@@ -282,17 +290,21 @@ def test_continue_branch_keeps_imbalance_on_phi_loop():
 
 def test_continue_branch_reports_lost_branch(monkeypatch):
     # Real families span the state space, so the best overlap never drops
-    # below ~1/sqrt(2); exercise the guard with a family collapsed onto the
-    # ray orthogonal to the seed.
+    # below ~1/sqrt(2); exercise the guard with every candidate collapsed onto
+    # the ray orthogonal to the seed.
     import dimerphase.model as model_mod
+
+    real = model_mod.stationary_arrays
+
+    def collapsed(*args):
+        states = real(*args)
+        return dataclasses.replace(
+            states, amp1=np.ones_like(states.amp1), amp2=np.zeros_like(states.amp2)
+        )
 
     params = ModelParams(R=0.0, c=0.0, v=2.0)
     seed = Eigenstate(0.0j, 1.0 + 0.0j, -1.0, 1.0, 0.0)
-    lost = model_mod.StationaryFamily(
-        params=params,
-        states=(Eigenstate(1.0 + 0.0j, 0.0j, -1.0, -1.0, 0.0),),
-    )
-    monkeypatch.setattr(model_mod, "stationary_states", lambda p, tol=1e-9: lost)
+    monkeypatch.setattr(model_mod, "stationary_arrays", collapsed)
     with pytest.raises(BranchLostError):
         continue_branch(phi_loop(params, 8), seed)
 
@@ -414,3 +426,116 @@ def test_self_trapped_pair_order_at_loop_point():
     states = stationary_states(ModelParams(R=0.0, c=2.068564590147837, v=0.9128062876453995)).states
     assert states[0].energy == states[1].energy
     assert states[0].imbalance < 0.0 < states[1].imbalance
+
+
+# ---------------------------------------------------------------------------
+# the array kernel: every row is the single-point solve, whatever the batch
+
+
+@st.composite
+def kernel_points(draw):
+    """(R, c, v, phi) from a mix of regimes: uncoupled, triple root, near the astroid."""
+    c = draw(nonlinearities)
+    phi = draw(st.one_of(st.just(0.0), st.floats(0.0, 6.28)))
+    kind = draw(st.sampled_from(["generic", "uncoupled", "triple", "astroid"]))
+    if kind == "uncoupled":
+        return draw(biases), c, 0.0, phi
+    if kind == "triple":
+        return 0.0, c, c, phi
+    if kind == "astroid":
+        # |R|^(2/3) + v^(2/3) = c^(2/3) at s, moved off it by a relative 1e-6 at most.
+        s = draw(st.floats(0.0, 1.0))
+        nudge = 1.0 + draw(st.floats(-1e-6, 1e-6))
+        R = math.copysign(c * s**1.5, draw(st.sampled_from([-1.0, 1.0])))
+        return R, c, c * (1.0 - s) ** 1.5 * nudge, phi
+    return draw(biases), c, draw(couplings), phi
+
+
+kernel_batches = st.lists(kernel_points(), min_size=1, max_size=24)
+
+_BATCH_PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+
+def _columns(R, c, v, phi):
+    return [np.array(x, dtype=float) for x in (R, c, v, phi)]
+
+
+@_BATCH_PROPERTY
+@given(points=kernel_batches)
+def test_kernel_rows_equal_single_point_solves(points):
+    R, c, v, phi = _columns(*zip(*points))
+    states = stationary_arrays(R, v, phi, c)
+    for k, point in enumerate(points):
+        params = ModelParams(*point)
+        if not (params.v > 0.0 or params.R != 0.0):
+            assert states.count[k] == 0 and not states.failed[k]
+            continue
+        if states.failed[k]:
+            with pytest.raises(ArithmeticError):
+                stationary_states(params)
+            continue
+        n = states.count[k]
+        row = states.take([k] * n, list(range(n)))
+        single = stationary_states(params).states
+        # == on floats would pass 0.0 for -0.0; repr tells them apart.
+        fields = [(s.energy, s.imbalance, s.amp1, s.amp2) for s in row]
+        assert repr(fields) == repr([(s.energy, s.imbalance, s.amp1, s.amp2) for s in single])
+
+
+def _scalar_root_states(params, tol=1e-9):
+    """States from the scalar root path alone: one np.roots and Python polish per root."""
+    roots = solve_quartic_real_roots(quartic_coefficients(params), tol)
+    if params.v == 0.0:
+        roots = [(t, mult) for t, mult in roots if t >= 0.0]
+    states = [s for t, _ in roots for s in reconstruct_states(params, t, tol)]
+    states.sort(key=lambda s: s.energy)
+    for i in range(1, len(states)):
+        low, high = states[i - 1].energy, states[i].energy
+        if high - low <= 1e-12 * max(abs(low), abs(high)):
+            states[i] = dataclasses.replace(states[i], energy=low)
+    return sorted(states, key=lambda s: (s.energy, s.imbalance))
+
+
+@_BATCH_PROPERTY
+@given(points=kernel_batches)
+# NumPy's complex arithmetic in the polish put a root of this point one unit
+# in the last place away from the scalar path's.
+@example(points=[(-2.4795559846832345, 7.866182352955087, 3.093996481405873, 5.828747570784426)])
+def test_kernel_batch_roots_round_as_the_scalar_path(points):
+    R, c, v, phi = _columns(*zip(*points))
+    states = stationary_arrays(R, v, phi, c)
+    for k, point in enumerate(points):
+        params = ModelParams(*point)
+        if not (params.v > 0.0 or params.R != 0.0) or states.failed[k]:
+            continue
+        n = states.count[k]
+        got = [(s.energy, s.imbalance, s.amp1, s.amp2) for s in states.take([k] * n, range(n))]
+        ref = [(s.energy, s.imbalance, s.amp1, s.amp2) for s in _scalar_root_states(params)]
+        assert repr(got) == repr(ref)
+
+
+@_BATCH_PROPERTY
+@given(points=kernel_batches, block=st.integers(1, 8), data=st.data())
+def test_kernel_ignores_block_size_and_order(points, block, data):
+    R, c, v, phi = _columns(*zip(*points))
+    order = np.array(data.draw(st.permutations(range(len(points)))))
+
+    def fields(states, rows=slice(None)):
+        arrays = (states.energy, states.amp1, states.amp2, states.imbalance, states.count)
+        return [a[rows].tobytes() for a in arrays] + [states.failed[rows].tolist()]
+
+    whole = stationary_arrays(R, v, phi, c)
+    shuffled = stationary_arrays(R[order], v[order], phi[order], c[order])
+    assert fields(shuffled) == fields(whole, order)
+    for start in range(0, len(points), block):
+        rows = slice(start, start + block)
+        part = stationary_arrays(R[rows], v[rows], phi[rows], c[rows])
+        assert fields(part) == fields(whole, rows)
+
+
+@pytest.mark.parametrize(
+    "R, v, c", [(math.nan, 1.0, 1.0), (0.0, math.inf, 1.0), (0.0, -1.0, 1.0), (0.0, 1.0, -1.0)]
+)
+def test_kernel_rejects_bad_parameters(R, v, c):
+    with pytest.raises(ValueError):
+        stationary_arrays([0.0, R], [1.0, v], 0.0, c)
