@@ -99,16 +99,20 @@ def simple_real_roots(coeffs: np.ndarray, tol: float) -> tuple[np.ndarray, np.nd
 
     Returns a mask of the rows whose roots are all simple, and their real
     roots, ascending and NaN-padded to four.  A row with two companion
-    eigenvalues within GROUP_RADIUS of each other has a multiple root and
-    is left out.  A root counts as real when |Im| <= tol * (1 + |Re|), as
+    eigenvalues within GROUP_RADIUS of each other has a multiple root, and
+    a row whose companion matrix overflows has no eigenvalues here; both
+    are left out.  A root counts as real when |Im| <= tol * (1 + |Re|), as
     in model.solve_quartic_real_roots.
     """
     # Companion matrices built as np.roots builds them.
     companion = np.zeros((len(coeffs), 4, 4))
-    companion[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
+    with np.errstate(over="ignore"):
+        companion[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
     companion[:, [1, 2, 3], [0, 1, 2]] = 1.0
-    z = np.linalg.eigvals(companion)
-    simple = ~_close_pair(z)
+    finite = np.isfinite(companion).all(axis=(1, 2))
+    z = np.full((len(coeffs), 4), np.nan, dtype=complex)
+    z[finite] = np.linalg.eigvals(companion[finite])
+    simple = finite & ~_close_pair(z)
     zr, zi = _polish(coeffs[simple], z[simple])
     real = np.where(np.abs(zi) <= tol * (1.0 + np.abs(zr)), zr, np.nan)
     order = np.argsort(real, axis=1, kind="stable")

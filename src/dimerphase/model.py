@@ -109,8 +109,9 @@ class StationaryArrays:
 
     energy, amp1, amp2, imbalance and residual have shape (n, 4): row k holds
     the count[k] states of point k, sorted by (energy, imbalance) as in a
-    StationaryFamily, and NaN after them.  failed[k] marks a point with
-    v > 0 whose state count is outside 2..4.  The fully degenerate origin
+    StationaryFamily, and NaN after them.  failed[k] marks a point whose
+    states cannot be trusted: v > 0 with a state count outside 2..4, or a
+    quartic whose coefficients or companion matrix overflow.  The fully degenerate origin
     v = R = 0 has count 0 and is not failed.
     """
 
@@ -286,29 +287,35 @@ def solve_quartic_real_roots(
 def _real_roots(R, c, v, tol):
     """Real roots of the t-quartic of each (R, c, v) row, ascending and NaN-padded.
 
-    The fully degenerate origin, and rows whose coefficients overflow, get none.
+    Also returns which rows could be solved: coefficients or companion
+    matrices that overflow cannot.  The fully degenerate origin gets no roots.
     """
-    coeffs = np.stack(np.broadcast_arrays(*_quartic(R, c, v)), axis=1)
+    with np.errstate(over="ignore"):
+        coeffs = np.stack(np.broadcast_arrays(*_quartic(R, c, v)), axis=1)
     roots = np.full((len(coeffs), 4), np.nan)
-    scalar = np.isfinite(coeffs).all(axis=1) & _has_states(R, v)
+    solvable = np.isfinite(coeffs).all(axis=1)
+    scalar = solvable & _has_states(R, v)
     batch = np.flatnonzero(scalar & (v > 0.0))
     simple, simple_roots = simple_real_roots(coeffs[batch], tol)
     roots[batch[simple]] = simple_roots
 
     scalar[batch[simple]] = False
     for i in np.flatnonzero(scalar):
-        found = [t for t, _ in solve_quartic_real_roots(coeffs[i], tol)]
+        try:
+            found = [t for t, _ in solve_quartic_real_roots(coeffs[i], tol)]
+        except np.linalg.LinAlgError:  # np.roots' companion matrix overflowed
+            solvable[i] = False
+            continue
         roots[i, : len(found)] = found
-    return roots
+    return roots, solvable
 
 
 def _amplitudes(t, at_zero, at_inf, rot):
     """amp1 and amp2 of the states at roots t, with rot = e^{-i phi}."""
-    with np.errstate(all="ignore"):
-        tsq = t * t
-        a1 = np.sqrt(tsq / (1.0 + tsq))
-        s = np.sqrt(1.0 / (1.0 + tsq))
-        a2 = np.where(t < 0.0, s, -s) * rot
+    tsq = t * t
+    a1 = np.sqrt(tsq / (1.0 + tsq))
+    s = np.sqrt(1.0 / (1.0 + tsq))
+    a2 = np.where(t < 0.0, s, -s) * rot
     amp1 = np.where(at_zero, 0.0, np.where(at_inf, 1.0, a1)).astype(complex)
     amp2 = np.where(at_zero, 1.0 + 0.0j, np.where(at_inf, 0.0j, a2))
     return amp1, amp2
@@ -329,12 +336,14 @@ def _states_at_roots(R, c, v, phi, t, tol) -> StationaryArrays:
     # e^{-i phi} from cmath, so each amplitude rounds as Python's complex product
     # x * cmath.exp(-1j * phi) does.
     rot = np.array([cmath.exp(-1j * p) for p in phi.tolist()], dtype=complex)[:, None]
-    amp1, amp2 = _amplitudes(t, at_zero, at_inf, rot)
+    # Python's float and complex arithmetic, which the scalar code used, does
+    # not warn on overflow, inf * 0 or 0 / 0 either.
     with np.errstate(all="ignore"):
+        amp1, amp2 = _amplitudes(t, at_zero, at_inf, rot)
         energy = -v * (1.0 + t * t) / (4.0 * t)
-    energy = np.where(at_zero, -0.5 * (R + c), np.where(at_inf, 0.5 * (R - c), energy))
-    imbalance = _imbalance(amp1, amp2)
-    residual = _residual(R, c, v, rot.conjugate(), amp1, amp2, energy)
+        energy = np.where(at_zero, -0.5 * (R + c), np.where(at_inf, 0.5 * (R - c), energy))
+        imbalance = _imbalance(amp1, amp2)
+        residual = _residual(R, c, v, rot.conjugate(), amp1, amp2, energy)
     energy = np.where(residual < tol, energy, np.nan)
 
     # Sort by energy (rejected states, NaN, go last), merge, then sort by
@@ -384,9 +393,12 @@ def stationary_arrays(R, v, phi, c, tol: float = 1e-9) -> StationaryArrays:
     index: dict[tuple[float, float, float], int] = {}
     rows = [index.setdefault(key, len(index)) for key in zip(R.tolist(), c.tolist(), v.tolist())]
     distinct = np.array(list(index), dtype=float).reshape(-1, 3).T
-    roots = _real_roots(*distinct, tol)[rows]
+    roots, solvable = _real_roots(*distinct, tol)
+    roots = roots[rows]
     roots[(v == 0.0)[:, None] & (roots < 0.0)] = np.nan
-    return _states_at_roots(R, c, v, phi, roots, tol)
+    states = _states_at_roots(R, c, v, phi, roots, tol)
+    states.failed[~solvable[rows]] = True
+    return states
 
 
 def _require_states(states: StationaryArrays, k: int, params: ModelParams) -> None:
@@ -394,7 +406,8 @@ def _require_states(states: StationaryArrays, k: int, params: ModelParams) -> No
         raise InvalidStateError("need v > 0 or R != 0 to define stationary states")
     if states.failed[k]:
         raise ArithmeticError(
-            f"expected 2..4 stationary states at {params}, found {states.count[k]}"
+            f"no trustworthy stationary states at {params}: found {states.count[k]},"
+            " expected 2..4 (or the quartic overflowed)"
         )
 
 

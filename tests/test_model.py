@@ -539,3 +539,12 @@ def test_kernel_ignores_block_size_and_order(points, block, data):
 def test_kernel_rejects_bad_parameters(R, v, c):
     with pytest.raises(ValueError):
         stationary_arrays([0.0, R], [1.0, v], 0.0, c)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_kernel_marks_overflowing_points_failed_and_solves_the_rest():
+    # 2 (R - c) overflows at R = 1e308; 2 R / v overflows the companion
+    # matrix at v = 1e-300.  Neither may stop the other points of the batch.
+    states = stationary_arrays([1e308, 1e308, 1e10, 1e10], [0.0, 1.0, 1e-300, 1.0], 0.0, 1.0)
+    assert states.failed.tolist() == [True, True, True, False]
+    assert states.count.tolist()[3] == 2
