@@ -29,10 +29,9 @@ from .echo import (
     circular_drive,
     loschmidt_adiabatic,
     loschmidt_dynamical,
-    nonlinearity_witness,
     trace_mean,
 )
-from .errors import DimerPhaseError, ModelDegenerateError
+from .errors import DimerPhaseError
 from .model import (
     Eigenstate,
     ModelParams,
@@ -61,7 +60,12 @@ def _parse_axis(text: str, name: str):
         raise UsageError(f"--{name}: bad axis spec {text!r}") from exc
     if count < 2:
         raise UsageError(f"--{name}: an axis needs at least 2 points")
-    return np.linspace(_parse_float(parts[0], name), _parse_float(parts[1], name), count)
+    start, stop = _parse_float(parts[0], name), _parse_float(parts[1], name)
+    with np.errstate(all="ignore"):
+        axis = np.linspace(start, stop, count)
+    if not np.isfinite(axis).all():
+        raise UsageError(f"--{name}: axis {text!r} has points that are not finite")
+    return axis
 
 
 def _parse_float(text: str, name: str) -> float:
@@ -286,16 +290,16 @@ def run_grid_scan(cfg: ScanConfig):
 
 def run_echo(cfg: ScanConfig):
     base = ModelParams(R=float(cfg.R), c=cfg.c, v=float(cfg.v))
+    s = 0.0
     if _has_states(base.R, base.v):
-        initial = stationary_states(base, cfg.tol).states[0]
-        try:
-            s = nonlinearity_witness(base, cfg.tol).witness
-        except ModelDegenerateError:
-            s = 0.0
+        states = stationary_states(base, cfg.tol).states
+        initial = states[0]
+        # The base's nonlinearity_witness, from the same family.
+        if len(states) >= 2:
+            s = _pair_witness(initial.amp1, initial.amp2, states[1].amp1, states[1].amp2)
     else:
         # Fully degenerate base: the first basis state is stationary at -c/2.
         initial = Eigenstate(1.0 + 0.0j, 0.0j, -0.5 * base.c, -1.0, 0.0)
-        s = 0.0
     drive = circular_drive(base, cfg.amp, cfg.theta, cfg.T)
     trace = loschmidt_dynamical(initial, drive, cfg.dt)
     comments = [

@@ -14,10 +14,10 @@ energy; a root is kept when the rebuilt state's stationarity residual is small.
 
 stationary_arrays is the one solver: it takes arrays of parameter points and
 returns their states as arrays.  The quartic ignores phi, so each distinct
-(R, c, v) is solved once.  Simple roots come from one batch of companion
-matrices polished by Newton; points with a multiple root, and v = 0 points,
-take the scalar grouping path, solve_quartic_real_roots.  stationary_states
-is the same solver for one point.
+(R, c, v) is solved once, and all of them go through one batch root finder,
+_batch.real_roots, whether their roots are simple or multiple and whether v
+is zero or not.  solve_quartic_real_roots is that root finder for one
+quartic, and stationary_states the solver for one point.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._batch import GROUP_RADIUS, simple_real_roots
+from ._batch import real_roots
 from .errors import BranchLostError, InvalidStateError
 
 TWO_PI = 2.0 * math.pi
@@ -212,102 +212,26 @@ def quartic_coefficients(params: ModelParams) -> tuple[float, float, float, floa
     return _quartic(params.R, params.c, params.v)
 
 
-def _derivative(coeffs: list) -> list:
-    top = len(coeffs) - 1
-    return [ck * (top - k) for k, ck in enumerate(coeffs[:-1])]
-
-
-def _polish(coeffs: list, z: complex) -> complex:
-    """Polish z as a root of the polynomial coeffs, highest power first."""
-    slope_coeffs = _derivative(coeffs)
-    last = math.inf
-    for _ in range(60):
-        value, slope = 0.0, 0.0
-        for ck in coeffs:
-            value = value * z + ck
-        for ck in slope_coeffs:
-            slope = slope * z + ck
-        if slope == 0:
-            break
-        step = value / slope
-        # Steps that stop shrinking are rounding noise: z is as good as it gets.
-        if not abs(step) < last:
-            break
-        z -= step
-        last = abs(step)
-    return z
-
-
 def solve_quartic_real_roots(
     coeffs: Sequence[float], tol: float = 1e-9
 ) -> list[tuple[float, int]]:
-    """Real roots of a quartic with their multiplicities, ascending.
+    """Real roots of a quartic with their multiplicities, ascending: one row of the batch.
 
-    Companion-matrix eigenvalues within a relative 1e-5 of each other form one
-    root, and the group's size is its multiplicity.  The group's centroid is
-    polished by Newton on the (mu-1)-th derivative, where a mu-fold root is
-    simple: in t when |t| <= 1, in 1/t (reversed coefficients) otherwise.  A
-    root counts as real when |Im| <= tol * (1 + |Re|).  Leading zero
-    coefficients (v = 0 in the t-quartic) are a root at infinity, returned
-    as math.inf with one multiplicity per zero.
+    Companion eigenvalues within a relative 1e-5 of each other form one root,
+    whose multiplicity is the group's size, polished by Newton on the
+    (mu-1)-th derivative: in t when |t| <= 1, in 1/t otherwise.  A root is
+    real when |Im| <= tol * (1 + |Re|).  L leading zero coefficients (v = 0
+    in the t-quartic) are the root math.inf with multiplicity L; trailing
+    ones are exact zeros.  Raises np.linalg.LinAlgError when the
+    coefficients or the companion matrix are not finite.
     """
-    cs = [float(x) for x in coeffs]
-    if len(cs) != 5:
+    cs = np.array([coeffs], dtype=float)
+    if cs.shape != (1, 5):
         raise ValueError("expected five quartic coefficients")
-
-    groups: list[list[complex]] = []
-    for z in sorted(np.roots(cs).tolist(), key=lambda w: (w.real, w.imag)):
-        for group in groups:
-            if any(abs(z - w) <= GROUP_RADIUS * max(abs(z), abs(w)) for w in group):
-                group.append(z)
-                break
-        else:
-            groups.append([z])
-
-    found: list[tuple[float, int]] = []
-    for group in groups:
-        mult = len(group)
-        z = sum(group) / mult
-        inverted = abs(z) > 1.0
-        target = cs[::-1] if inverted else cs
-        for _ in range(mult - 1):
-            target = _derivative(target)
-        z = _polish(target, 1.0 / z if inverted else z)
-        if inverted:
-            z = 1.0 / z
-        if abs(z.imag) <= tol * (1.0 + abs(z.real)):
-            found.append((z.real, mult))
-    at_infinity = next((k for k, x in enumerate(cs) if x != 0.0), len(cs))
-    if at_infinity:
-        found.append((math.inf, at_infinity))
-    found.sort()
-    return found
-
-
-def _real_roots(R, c, v, tol):
-    """Real roots of the t-quartic of each (R, c, v) row, ascending and NaN-padded.
-
-    Also returns which rows could be solved: coefficients or companion
-    matrices that overflow cannot.  The fully degenerate origin gets no roots.
-    """
-    with np.errstate(over="ignore"):
-        coeffs = np.stack(np.broadcast_arrays(*_quartic(R, c, v)), axis=1)
-    roots = np.full((len(coeffs), 4), np.nan)
-    solvable = np.isfinite(coeffs).all(axis=1)
-    scalar = solvable & _has_states(R, v)
-    batch = np.flatnonzero(scalar & (v > 0.0))
-    simple, simple_roots = simple_real_roots(coeffs[batch], tol)
-    roots[batch[simple]] = simple_roots
-
-    scalar[batch[simple]] = False
-    for i in np.flatnonzero(scalar):
-        try:
-            found = [t for t, _ in solve_quartic_real_roots(coeffs[i], tol)]
-        except np.linalg.LinAlgError:  # np.roots' companion matrix overflowed
-            solvable[i] = False
-            continue
-        roots[i, : len(found)] = found
-    return roots, solvable
+    roots, mult, solvable = real_roots(cs, tol)
+    if not solvable[0]:
+        raise np.linalg.LinAlgError("the quartic's companion matrix is not finite")
+    return [(t, m) for t, m in zip(roots[0].tolist(), mult[0].tolist()) if m]
 
 
 def _amplitudes(t, at_zero, at_inf, rot):
@@ -336,8 +260,8 @@ def _states_at_roots(R, c, v, phi, t, tol) -> StationaryArrays:
     # e^{-i phi} from cmath, so each amplitude rounds as Python's complex product
     # x * cmath.exp(-1j * phi) does.
     rot = np.array([cmath.exp(-1j * p) for p in phi.tolist()], dtype=complex)[:, None]
-    # Python's float and complex arithmetic, which the scalar code used, does
-    # not warn on overflow, inf * 0 or 0 / 0 either.
+    # The np.where branches not taken divide by t = 0 or multiply inf by 0,
+    # and states that overflow fail the residual test: neither warns.
     with np.errstate(all="ignore"):
         amp1, amp2 = _amplitudes(t, at_zero, at_inf, rot)
         energy = -v * (1.0 + t * t) / (4.0 * t)
@@ -393,9 +317,12 @@ def stationary_arrays(R, v, phi, c, tol: float = 1e-9) -> StationaryArrays:
     index: dict[tuple[float, float, float], int] = {}
     rows = [index.setdefault(key, len(index)) for key in zip(R.tolist(), c.tolist(), v.tolist())]
     distinct = np.array(list(index), dtype=float).reshape(-1, 3).T
-    roots, solvable = _real_roots(*distinct, tol)
+    with np.errstate(over="ignore"):
+        coeffs = np.stack(np.broadcast_arrays(*_quartic(*distinct)), axis=1)
+    roots, _, solvable = real_roots(coeffs, tol)
     roots = roots[rows]
     roots[(v == 0.0)[:, None] & (roots < 0.0)] = np.nan
+    roots[~_has_states(R, v)] = np.nan
     states = _states_at_roots(R, c, v, phi, roots, tol)
     states.failed[~solvable[rows]] = True
     return states

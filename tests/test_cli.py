@@ -357,3 +357,9 @@ def test_unwritable_output_path_fails_cleanly(tmp_path):
     target = str(tmp_path / "no-such-dir" / "x.csv")
     proc = run_cli("triple", "--out", target, expect=1)
     assert target in proc.stderr
+
+
+def test_axis_with_points_that_overflow_is_usage_error():
+    # Finite endpoints whose linspace steps overflow to inf and nan.
+    proc = run_cli("spectrum", "--R=1e308:-1e308:3", expect=2)
+    assert "--R" in proc.stderr and "Warning" not in proc.stderr

@@ -134,6 +134,33 @@ def test_quartic_root_at_infinity_without_coupling():
     assert solve_quartic_real_roots(coeffs) == [(0.0, 1), (math.inf, 1)]
 
 
+_ROOT_VALUES = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0)
+
+
+@st.composite
+def constructed_quartics(draw):
+    """np.poly of real roots, each at most double, scaled, behind 0-2 leading zeros."""
+    lead = draw(st.integers(0, 2))
+    roots = draw(
+        st.lists(st.sampled_from(_ROOT_VALUES), min_size=4 - lead, max_size=4 - lead).filter(
+            lambda r: max(map(r.count, r)) <= 2
+        )
+    )
+    scale = draw(st.floats(1e-3, 1e3)) * draw(st.sampled_from([-1.0, 1.0]))
+    coeffs = [0.0] * lead + (scale * np.poly(roots)).tolist()
+    expected = [(t, roots.count(t)) for t in sorted(set(roots))]
+    return coeffs, expected + ([(math.inf, lead)] if lead else [])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(quartic=constructed_quartics())
+def test_quartic_roots_of_constructed_quartics(quartic):
+    coeffs, expected = quartic
+    roots = solve_quartic_real_roots(coeffs)
+    assert [m for _, m in roots] == [m for _, m in expected]
+    np.testing.assert_allclose([t for t, _ in roots], [t for t, _ in expected], rtol=0, atol=1e-9)
+
+
 def test_quartic_rejects_wrong_length():
     with pytest.raises(ValueError):
         solve_quartic_real_roots((1.0, 0.0, -1.0, 0.0))
@@ -482,8 +509,8 @@ def test_kernel_rows_equal_single_point_solves(points):
         assert repr(fields) == repr([(s.energy, s.imbalance, s.amp1, s.amp2) for s in single])
 
 
-def _scalar_root_states(params, tol=1e-9):
-    """States from the scalar root path alone: one np.roots and Python polish per root."""
+def _per_root_states(params, tol=1e-9):
+    """States from one reconstruct_states call per root, merged and sorted in Python."""
     roots = solve_quartic_real_roots(quartic_coefficients(params), tol)
     if params.v == 0.0:
         roots = [(t, mult) for t, mult in roots if t >= 0.0]
@@ -498,10 +525,8 @@ def _scalar_root_states(params, tol=1e-9):
 
 @_BATCH_PROPERTY
 @given(points=kernel_batches)
-# NumPy's complex arithmetic in the polish put a root of this point one unit
-# in the last place away from the scalar path's.
 @example(points=[(-2.4795559846832345, 7.866182352955087, 3.093996481405873, 5.828747570784426)])
-def test_kernel_batch_roots_round_as_the_scalar_path(points):
+def test_kernel_rows_equal_per_root_reconstruction(points):
     R, c, v, phi = _columns(*zip(*points))
     states = stationary_arrays(R, v, phi, c)
     for k, point in enumerate(points):
@@ -510,7 +535,7 @@ def test_kernel_batch_roots_round_as_the_scalar_path(points):
             continue
         n = states.count[k]
         got = [(s.energy, s.imbalance, s.amp1, s.amp2) for s in states.take([k] * n, range(n))]
-        ref = [(s.energy, s.imbalance, s.amp1, s.amp2) for s in _scalar_root_states(params)]
+        ref = [(s.energy, s.imbalance, s.amp1, s.amp2) for s in _per_root_states(params)]
         assert repr(got) == repr(ref)
 
 
@@ -541,10 +566,12 @@ def test_kernel_rejects_bad_parameters(R, v, c):
         stationary_arrays([0.0, R], [1.0, v], 0.0, c)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_kernel_marks_overflowing_points_failed_and_solves_the_rest():
     # 2 (R - c) overflows at R = 1e308; 2 R / v overflows the companion
-    # matrix at v = 1e-300.  Neither may stop the other points of the batch.
-    states = stationary_arrays([1e308, 1e308, 1e10, 1e10], [0.0, 1.0, 1e-300, 1.0], 0.0, 1.0)
-    assert states.failed.tolist() == [True, True, True, False]
-    assert states.count.tolist()[3] == 2
+    # matrix at v = 1e-300; at v = 1.7e308 the polish's slope coefficients
+    # overflow.  None may warn or stop the other points of the batch.
+    R, v = [1e308, 1e308, 1e10, 0.0, 1e10], [0.0, 1.0, 1e-300, 1.7e308, 1.0]
+    states = stationary_arrays(R, v, 0.0, 1.0)
+    assert states.failed.tolist() == [True, True, True, True, False]
+    assert states.count.tolist()[4] == 2
