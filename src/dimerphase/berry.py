@@ -22,13 +22,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (
-    DegenerateFrameError,
     InvalidStateError,
     LoopTooCoarseError,
     NearSingularLoopError,
     SingularLimitError,
 )
-from .model import TWO_PI, Eigenstate, _check_overlap, state_overlap
+from .model import TWO_PI, Eigenstate, _check_finite, _check_overlap, _overlap
 
 # Lower bound on 1 - sin(theta)*s (general quadrature) and 1 - sin(theta)
 # (unit-overlap limit) before the integrands are declared singular.
@@ -44,26 +43,10 @@ def _wrap(x: float) -> float:
     return y
 
 
-@dataclass(frozen=True)
-class PerturbationFrame:
-    """Perturbation matrix elements on a degenerate pair, plus derived angles.
-
-    dnn, dn1n1   diagonal elements on levels n and n+1
-    doff         off-diagonal element (n row, n+1 column)
-    delta_e_plus/minus   split energies, mean +/- sqrt(mean-split^2 + |doff|^2)
-    theta        in [0, pi], cos(theta) = (dnn - dn1n1) / splitting
-    phi_angle    in [0, 2*pi), Arg(doff); 0 by convention when doff = 0
-    overlap      modulus s of the unperturbed states' inner product, in [0, 1]
-    """
-
-    dnn: float
-    dn1n1: float
-    doff: complex
-    delta_e_plus: float
-    delta_e_minus: float
-    theta: float
-    phi_angle: float
-    overlap: float
+def _check_theta(theta) -> None:
+    """Polar angles, a scalar or an array, must lie in [0, pi]."""
+    if not np.all((0.0 <= theta) & (theta <= math.pi)):
+        raise ValueError("theta must lie in [0, pi]")
 
 
 @dataclass(frozen=True)
@@ -97,45 +80,11 @@ class FrameLoop:
             raise ValueError("theta and phi samples must be 1-D arrays of one length")
         if len(thetas) < 3:
             raise ValueError("a loop needs at least three samples")
-        if not np.all((thetas >= 0.0) & (thetas <= math.pi)):
-            raise ValueError("theta samples must lie in [0, pi]")
+        _check_theta(thetas)
         _check_overlap(self.overlap)
         object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "phis", phis)
         object.__setattr__(self, "overlap", float(self.overlap))
-
-
-def frame_from_deltas(
-    dnn: float, dn1n1: float, doff: complex, overlap: float
-) -> PerturbationFrame:
-    """Build a frame from perturbation matrix elements.
-
-    Raises DegenerateFrameError when both the diagonal imbalance and the
-    off-diagonal element vanish: the perturbation does not split the pair
-    and no frame angles exist.
-    """
-    _check_overlap(overlap)
-    dnn = float(dnn)
-    dn1n1 = float(dn1n1)
-    doff = complex(doff)
-    delta = dnn - dn1n1
-    k2 = delta * delta + 4.0 * (abs(doff) ** 2)
-    if k2 == 0.0:
-        raise DegenerateFrameError("perturbation leaves the pair degenerate")
-    split = math.sqrt(k2)
-    mean = 0.5 * (dnn + dn1n1)
-    theta = math.acos(max(-1.0, min(1.0, delta / split)))
-    phi_angle = (cmath.phase(doff) % TWO_PI) if doff != 0 else 0.0
-    return PerturbationFrame(
-        dnn=dnn,
-        dn1n1=dn1n1,
-        doff=doff,
-        delta_e_plus=mean + 0.5 * split,
-        delta_e_minus=mean - 0.5 * split,
-        theta=theta,
-        phi_angle=phi_angle,
-        overlap=float(overlap),
-    )
 
 
 def frame_loop(
@@ -189,6 +138,7 @@ def berry_phase_perturbative(loop: FrameLoop) -> PhasePair:
 
 def berry_phase_constant_theta(theta: float, overlap: float) -> PhasePair:
     """Closed form of the loop quadrature when theta is constant."""
+    _check_theta(theta)
     _check_overlap(overlap)
     s = overlap
     st, ct = math.sin(theta), math.cos(theta)
@@ -209,11 +159,11 @@ def berry_phase_small_overlap(loop: FrameLoop) -> PhasePair:
     """
     s = loop.overlap
     om = solid_angle(loop)
-    corr = (0.25 * companion_solid_angle(loop) + 0.5 * math.pi) * s
+    corr = (0.25 * _companion_solid_angle(loop) + 0.5 * math.pi) * s
     return PhasePair(_wrap(0.5 * om + corr), _wrap(-0.5 * om + corr))
 
 
-def companion_solid_angle(loop: FrameLoop) -> float:
+def _companion_solid_angle(loop: FrameLoop) -> float:
     """The auxiliary integral entering the small-overlap correction; -2*pi on the equator."""
     return -_loop_integral(loop, 1.0 + np.cos(0.5 * math.pi + 2.0 * loop.thetas))
 
@@ -243,6 +193,7 @@ def berry_phase_closed_form(v: float, energy: float, imbalance: float) -> float:
     satisfies 4 E^2 >= v^2, and (v, E) fix |m| = sqrt(1 - v^2 / (4 E^2)); the
     sign of m, which (v, E) cannot carry, is taken from the state's imbalance.
     """
+    _check_finite(v=v, energy=energy, imbalance=imbalance)
     if v < 0.0:
         raise ValueError("coupling magnitude v must be >= 0")
     if v == 0.0:
@@ -265,7 +216,8 @@ def berry_phase_discrete(branch: Sequence[Eigenstate]) -> float:
         raise ValueError("need at least 16 samples around the loop")
     total = 0.0
     for k in range(n):
-        z = state_overlap(branch[k], branch[(k + 1) % n])
+        a, b = branch[k], branch[(k + 1) % n]
+        z = _overlap(a.amp1, a.amp2, b.amp1, b.amp2)
         if abs(z) < 0.5:
             raise LoopTooCoarseError(
                 f"overlap modulus {abs(z):.3f} between samples {k} and {(k + 1) % n}"

@@ -39,6 +39,7 @@ from .model import (
     Eigenstate,
     ModelParams,
     _apply,
+    _check_finite,
     _check_overlap,
     _overlap,
     _residual,
@@ -63,14 +64,20 @@ class WitnessReport:
 class DriveSchedule:
     """Time-dependent parameter offsets applied on top of a base point.
 
-    perturbation(t) returns (dR, dv, dphi) for t in [0, total_time].  Closed
-    drives return to their starting offsets at t = total_time, modulo 2*pi in
-    the phase component.
+    perturbation(t) returns (dR, dv, dphi) for t in [0, total_time], which
+    must be positive and finite.  Closed drives return to their starting
+    offsets at t = total_time, modulo 2*pi in the phase component.
     """
 
     base: ModelParams
     perturbation: Callable[[float], tuple[float, float, float]]
     total_time: float
+
+    def __post_init__(self):
+        T = float(self.total_time)
+        if not 0.0 < T < math.inf:
+            raise ValueError(f"total_time must be positive and finite, got {T!r}")
+        object.__setattr__(self, "total_time", T)
 
     def params_at(self, t: float) -> ModelParams:
         dR, dv, dphi = self.perturbation(t)
@@ -94,7 +101,7 @@ class EchoTrace:
 
 
 def zero_drive(base: ModelParams, total_time: float) -> DriveSchedule:
-    return DriveSchedule(base, lambda t: (0.0, 0.0, 0.0), float(total_time))
+    return DriveSchedule(base, lambda t: (0.0, 0.0, 0.0), total_time)
 
 
 def circular_drive(
@@ -115,8 +122,6 @@ def circular_drive(
         raise ValueError("polar angle must lie in [0, pi] so the coupling stays >= 0")
     if not math.isfinite(amplitude):
         raise ValueError("amplitude must be finite")
-    if not 0.0 < total_time < math.inf:
-        raise ValueError("total_time must be positive and finite")
     if amplitude == 0.0:
         return zero_drive(base, total_time)
     dR = amplitude * math.cos(polar_angle)
@@ -159,8 +164,7 @@ def loschmidt_adiabatic(theta: float, overlap: float) -> float:
     (cos(t/2) + s sin(t/2))^2 = (1 + cos t)/2 + s sin t + s^2 (1 - cos t)/2,
     which keeps the equator value at s = 0 exactly 1/2 in floating point.
     """
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta!r}")
+    _check_finite(theta=theta)
     _check_overlap(overlap)
     s = overlap
     st, ct = math.sin(theta), math.cos(theta)
@@ -195,8 +199,8 @@ def evolve_nonlinear(
     own error estimate, and a drift above 1e-6 raises StepSizeError.  Returns
     (times, amplitudes) including both endpoints.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not dt > 0.0:
+        raise ValueError(f"dt must be positive, got {dt!r}")
     T = drive.total_time
     n_steps = max(1, round(T / dt))
     h = T / n_steps

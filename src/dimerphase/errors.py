@@ -14,10 +14,6 @@ class InvalidStateError(DimerPhaseError):
     """Amplitude pair is not normalized, or an energy/state pair is inconsistent."""
 
 
-class DegenerateFrameError(DimerPhaseError):
-    """Perturbation frame has zero level splitting; theta/phi are undefined."""
-
-
 class NearSingularLoopError(DimerPhaseError):
     """1 - sin(theta)*s fell below the quadrature guard somewhere on the loop."""
 
@@ -36,10 +32,6 @@ class BranchLostError(DimerPhaseError):
 
 class AtDegeneracyError(DimerPhaseError):
     """Requested frame or loop touches the degeneracy point itself."""
-
-
-class NonCoplanarLoopError(DimerPhaseError):
-    """Loop points do not lie in a single plane, so the winding test is undefined."""
 
 
 class AmbiguousRegimeError(DimerPhaseError):

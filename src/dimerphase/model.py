@@ -23,7 +23,6 @@ quartic, and stationary_states the solver for one point.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -34,6 +33,13 @@ from ._batch import real_roots
 from .errors import BranchLostError, InvalidStateError
 
 TWO_PI = 2.0 * math.pi
+
+
+def _check_finite(**values: float) -> None:
+    """Raise ValueError naming the first of the values that is not finite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -54,6 +60,8 @@ class ModelParams:
     phi: float = 0.0
 
     def __post_init__(self):
+        # Inline rather than _check_finite: a drive builds three records per
+        # integrator step, and a call per field made the echo 40 % slower.
         for name in ("R", "c", "v", "phi"):
             value = float(getattr(self, name))
             if not math.isfinite(value):
@@ -129,22 +137,22 @@ class StationaryArrays:
         return [Eigenstate(*state) for state in zip(*(f[k, j].tolist() for f in fields))]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParamPath:
-    """Ordered parameter samples along a curve.  closed=True requires first == last."""
+    """Ordered parameter samples along a curve: four 1-D arrays of one length >= 2."""
 
-    points: tuple[ModelParams, ...]
-    closed: bool = False
+    R: np.ndarray
+    c: np.ndarray
+    v: np.ndarray
+    phi: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        if len(self.points) < 2:
+        for name in ("R", "c", "v", "phi"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        if self.R.ndim != 1 or not self.R.shape == self.c.shape == self.v.shape == self.phi.shape:
+            raise ValueError("R, c, v and phi must be 1-D arrays of one length")
+        if len(self.R) < 2:
             raise ValueError("a path needs at least two points")
-        if self.closed:
-            a, b = self.points[0], self.points[-1]
-            gaps = (abs(a.R - b.R), abs(a.c - b.c), abs(a.v - b.v), abs(a.phi - b.phi))
-            if max(gaps) > 1e-12:
-                raise ValueError("closed path must end where it starts (within 1e-12)")
 
 
 def _imbalance(a1, a2):
@@ -182,24 +190,7 @@ def _has_states(R, v):
     return (v > 0.0) | (R != 0.0)
 
 
-def hamiltonian_apply(params: ModelParams, state: Sequence[complex]) -> np.ndarray:
-    """Apply the state-dependent Hamiltonian to a normalized amplitude pair.
-
-    Raises InvalidStateError unless the pair is normalized to 1e-9.
-    """
-    a1, a2 = complex(state[0]), complex(state[1])
-    norm2 = abs(a1) ** 2 + abs(a2) ** 2
-    if not abs(norm2 - 1.0) <= 1e-9:
-        raise InvalidStateError(f"amplitude pair norm^2 = {norm2!r}, expected 1")
-    phase = cmath.exp(1j * params.phi)
-    return np.array(_apply(params.R, params.c, params.v, phase, a1, a2))
-
-
 def _quartic(R, c, v):
-    return (v, 2.0 * (R - c), 0.0, 2.0 * (R + c), -v)
-
-
-def quartic_coefficients(params: ModelParams) -> tuple[float, float, float, float, float]:
     """Quartic in t = tan(beta/2) whose real roots are the stationary states.
 
     The state psi(beta) = (sin beta/2, -cos beta/2 e^{-i phi}) has imbalance
@@ -209,9 +200,12 @@ def quartic_coefficients(params: ModelParams) -> tuple[float, float, float, floa
 
     Independent of phi: the coupling phase is a gauge choice for the spectrum.
     """
-    return _quartic(params.R, params.c, params.v)
+    return (v, 2.0 * (R - c), 0.0, 2.0 * (R + c), -v)
 
 
+# solve_quartic_real_roots and reconstruct_states have no caller in the package.
+# They stay public here because the benchmark traces them by these names, and
+# a traced run fails with a KeyError on a name that is gone.
 def solve_quartic_real_roots(
     coeffs: Sequence[float], tol: float = 1e-9
 ) -> list[tuple[float, int]]:
@@ -312,6 +306,8 @@ def stationary_arrays(R, v, phi, c, tol: float = 1e-9) -> StationaryArrays:
         raise ValueError("parameters must be finite")
     if (v < 0.0).any() or (c < 0.0).any():
         raise ValueError("v and c must be >= 0")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
     # The quartic ignores phi: each distinct (R, c, v) is solved once.
     index: dict[tuple[float, float, float], int] = {}
@@ -368,12 +364,13 @@ def stationary_states(params: ModelParams, tol: float = 1e-9) -> StationaryFamil
 
 
 def _overlap(a1: complex, a2: complex, b1: complex, b2: complex) -> complex:
+    """Inner product <a|b> of two amplitude pairs."""
     return a1.conjugate() * b1 + a2.conjugate() * b2
 
 
-def state_overlap(a: Eigenstate, b: Eigenstate) -> complex:
-    """Inner product <a|b> of two amplitude pairs."""
-    return _overlap(a.amp1, a.amp2, b.amp1, b.amp2)
+def _point(path: ParamPath, k: int) -> ModelParams:
+    """Sample k of a path as a record, for error messages."""
+    return ModelParams(path.R[k], path.c[k], path.v[k], path.phi[k])
 
 
 def phi_loop(params: ModelParams, n_points: int) -> ParamPath:
@@ -383,28 +380,11 @@ def phi_loop(params: ModelParams, n_points: int) -> ParamPath:
     """
     if n_points < 2:
         raise ValueError("need at least two segments")
-    pts = [
-        dataclasses.replace(params, phi=(params.phi + TWO_PI * k / n_points) % TWO_PI)
-        for k in range(n_points + 1)
-    ]
-    return ParamPath(tuple(pts), closed=True)
-
-
-def linear_path(start: ModelParams, stop: ModelParams, n_points: int) -> ParamPath:
-    """Straight-line parameter sweep with n_points samples (inclusive)."""
-    if n_points < 2:
-        raise ValueError("need at least two samples")
-    ts = np.linspace(0.0, 1.0, n_points)
-    pts = tuple(
-        ModelParams(
-            R=(1 - t) * start.R + t * stop.R,
-            c=(1 - t) * start.c + t * stop.c,
-            v=(1 - t) * start.v + t * stop.v,
-            phi=(1 - t) * start.phi + t * stop.phi,
-        )
-        for t in ts
-    )
-    return ParamPath(pts, closed=False)
+    n = n_points + 1
+    # params.phi >= 0, so np.remainder, which rounds as Python's float %, lands
+    # in [0, 2*pi): each phi is what ModelParams(phi=...) would store.
+    phi = np.remainder(params.phi + TWO_PI * np.arange(n) / n_points, TWO_PI)
+    return ParamPath(np.full(n, params.R), np.full(n, params.c), np.full(n, params.v), phi)
 
 
 def continue_branch(
@@ -418,16 +398,14 @@ def continue_branch(
     The whole path is solved in one stationary_arrays call; the tracking
     then walks its candidates.
     """
-    points = path.points
-    R, c, v, phi = (np.array([getattr(p, f) for p in points]) for f in ("R", "c", "v", "phi"))
-    states = stationary_arrays(R, v, phi, c, tol)
-    bad = (states.failed | ~_has_states(R, v)).tolist()
+    states = stationary_arrays(path.R, path.v, path.phi, path.c, tol)
+    bad = (states.failed | ~_has_states(path.R, path.v)).tolist()
 
     a1, a2 = seed.amp1, seed.amp2
     chosen = []
-    for k, (pt, n) in enumerate(zip(points, states.count.tolist())):
+    for k, n in enumerate(states.count.tolist()):
         if bad[k]:
-            _require_states(states, k, pt)
+            _require_states(states, k, _point(path, k))
         cands = list(zip(states.amp1[k, :n].tolist(), states.amp2[k, :n].tolist()))
         best, best_ov = None, -1.0
         for j, (b1, b2) in enumerate(cands):
@@ -436,8 +414,8 @@ def continue_branch(
                 best, best_ov = j, ov
         if best is None or best_ov < 0.5:
             raise BranchLostError(
-                f"best overlap {best_ov:.3f} at {pt}; refine the path or stop earlier"
+                f"best overlap {best_ov:.3f} at {_point(path, k)}; refine the path or stop earlier"
             )
         chosen.append(best)
         a1, a2 = cands[best]
-    return states.take(np.arange(len(points)), chosen)
+    return states.take(np.arange(len(path.R)), chosen)

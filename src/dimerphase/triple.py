@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AtDegeneracyError, NonCoplanarLoopError
-from .model import TWO_PI
+from .errors import AtDegeneracyError
+from .model import TWO_PI, _check_finite
 
 # Map a level offset relative to n onto its row in the eigensystem tables.
 _LEVEL_ROW = {-1: 0, 0: 1, +1: 2}
@@ -55,6 +55,7 @@ class TripleEigensystem:
 def triple_frame(d: float, p: float, q: float) -> TripleFrame:
     """Frame for a Lambda-coupled triple; errors exactly at the degeneracy."""
     d, p, q = float(d), float(p), float(q)
+    _check_finite(d=d, p=p, q=q)
     omega2 = d * d + 4.0 * p * p + 4.0 * q * q
     if omega2 == 0.0:
         raise AtDegeneracyError("(d, p, q) = 0: no splitting, no frame")
@@ -130,50 +131,3 @@ def transport_sign(loop_angle: str, level: int, samples: int = 256) -> int:
     closure = np.prod(np.sign(dots)) * float(np.dot(rows[0], rows[-1]))
     return 1 if closure > 0.0 else -1
 
-
-def encloses_degeneracy(
-    points: np.ndarray, normal: np.ndarray, tol: float = 1e-9
-) -> bool:
-    """Whether a closed planar loop in (d, p, q) space winds around the degeneracy.
-
-    points is an (N, 3) array tracing the loop (a duplicated closing point is
-    accepted); normal is the loop plane's normal.  The points must be coplanar
-    within tol, or NonCoplanarLoopError is raised.  A loop running through the
-    degeneracy itself (within tol) raises AtDegeneracyError.  Returns True when
-    the winding number about the degeneracy's in-plane projection is nonzero.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 3:
-        raise ValueError("need an (N, 3) array with N >= 3")
-    n = np.asarray(normal, dtype=float)
-    nn = np.linalg.norm(n)
-    if nn == 0.0:
-        raise ValueError("normal must be nonzero")
-    n = n / nn
-
-    scale = 1.0 + float(np.max(np.abs(pts)))
-    heights = pts @ n
-    if np.max(heights) - np.min(heights) > tol * scale:
-        raise NonCoplanarLoopError("loop points do not lie in one plane")
-
-    # In-plane coordinates relative to the degeneracy's projection onto the plane.
-    seed = np.array([1.0, 0.0, 0.0])
-    if abs(np.dot(seed, n)) > 0.9:
-        seed = np.array([0.0, 1.0, 0.0])
-    u = seed - np.dot(seed, n) * n
-    u = u / np.linalg.norm(u)
-    w = np.cross(n, u)
-    xs = pts @ u
-    ys = pts @ w
-
-    radii = np.hypot(xs, ys)
-    if np.min(radii) < tol * scale:
-        raise AtDegeneracyError("loop passes through the degeneracy")
-
-    closed = np.hypot(xs[0] - xs[-1], ys[0] - ys[-1]) < tol * scale
-    angles = np.arctan2(ys, xs)
-    if not closed:
-        angles = np.append(angles, angles[0])
-    steps = np.diff(angles)
-    winding = np.sum(steps - TWO_PI * np.round(steps / TWO_PI))
-    return abs(round(winding / TWO_PI)) != 0

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from dimerphase import (
-    DegenerateFrameError,
     Eigenstate,
     FrameLoop,
     InvalidStateError,
@@ -22,14 +21,13 @@ from dimerphase import (
     berry_phase_perturbative,
     berry_phase_small_overlap,
     berry_phase_unit_overlap,
-    companion_solid_angle,
     continue_branch,
-    frame_from_deltas,
     frame_loop,
     phi_loop,
     solid_angle,
     stationary_states,
 )
+from dimerphase.berry import _companion_solid_angle
 
 TWO_PI = 2.0 * math.pi
 
@@ -42,60 +40,10 @@ def wrap(x):
 # frames
 
 
-def test_frame_diagonal_only():
-    f = frame_from_deltas(1.0, -1.0, 0.0, 0.0)
-    assert f.theta == pytest.approx(0.0, abs=1e-15)
-    assert f.phi_angle == 0.0
-    assert f.delta_e_plus == pytest.approx(1.0)
-    assert f.delta_e_minus == pytest.approx(-1.0)
-
-
-def test_frame_offdiagonal_only():
-    f = frame_from_deltas(0.0, 0.0, 0.5 * cmath.exp(1j * math.pi / 3.0), 0.0)
-    assert f.theta == pytest.approx(math.pi / 2.0)
-    assert f.phi_angle == pytest.approx(math.pi / 3.0)
-    assert f.delta_e_plus == pytest.approx(0.5)
-    assert f.delta_e_minus == pytest.approx(-0.5)
-
-
-def test_frame_mixed_elements():
-    f = frame_from_deltas(3.0, 1.0, 1.0, 0.0)
-    assert math.cos(f.theta) == pytest.approx(1.0 / math.sqrt(2.0))
-    assert f.delta_e_plus == pytest.approx(2.0 + math.sqrt(2.0))
-    assert f.delta_e_minus == pytest.approx(2.0 - math.sqrt(2.0))
-
-
-def test_frame_rejects_vanishing_perturbation():
-    with pytest.raises(DegenerateFrameError):
-        frame_from_deltas(2.0, 2.0, 0.0, 0.3)
-
-
 def test_frame_rejects_bad_overlap():
-    for s in (-0.1, 1.1):
+    for s in (-0.1, 1.1, math.nan):
         with pytest.raises(ValueError):
-            frame_from_deltas(1.0, 0.0, 0.2, s)
-
-
-def test_frame_invariants_random():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        dnn, dn1n1 = rng.uniform(-3.0, 3.0, size=2)
-        doff = rng.uniform(-2.0, 2.0) + 1j * rng.uniform(-2.0, 2.0)
-        if abs(dnn - dn1n1) < 1e-9 and abs(doff) < 1e-9:
-            continue
-        s = rng.uniform(0.0, 1.0)
-        f = frame_from_deltas(dnn, dn1n1, doff, s)
-        assert 0.0 <= f.theta <= math.pi
-        assert 0.0 <= f.phi_angle < TWO_PI
-        assert f.delta_e_plus >= f.delta_e_minus
-        # The split energies and angles reencode the matrix elements.
-        assert f.delta_e_plus + f.delta_e_minus == pytest.approx(dnn + dn1n1, abs=1e-12)
-        split = f.delta_e_plus - f.delta_e_minus
-        assert split**2 == pytest.approx(
-            (dnn - dn1n1) ** 2 + 4.0 * abs(doff) ** 2, rel=1e-12
-        )
-        assert split * math.cos(f.theta) == pytest.approx(dnn - dn1n1, abs=1e-12)
-        assert f.overlap == s
+            FrameLoop(np.full(4, 0.5), np.linspace(0.0, TWO_PI, 4), s)
 
 
 def test_frame_loop_requires_three_samples():
@@ -153,7 +101,7 @@ def test_solid_angle_sixty_degrees():
 
 
 def test_companion_solid_angle_equator():
-    assert companion_solid_angle(frame_loop(math.pi / 2.0, 0.0)) == pytest.approx(
+    assert _companion_solid_angle(frame_loop(math.pi / 2.0, 0.0)) == pytest.approx(
         -TWO_PI
     )
 
@@ -251,6 +199,15 @@ def test_constant_theta_guard():
         berry_phase_constant_theta(1.0, 1.5)
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -0.1, 4.0])
+def test_constant_theta_rejects_theta_outside_zero_pi(theta):
+    # The same rule as FrameLoop's: frame_loop(theta, s) rejects these too.
+    with pytest.raises(ValueError, match="theta"):
+        berry_phase_constant_theta(theta, 0.3)
+    with pytest.raises(ValueError, match="theta"):
+        frame_loop(theta, 0.3, n_points=16)
+
+
 # ---------------------------------------------------------------------------
 # small-overlap expansion
 
@@ -344,6 +301,22 @@ def test_closed_form_rejects_unphysical_energy():
         berry_phase_closed_form(2.0, 0.5, 0.0)
     with pytest.raises(ValueError):
         berry_phase_closed_form(-1.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "v, energy, imbalance, name",
+    [
+        (1.0, math.nan, 0.5, "energy"),
+        (math.nan, -1.0, 0.5, "v"),
+        (1.0, math.inf, 0.5, "energy"),
+        (1.0, -1.0, math.nan, "imbalance"),
+        (math.inf, -1.0, 0.5, "v"),
+        (1.0, -1.0, -math.inf, "imbalance"),
+    ],
+)
+def test_closed_form_rejects_non_finite(v, energy, imbalance, name):
+    with pytest.raises(ValueError, match=name):
+        berry_phase_closed_form(v, energy, imbalance)
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,19 @@ def test_circular_drive_rejects_non_finite(amplitude, total_time):
         circular_drive(base, amplitude, 1.0, total_time)
 
 
+@pytest.mark.parametrize("total_time", [0.0, -1.0, math.nan, math.inf])
+def test_drives_reject_bad_duration(total_time):
+    # One check in DriveSchedule serves every drive, the zero drive included.
+    base = ModelParams(R=0.0, c=1.0, v=1.0)
+    for build in (
+        lambda: zero_drive(base, total_time),
+        lambda: circular_drive(base, 0.0, 1.0, total_time),
+        lambda: DriveSchedule(base, lambda t: (0.0, 0.0, 0.0), total_time),
+    ):
+        with pytest.raises(ValueError, match="total_time"):
+            build()
+
+
 def test_circular_drive_zero_amplitude_is_zero_drive():
     base = ModelParams(R=0.2, c=0.5, v=1.0)
     drive = circular_drive(base, 0.0, 1.0, 10.0)
@@ -240,6 +253,8 @@ def test_evolve_rejects_bad_dt():
     base = ModelParams(R=0.0, c=0.0, v=1.0)
     with pytest.raises(ValueError):
         evolve_nonlinear(_state(1.0, 0.0), zero_drive(base, 1.0), 0.0)
+    with pytest.raises(ValueError, match="dt"):
+        evolve_nonlinear(_state(1.0, 0.0), zero_drive(base, 1.0), math.nan)
 
 
 # ---------------------------------------------------------------------------

@@ -15,15 +15,16 @@ from dimerphase import (
     ModelParams,
     ParamPath,
     continue_branch,
-    hamiltonian_apply,
-    linear_path,
     phi_loop,
-    quartic_coefficients,
-    reconstruct_states,
-    solve_quartic_real_roots,
-    state_overlap,
     stationary_arrays,
     stationary_states,
+)
+from dimerphase.model import (
+    _apply,
+    _overlap,
+    _quartic,
+    reconstruct_states,
+    solve_quartic_real_roots,
 )
 
 ROOT3_OVER_2 = math.sqrt(3.0) / 2.0
@@ -56,27 +57,26 @@ def test_params_reduce_phi_below_two_pi(phi):
     assert 0.0 <= p.phi < 2.0 * math.pi
 
 
+def _hamiltonian_apply(params, a1, a2):
+    """H(psi) psi through the model's kernel."""
+    phase = cmath.exp(1j * params.phi)
+    return np.array(_apply(params.R, params.c, params.v, phase, complex(a1), complex(a2)))
+
+
 def test_hamiltonian_apply_offdiagonal_flip():
-    out = hamiltonian_apply(ModelParams(R=0.0, c=0.0, v=2.0), (1.0, 0.0))
+    out = _hamiltonian_apply(ModelParams(R=0.0, c=0.0, v=2.0), 1.0, 0.0)
     np.testing.assert_allclose(out, [0.0, 1.0], atol=1e-15)
 
 
 def test_hamiltonian_apply_diagonal():
-    out = hamiltonian_apply(ModelParams(R=2.0, c=0.0, v=0.0), (1.0, 0.0))
+    out = _hamiltonian_apply(ModelParams(R=2.0, c=0.0, v=0.0), 1.0, 0.0)
     np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-15)
 
 
 def test_hamiltonian_apply_balanced_state():
     amp = 1.0 / math.sqrt(2.0)
-    out = hamiltonian_apply(ModelParams(R=0.0, c=1.0, v=2.0), (amp, amp))
+    out = _hamiltonian_apply(ModelParams(R=0.0, c=1.0, v=2.0), amp, amp)
     np.testing.assert_allclose(out, [amp, amp], atol=1e-15)
-
-
-def test_hamiltonian_apply_rejects_unnormalized():
-    with pytest.raises(InvalidStateError):
-        hamiltonian_apply(ModelParams(R=0.0, c=0.0, v=1.0), (1.0, 1.0))
-    with pytest.raises(InvalidStateError):
-        hamiltonian_apply(ModelParams(R=0.0, c=0.0, v=1.0), (math.nan, 0.0))
 
 
 @pytest.mark.parametrize(
@@ -89,13 +89,14 @@ def test_hamiltonian_apply_rejects_unnormalized():
     ],
 )
 def test_quartic_coefficients(params, expected):
-    np.testing.assert_allclose(quartic_coefficients(params), expected, atol=1e-15)
+    np.testing.assert_allclose(_quartic(params.R, params.c, params.v), expected, atol=1e-15)
 
 
 def test_quartic_phi_independent():
-    a = quartic_coefficients(ModelParams(R=0.3, c=1.1, v=0.7, phi=0.0))
-    b = quartic_coefficients(ModelParams(R=0.3, c=1.1, v=0.7, phi=2.1))
-    assert a == b
+    # The quartic ignores phi: both points share one solve, so their energies
+    # agree to the bit.
+    states = stationary_arrays([0.3, 0.3], [0.7, 0.7], [0.0, 2.1], [1.1, 1.1])
+    assert states.energy[0].tobytes() == states.energy[1].tobytes()
 
 
 def test_quartic_roots_linear_limit():
@@ -114,7 +115,7 @@ def test_quartic_roots_double_at_half():
 def test_quartic_roots_from_model_coefficients():
     # R = 0: t = -1 and 1 are the m = 0 states, t = 4 -+ sqrt(15) the
     # self-trapped pair, whose two roots have product 1.
-    coeffs = quartic_coefficients(ModelParams(R=0.0, c=2.0, v=0.5))
+    coeffs = _quartic(0.0, 2.0, 0.5)
     roots = solve_quartic_real_roots(coeffs)
     values = [r for r, _ in roots]
     mults = [m for _, m in roots]
@@ -124,13 +125,13 @@ def test_quartic_roots_from_model_coefficients():
 
 
 def test_quartic_triple_root_at_critical_coupling():
-    coeffs = quartic_coefficients(ModelParams(R=0.0, c=1.0, v=1.0))
+    coeffs = _quartic(0.0, 1.0, 1.0)
     roots = solve_quartic_real_roots(coeffs)
     assert roots == [(-1.0, 1), (1.0, 3)]
 
 
 def test_quartic_root_at_infinity_without_coupling():
-    coeffs = quartic_coefficients(ModelParams(R=-1.8, c=1.0, v=0.0))
+    coeffs = _quartic(-1.8, 1.0, 0.0)
     assert solve_quartic_real_roots(coeffs) == [(0.0, 1), (math.inf, 1)]
 
 
@@ -170,7 +171,7 @@ def test_quartic_matches_companion_roots_randomly():
     rng = np.random.default_rng(2024)
     for _ in range(1000):
         R, c, v = rng.uniform(0.0, 3.0, size=3)
-        coeffs = quartic_coefficients(ModelParams(R=float(R), c=float(c), v=float(v)))
+        coeffs = _quartic(float(R), float(c), float(v))
         polished = solve_quartic_real_roots(coeffs)
         raw = np.roots(coeffs)
         raw_real = sorted(z.real for z in raw if abs(z.imag) <= 1e-8 * (1.0 + abs(z.real)))
@@ -187,7 +188,7 @@ def test_reconstruct_rejects_spurious_root():
 def test_reconstruct_degenerate_pair():
     # R = 0, c = 2, v = 1: t = 2 -+ sqrt(3) between the m = 0 roots -1 and 1.
     params = ModelParams(R=0.0, c=2.0, v=1.0)
-    roots = [t for t, _ in solve_quartic_real_roots(quartic_coefficients(params))]
+    roots = [t for t, _ in solve_quartic_real_roots(_quartic(params.R, params.c, params.v))]
     pair = [2.0 - math.sqrt(3.0), 2.0 + math.sqrt(3.0)]
     np.testing.assert_allclose(roots, [-1.0, pair[0], 1.0, pair[1]], rtol=1e-12)
     states = [s for t in roots[1::2] for s in reconstruct_states(params, t)]
@@ -263,6 +264,13 @@ def test_spectrum_symmetry_at_zero_bias():
         np.testing.assert_allclose(fam.energies, expected, atol=1e-9)
 
 
+def _hamiltonian_matrix(params, m):
+    """H(psi) as a 2x2 matrix at imbalance m, written out from its definition."""
+    diag = 0.5 * (params.R + params.c * m)
+    coupling = 0.5 * params.v * cmath.exp(1j * params.phi)
+    return np.array([[diag, coupling], [coupling.conjugate(), -diag]])
+
+
 def test_states_are_self_consistent_and_physical():
     rng = np.random.default_rng(5)
     for _ in range(60):
@@ -273,7 +281,8 @@ def test_states_are_self_consistent_and_physical():
             phi=float(rng.uniform(0.0, 2.0 * math.pi)),
         )
         for st in stationary_states(params).states:
-            out = hamiltonian_apply(params, st.amplitudes)
+            m = abs(st.amp2) ** 2 - abs(st.amp1) ** 2
+            out = _hamiltonian_matrix(params, m) @ st.amplitudes
             resid = np.linalg.norm(out - st.energy * st.amplitudes)
             assert resid < 1e-9
             assert 4.0 * st.energy**2 >= params.v**2 - 1e-9
@@ -288,13 +297,30 @@ def test_energies_phi_independent():
 
 
 def test_param_path_validation():
-    p = ModelParams(R=0.0, c=1.0, v=1.0)
     with pytest.raises(ValueError):
-        ParamPath(points=(p,), closed=False)
+        ParamPath([0.0], [1.0], [1.0], [0.0])
     with pytest.raises(ValueError):
-        ParamPath(points=(p, ModelParams(R=1.0, c=1.0, v=1.0)), closed=True)
-    loop = phi_loop(p, 8)
-    assert loop.closed and len(loop.points) == 9
+        ParamPath([0.0, 1.0], [1.0, 1.0], [1.0], [0.0, 0.0])
+    with pytest.raises(ValueError):
+        ParamPath(*(np.zeros((2, 2)),) * 4)
+    loop = phi_loop(ModelParams(R=0.5, c=1.0, v=1.0, phi=1.0), 8)
+    for values in (loop.R, loop.c, loop.v, loop.phi):
+        assert values.shape == (9,) and values.dtype == float
+    assert (loop.R == 0.5).all() and (loop.c == 1.0).all() and (loop.v == 1.0).all()
+    assert loop.phi[-1] == pytest.approx(loop.phi[0], abs=1e-15)
+
+
+@pytest.mark.parametrize("phi", [0.0, 1e-300, 1.0, 6.283185307179585])
+@pytest.mark.parametrize("n_points", [2, 3, 7, 1024])
+def test_phi_loop_samples_as_model_params_store_them(phi, n_points):
+    # Each sample is the phi a record stores for phi + 2 pi k / n, reduced per point.
+    two_pi = 2.0 * math.pi
+    loop = phi_loop(ModelParams(R=0.0, c=1.0, v=1.0, phi=phi), n_points)
+    expected = [
+        ModelParams(R=0.0, c=1.0, v=1.0, phi=(phi + two_pi * k / n_points) % two_pi).phi
+        for k in range(n_points + 1)
+    ]
+    assert loop.phi.tolist() == expected
 
 
 def test_continue_branch_flat_linear_loop():
@@ -336,18 +362,23 @@ def test_continue_branch_reports_lost_branch(monkeypatch):
         continue_branch(phi_loop(params, 8), seed)
 
 
+def _bias_sweep(start, R_stop, n):
+    """n samples from start to bias R_stop, the other parameters fixed."""
+    fixed = (np.full(n, x) for x in (start.c, start.v, start.phi))
+    return ParamPath(np.linspace(start.R, R_stop, n), *fixed)
+
+
 def test_continue_branch_coarse_bias_sweep_reattaches():
     start = ModelParams(R=0.0, c=2.0, v=1.0)
     seed = [s for s in stationary_states(start).states if s.imbalance < -0.5][0]
-    coarse = continue_branch(
-        linear_path(start, ModelParams(R=2.0, c=2.0, v=1.0), 3), seed
-    )
+    coarse = continue_branch(_bias_sweep(start, 2.0, 3), seed)
     fine = continue_branch(
-        linear_path(start, ModelParams(R=0.4, c=2.0, v=1.0), 100),
+        _bias_sweep(start, 0.4, 100),
         [s for s in stationary_states(start).states if s.imbalance > 0.5][0],
     )
     # the rising branch folds away: a coarse sweep silently lands elsewhere
-    assert abs(state_overlap(seed, coarse[-1])) > 0.5
+    end = coarse[-1]
+    assert abs(_overlap(seed.amp1, seed.amp2, end.amp1, end.amp2)) > 0.5
     # while the surviving branch tracks smoothly
     deltas = [
         abs(a.imbalance - b.imbalance) for a, b in zip(fine[:-1], fine[1:])
@@ -358,8 +389,9 @@ def test_continue_branch_coarse_bias_sweep_reattaches():
 def test_state_overlap_hermitian_symmetry():
     fam = stationary_states(ModelParams(R=0.3, c=1.0, v=0.7, phi=0.4))
     a, b = fam.states[0], fam.states[1]
-    assert state_overlap(a, b) == pytest.approx(state_overlap(b, a).conjugate())
-    assert abs(state_overlap(a, a)) == pytest.approx(1.0, abs=1e-12)
+    ab = _overlap(a.amp1, a.amp2, b.amp1, b.amp2)
+    assert ab == pytest.approx(_overlap(b.amp1, b.amp2, a.amp1, a.amp2).conjugate())
+    assert abs(_overlap(a.amp1, a.amp2, a.amp1, a.amp2)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_eigenstate_amplitudes_roundtrip():
@@ -511,7 +543,7 @@ def test_kernel_rows_equal_single_point_solves(points):
 
 def _per_root_states(params, tol=1e-9):
     """States from one reconstruct_states call per root, merged and sorted in Python."""
-    roots = solve_quartic_real_roots(quartic_coefficients(params), tol)
+    roots = solve_quartic_real_roots(_quartic(params.R, params.c, params.v), tol)
     if params.v == 0.0:
         roots = [(t, mult) for t, mult in roots if t >= 0.0]
     states = [s for t, _ in roots for s in reconstruct_states(params, t, tol)]
@@ -564,6 +596,16 @@ def test_kernel_ignores_block_size_and_order(points, block, data):
 def test_kernel_rejects_bad_parameters(R, v, c):
     with pytest.raises(ValueError):
         stationary_arrays([0.0, R], [1.0, v], 0.0, c)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_kernel_rejects_bad_tolerance(tol):
+    # tol = inf would keep all four roots at (R, v, c) = (0, 1.5, 1), where two
+    # states exist; -1 and nan would reject every state and blame the physics.
+    with pytest.raises(ValueError, match="tol"):
+        stationary_arrays(0.0, 1.5, 0.0, 1.0, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        stationary_states(ModelParams(R=0.0, c=1.0, v=1.5), tol=tol)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

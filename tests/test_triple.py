@@ -1,4 +1,4 @@
-"""Lambda-coupled triple: frames, eigensystems, transport signs, loop winding."""
+"""Lambda-coupled triple: frames, eigensystems, transport signs."""
 
 import math
 
@@ -7,10 +7,8 @@ import pytest
 
 from dimerphase import (
     AtDegeneracyError,
-    NonCoplanarLoopError,
     delta_matrix,
     eigenvector_rows,
-    encloses_degeneracy,
     transport_sign,
     triple_eigensystem,
     triple_frame,
@@ -47,6 +45,14 @@ def test_frame_mixed():
 def test_frame_rejects_degeneracy():
     with pytest.raises(AtDegeneracyError):
         triple_frame(0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("name", ["d", "p", "q"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_frame_rejects_non_finite(name, value):
+    args = {"d": 0.0, "p": 0.0, "q": 0.0, name: value}
+    with pytest.raises(ValueError, match=name):
+        triple_frame(**args)
 
 
 def test_frame_invariants_random():
@@ -169,52 +175,3 @@ def test_transport_sign_validation():
         transport_sign("phi", 0, samples=8)
     with pytest.raises(ValueError):
         transport_sign("diag", 0)
-
-
-# ---------------------------------------------------------------------------
-# loop winding
-
-
-def _circle(center, radius, n=64, endpoint=False, doubled=False):
-    turns = 2.0 if doubled else 1.0
-    ts = np.linspace(0.0, turns * TWO_PI, n, endpoint=endpoint)
-    pts = np.zeros((n, 3))
-    pts[:, 1] = center[0] + radius * np.cos(ts)
-    pts[:, 2] = center[1] + radius * np.sin(ts)
-    return pts
-
-
-def test_encloses_degeneracy_centered_circle():
-    assert encloses_degeneracy(_circle((0.0, 0.0), 1.0), [1.0, 0.0, 0.0])
-
-
-def test_encloses_degeneracy_far_circle():
-    assert not encloses_degeneracy(_circle((3.0, 0.0), 1.0), [1.0, 0.0, 0.0])
-
-
-def test_encloses_degeneracy_duplicated_closing_point():
-    pts = _circle((0.0, 0.0), 1.0, n=65, endpoint=True)
-    assert encloses_degeneracy(pts, [1.0, 0.0, 0.0])
-
-
-def test_encloses_degeneracy_double_winding():
-    assert encloses_degeneracy(_circle((0.0, 0.0), 1.0, doubled=True), [1.0, 0.0, 0.0])
-
-
-def test_encloses_degeneracy_loop_through_origin():
-    with pytest.raises(AtDegeneracyError):
-        encloses_degeneracy(_circle((1.0, 0.0), 1.0, n=64), [1.0, 0.0, 0.0])
-
-
-def test_encloses_degeneracy_requires_plane():
-    ts = np.linspace(0.0, TWO_PI, 32, endpoint=False)
-    pts = np.stack([0.1 * ts, np.cos(ts), np.sin(ts)], axis=1)
-    with pytest.raises(NonCoplanarLoopError):
-        encloses_degeneracy(pts, [1.0, 0.0, 0.0])
-
-
-def test_encloses_degeneracy_validation():
-    with pytest.raises(ValueError):
-        encloses_degeneracy(np.zeros((2, 3)), [1.0, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        encloses_degeneracy(_circle((0.0, 0.0), 1.0), [0.0, 0.0, 0.0])
