@@ -27,7 +27,7 @@ from .errors import (
     NearSingularLoopError,
     SingularLimitError,
 )
-from .model import TWO_PI, Eigenstate, _check_finite, _check_overlap, _overlap
+from .model import TWO_PI, Eigenstate, _check_finite, _check_overlap, _check_theta, _overlap
 
 # Lower bound on 1 - sin(theta)*s (general quadrature) and 1 - sin(theta)
 # (unit-overlap limit) before the integrands are declared singular.
@@ -41,12 +41,6 @@ def _wrap(x: float) -> float:
     if TWO_PI - y < 1e-12:
         y = 0.0
     return y
-
-
-def _check_theta(theta) -> None:
-    """Polar angles, a scalar or an array, must lie in [0, pi]."""
-    if not np.all((0.0 <= theta) & (theta <= math.pi)):
-        raise ValueError("theta must lie in [0, pi]")
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,7 @@ from .model import (
     _apply,
     _check_finite,
     _check_overlap,
+    _check_theta,
     _overlap,
     _residual,
     stationary_states,
@@ -49,6 +50,12 @@ from .model import (
 # One-step norm drift above this aborts the integration: the step is too big
 # for the classical fourth-order scheme to be trusted.
 _DRIFT_LIMIT = 1e-6
+
+# Integrator steps whose drive samples are taken at once: enough to spread
+# numpy's per-call cost, few enough that the samples stay small.  Sampling
+# all 10,000 steps of a T = 20, dt = 0.002 run at once raised its peak
+# memory by 10 %.
+_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -65,8 +72,10 @@ class DriveSchedule:
     """Time-dependent parameter offsets applied on top of a base point.
 
     perturbation(t) returns (dR, dv, dphi) for t in [0, total_time], which
-    must be positive and finite.  Closed drives return to their starting
-    offsets at t = total_time, modulo 2*pi in the phase component.
+    must be positive and finite.  It is evaluated on arrays of times, and an
+    offset may be a constant, which stands for every time.  Closed drives
+    return to their starting offsets at t = total_time, modulo 2*pi in the
+    phase component.
     """
 
     base: ModelParams
@@ -80,16 +89,43 @@ class DriveSchedule:
         object.__setattr__(self, "total_time", T)
 
     def params_at(self, t: float) -> ModelParams:
+        """The drive at one time, as a record; samples is the same on arrays."""
         dR, dv, dphi = self.perturbation(t)
         v = self.base.v + dv
         if v < 0.0:
             raise ValueError(f"drive made the coupling negative at t={t!r}")
-        return ModelParams(
-            R=self.base.R + dR,
-            c=self.base.c,
-            v=v,
-            phi=(self.base.phi + dphi) % TWO_PI,
-        )
+        try:
+            return ModelParams(
+                R=self.base.R + dR,
+                c=self.base.c,
+                v=v,
+                phi=(self.base.phi + dphi) % TWO_PI,
+            )
+        except ValueError as exc:
+            raise ValueError(f"{exc} at t={t!r}") from None
+
+    def samples(self, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(R, v, e^{i phi}) at an array of times, each of the shape of times.
+
+        Bit for bit what params_at gives at each time, with the phase factor
+        rounded as cmath.exp(1j * phi).  A sample that params_at would reject
+        raises its ValueError, for the first such time in array order.
+        """
+        t = np.asarray(times, dtype=float)
+        dR, dv, dphi = (np.broadcast_to(x, t.shape) for x in self.perturbation(t))
+        base = self.base
+        R = base.R + dR
+        v = base.v + dv
+        with np.errstate(invalid="ignore"):
+            phi = np.mod(base.phi + dphi, TWO_PI)
+        # As ModelParams stores it: a tiny negative phi reduces to 2*pi, stored as 0.
+        phi = np.where(phi == TWO_PI, 0.0, phi)
+        ok = np.isfinite(R) & np.isfinite(v) & (v >= 0.0) & np.isfinite(phi)
+        if not ok.all():
+            t_bad = t.flat[np.argmin(ok)].item()
+            self.params_at(t_bad)  # raises its ValueError for this sample
+            raise ValueError(f"drive left the parameter domain at t={t_bad!r}")
+        return R, v, np.cos(phi) + 1j * np.sin(phi)
 
 
 @dataclass(frozen=True)
@@ -128,9 +164,9 @@ def circular_drive(
     dv = amplitude * math.sin(polar_angle)
     T = float(total_time)
 
-    def offsets(t: float) -> tuple[float, float, float]:
+    def offsets(t):
         u = t / T
-        return (dR, dv, TWO_PI * u - math.sin(TWO_PI * u))
+        return (dR, dv, TWO_PI * u - np.sin(TWO_PI * u))
 
     return DriveSchedule(base, offsets, T)
 
@@ -164,7 +200,7 @@ def loschmidt_adiabatic(theta: float, overlap: float) -> float:
     (cos(t/2) + s sin(t/2))^2 = (1 + cos t)/2 + s sin t + s^2 (1 - cos t)/2,
     which keeps the equator value at s = 0 exactly 1/2 in floating point.
     """
-    _check_finite(theta=theta)
+    _check_theta(theta)
     _check_overlap(overlap)
     s = overlap
     st, ct = math.sin(theta), math.cos(theta)
@@ -182,6 +218,7 @@ def loschmidt_adiabatic_limit(overlap: float, ordering: float) -> float:
     limit applies.
     """
     _check_overlap(overlap)
+    _check_finite(ordering=ordering)
     if ordering > 0.0:
         return 1.0
     if ordering < 0.0:
@@ -194,13 +231,15 @@ def evolve_nonlinear(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate i d(psi)/dt = H(psi, t) psi with classical fixed-step RK4.
 
-    The requested dt is rounded so an integer number of steps spans the drive.
-    Each step is renormalized; the pre-renormalization drift is the scheme's
-    own error estimate, and a drift above 1e-6 raises StepSizeError.  Returns
-    (times, amplitudes) including both endpoints.
+    The requested dt, positive and finite, is rounded so an integer number of
+    steps spans the drive.  Step k samples the drive at k*h, k*h + h/2 and
+    k*h + h, through drive.samples on blocks of steps.  Each step is
+    renormalized; the pre-renormalization drift is the scheme's own error
+    estimate, and a drift above 1e-6 raises StepSizeError.  Returns (times,
+    amplitudes) including both endpoints.
     """
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     T = drive.total_time
     n_steps = max(1, round(T / dt))
     h = T / n_steps
@@ -213,38 +252,36 @@ def evolve_nonlinear(
     out = np.empty((n_steps + 1, 2), dtype=complex)
     out[0] = (a1, a2)
 
-    params_at = drive.params_at
-    for k in range(n_steps):
-        t = k * h
-        p0 = params_at(t)
-        p1 = params_at(t + 0.5 * h)
-        p2 = params_at(t + h)
-        e0 = cmath.exp(1j * p0.phi)
-        e1 = cmath.exp(1j * p1.phi)
-        e2 = cmath.exp(1j * p2.phi)
+    c = drive.base.c
+    half, sixth = 0.5 * h, h / 6.0
+    for first in range(0, n_steps, _BLOCK):
+        starts = np.arange(first, min(first + _BLOCK, n_steps)) * h
+        # Rows in time order, so a bad sample is reported at its earliest time.
+        R, v, e = drive.samples(np.stack([starts, starts + half, starts + h], axis=1))
+        stages = zip(starts.tolist(), *R.T.tolist(), *v.T.tolist(), *e.T.tolist())
+        for k, (t, R0, R1, R2, v0, v1, v2, e0, e1, e2) in enumerate(stages, first + 1):
+            # Each stage is d(psi)/dt = -i H(psi) psi, with the model's kernel called
+            # directly: a wrapper around it costs one more Python call per stage.
+            f1, f2 = _apply(R0, c, v0, e0, a1, a2)
+            k1a, k1b = -1j * f1, -1j * f2
+            f1, f2 = _apply(R1, c, v1, e1, a1 + half * k1a, a2 + half * k1b)
+            k2a, k2b = -1j * f1, -1j * f2
+            f1, f2 = _apply(R1, c, v1, e1, a1 + half * k2a, a2 + half * k2b)
+            k3a, k3b = -1j * f1, -1j * f2
+            f1, f2 = _apply(R2, c, v2, e2, a1 + h * k3a, a2 + h * k3b)
+            k4a, k4b = -1j * f1, -1j * f2
 
-        # Each stage is d(psi)/dt = -i H(psi) psi, with the model's kernel called
-        # directly: a wrapper around it costs one more Python call per stage.
-        f1, f2 = _apply(p0.R, p0.c, p0.v, e0, a1, a2)
-        k1a, k1b = -1j * f1, -1j * f2
-        f1, f2 = _apply(p1.R, p1.c, p1.v, e1, a1 + 0.5 * h * k1a, a2 + 0.5 * h * k1b)
-        k2a, k2b = -1j * f1, -1j * f2
-        f1, f2 = _apply(p1.R, p1.c, p1.v, e1, a1 + 0.5 * h * k2a, a2 + 0.5 * h * k2b)
-        k3a, k3b = -1j * f1, -1j * f2
-        f1, f2 = _apply(p2.R, p2.c, p2.v, e2, a1 + h * k3a, a2 + h * k3b)
-        k4a, k4b = -1j * f1, -1j * f2
+            a1 = a1 + sixth * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+            a2 = a2 + sixth * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
 
-        a1 = a1 + (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-        a2 = a2 + (h / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-
-        norm = math.sqrt(abs(a1) ** 2 + abs(a2) ** 2)
-        # Written so that a nan norm fails the test too.
-        if not abs(norm - 1.0) <= _DRIFT_LIMIT:
-            raise StepSizeError(
-                f"norm drifted by {abs(norm - 1.0):.3e} in one step at t={t + h:.6g}"
-            )
-        a1, a2 = a1 / norm, a2 / norm
-        out[k + 1] = (a1, a2)
+            norm = math.sqrt(abs(a1) ** 2 + abs(a2) ** 2)
+            # Written so that a nan norm fails the test too.
+            if not abs(norm - 1.0) <= _DRIFT_LIMIT:
+                raise StepSizeError(
+                    f"norm drifted by {abs(norm - 1.0):.3e} in one step at t={t + h:.6g}"
+                )
+            a1, a2 = a1 / norm, a2 / norm
+            out[k] = (a1, a2)
     return times, out
 
 

@@ -2,10 +2,12 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from dimerphase import (
@@ -27,6 +29,7 @@ from dimerphase import (
     trace_mean,
     zero_drive,
 )
+from dimerphase.model import _apply
 
 RIGHT_ANGLE = math.pi / 2.0
 
@@ -117,6 +120,13 @@ def test_adiabatic_rejects_non_finite_theta(theta):
         loschmidt_adiabatic(theta, 0.5)
 
 
+@pytest.mark.parametrize("theta", [4.0, -1.0, -1e-300, math.pi + 1e-12])
+def test_adiabatic_rejects_theta_outside_zero_pi(theta):
+    # The rule FrameLoop, circular_drive and the CLI apply to a drive angle.
+    with pytest.raises(ValueError, match="theta"):
+        loschmidt_adiabatic(theta, 0.3)
+
+
 def test_adiabatic_limit_regimes():
     assert loschmidt_adiabatic_limit(0.3, -1.0) == pytest.approx(0.09)
     assert loschmidt_adiabatic_limit(0.3, 2.0) == 1.0
@@ -125,6 +135,12 @@ def test_adiabatic_limit_regimes():
         loschmidt_adiabatic_limit(0.5, 0.0)
     with pytest.raises(ValueError):
         loschmidt_adiabatic_limit(1.5, 1.0)
+
+
+def test_adiabatic_limit_rejects_nan_ordering():
+    # nan fails both sign tests; it is bad input, not the equator.
+    with pytest.raises(ValueError, match="ordering"):
+        loschmidt_adiabatic_limit(0.3, math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +212,56 @@ def test_drive_rejects_negative_coupling():
         drive.params_at(0.3)
 
 
+def _assert_samples_match_params_at(drive, times):
+    """drive.samples(times) equals params_at at each time, bit for bit, or fails as it does."""
+    try:
+        expect = [drive.params_at(t) for t in times]
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            drive.samples(np.array(times))
+        return
+    R, v, phase = drive.samples(np.array(times))
+    assert R.shape == v.shape == phase.shape == (len(times),)
+    for p, r, vv, e in zip(expect, R.tolist(), v.tolist(), phase.tolist()):
+        e_ref = cmath.exp(1j * p.phi)
+        got = [x.hex() for x in (r, vv, e.real, e.imag)]
+        assert got == [x.hex() for x in (p.R, p.v, e_ref.real, e_ref.imag)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    R=st.floats(-5.0, 5.0),
+    c=st.floats(0.0, 5.0),
+    v=st.floats(0.0, 5.0),
+    phi=st.floats(-10.0, 10.0),
+    amplitude=st.floats(-3.0, 3.0),
+    theta=st.floats(0.0, math.pi),
+    total_time=st.floats(0.1, 100.0),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16),
+)
+def test_drive_samples_equal_params_at(R, c, v, phi, amplitude, theta, total_time, fractions):
+    # Negative amplitudes can drive v below zero, where both must raise alike.
+    drive = circular_drive(ModelParams(R, c, v, phi), amplitude, theta, total_time)
+    _assert_samples_match_params_at(drive, [f * total_time for f in fractions])
+
+
+@pytest.mark.parametrize(
+    "offsets",
+    [
+        lambda t: (0.0, 0.0, -1e-300),
+        lambda t: (-0.25, 0.5, 3.0 * t),
+        lambda t: (0.0, -2.0 * t, 0.0),
+        lambda t: (0.0, 0.0, math.inf),
+    ],
+    ids=["phase-rounds-to-two-pi", "constant-and-linear", "coupling-turns-negative", "inf-phase"],
+)
+def test_drive_samples_of_constant_and_custom_offsets(offsets):
+    # Constant offsets stand for every time; a tiny negative phase reduces to
+    # 2*pi, which is stored as 0.
+    drive = DriveSchedule(ModelParams(R=0.1, c=0.4, v=0.5), offsets, 2.0)
+    _assert_samples_match_params_at(drive, [0.0, 0.1, 0.3, 0.7, 1.9, 2.0])
+
+
 # ---------------------------------------------------------------------------
 # integrator
 
@@ -255,6 +321,76 @@ def test_evolve_rejects_bad_dt():
         evolve_nonlinear(_state(1.0, 0.0), zero_drive(base, 1.0), 0.0)
     with pytest.raises(ValueError, match="dt"):
         evolve_nonlinear(_state(1.0, 0.0), zero_drive(base, 1.0), math.nan)
+    # round(T / inf) is 0 steps: without the check this ran one step of h = T.
+    with pytest.raises(ValueError, match="dt"):
+        evolve_nonlinear(_state(1.0, 0.0), zero_drive(base, 1.0), math.inf)
+
+
+def _rk4_reference(initial, drive, dt):
+    """The RK4 integrator with one params_at call per stage time, as a reference."""
+    T = drive.total_time
+    n_steps = max(1, round(T / dt))
+    h = T / n_steps
+    a1, a2 = complex(initial.amp1), complex(initial.amp2)
+    norm = math.sqrt(abs(a1) ** 2 + abs(a2) ** 2)
+    a1, a2 = a1 / norm, a2 / norm
+    out = [(a1, a2)]
+    for k in range(n_steps):
+        t = k * h
+        s0, s1, s2 = (
+            (p.R, p.c, p.v, cmath.exp(1j * p.phi))
+            for p in (drive.params_at(t), drive.params_at(t + 0.5 * h), drive.params_at(t + h))
+        )
+        f1, f2 = _apply(*s0, a1, a2)
+        k1a, k1b = -1j * f1, -1j * f2
+        f1, f2 = _apply(*s1, a1 + 0.5 * h * k1a, a2 + 0.5 * h * k1b)
+        k2a, k2b = -1j * f1, -1j * f2
+        f1, f2 = _apply(*s1, a1 + 0.5 * h * k2a, a2 + 0.5 * h * k2b)
+        k3a, k3b = -1j * f1, -1j * f2
+        f1, f2 = _apply(*s2, a1 + h * k3a, a2 + h * k3b)
+        k4a, k4b = -1j * f1, -1j * f2
+        a1 = a1 + (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+        a2 = a2 + (h / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
+        norm = math.sqrt(abs(a1) ** 2 + abs(a2) ** 2)
+        a1, a2 = a1 / norm, a2 / norm
+        out.append((a1, a2))
+    return np.linspace(0.0, T, n_steps + 1), np.array(out)
+
+
+@pytest.mark.parametrize("n_steps", [1, 1023, 1024, 1025, 2049])
+def test_evolve_matches_per_step_reference(n_steps):
+    # Step counts around the sampling block's 1024 steps.
+    base = ModelParams(R=0.3, c=1.0, v=0.8, phi=0.2)
+    initial = stationary_states(base).states[0]
+    dt = 0.002
+    drive = circular_drive(base, 0.6, 1.1, n_steps * dt)
+    times, traj = evolve_nonlinear(initial, drive, dt)
+    ref_times, ref_traj = _rk4_reference(initial, drive, dt)
+    assert len(times) == n_steps + 1
+    assert times.tobytes() == ref_times.tobytes()
+    assert traj.tobytes() == ref_traj.tobytes()
+
+
+@pytest.mark.parametrize(
+    "offsets",
+    [
+        lambda t: (0.0, np.where(t > 1.4, -2.0, 0.0), 0.0),
+        lambda t: (np.where(t > 1.4, math.inf, 0.0), 0.0, 0.0),
+        lambda t: (0.0, np.where(t > 1.4, math.nan, 0.0), 0.0),
+        lambda t: (0.0, 0.0, np.where(t > 1.4, math.nan, 0.0)),
+    ],
+    ids=["negative-coupling", "inf-bias", "nan-coupling", "nan-phase"],
+)
+def test_evolve_rejects_drive_that_turns_bad_partway(offsets):
+    # The drive turns bad in the second block of steps, at t > 1.4 of 2; the
+    # error names the first bad stage time, as the per-step reference does.
+    base = ModelParams(R=0.2, c=1.0, v=1.0)
+    initial = stationary_states(base).states[0]
+    drive = DriveSchedule(base, offsets, 2.0)
+    with pytest.raises(ValueError, match="t=1.40") as expected:
+        _rk4_reference(initial, drive, 0.001)
+    with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+        evolve_nonlinear(initial, drive, 0.001)
 
 
 # ---------------------------------------------------------------------------
