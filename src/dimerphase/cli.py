@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import math
 import re
 import sys
@@ -189,16 +188,28 @@ def resolve_config(args: argparse.Namespace) -> ScanConfig:
             if isinstance(val[name], np.ndarray):
                 raise UsageError(f"--{name}: {args.mode} takes a fixed value, not an axis")
 
-    settings = [f"{k}={raw[k]}" for k in sorted(raw)]
-    canonical = "\n".join([f"mode={args.mode}"] + settings)
-    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
-    summary = " ".join(settings)
+    hashed = [f"mode={args.mode}"] + [f"{k}={_canonical(val[k])}" for k in sorted(val)]
+    digest = hashlib.sha256("\n".join(hashed).encode("utf-8")).hexdigest()[:12]
+    summary = " ".join(f"{k}={raw[k]}" for k in sorted(raw))
     return ScanConfig(mode=args.mode, **val, out=out, config_hash=digest, summary=summary)
 
 
-def _fmt(x: float) -> str:
-    # Adding 0.0 turns -0.0 into 0.0, so a zero prints as "0" whatever its sign.
-    return "%.12g" % (x + 0.0)
+def _canonical(value) -> str:
+    """A parsed setting as hashed, so that "1", "1.0" and "1e0" hash alike:
+    repr of a value, start:stop:count of an axis."""
+    if isinstance(value, np.ndarray):
+        return f"{value[0].item()!r}:{value[-1].item()!r}:{len(value)}"
+    return repr(value)
+
+
+def _cells(column):
+    """One column's CSV cells, lazily so that they are freed row by row: a float
+    array in one pass, or a sequence that may also hold strings, written as
+    they are, and None, written blank.  Adding 0.0 turns -0.0 into 0.0, so a
+    zero prints as "0" whatever its sign."""
+    if isinstance(column, np.ndarray):
+        return map("%.12g".__mod__, (column + 0.0).tolist())
+    return ("" if x is None else x if isinstance(x, str) else "%.12g" % (x + 0.0) for x in column)
 
 
 # Errors of a computation that cannot evaluate a point or a run: main maps
@@ -253,39 +264,32 @@ _GRID_CELLS = {"spectrum": _spectrum_cells, "berry": _berry_cells, "witness": _w
 _SKIPPED = ""
 
 
-def _grid_rows(cfg: ScanConfig, points: list[tuple[float, float]]) -> list[tuple]:
-    """Rows of one block of (R, v) grid points.
-
-    The fully degenerate origin has None cells by design; a point whose
-    states fail the kernel's count check, or whose cell raises, gets
-    _SKIPPED cells.
-    """
-    mode, c = cfg.mode, cfg.c
-    R, v = np.array(points).T
-    states = stationary_arrays(R, v, 0.0, c, cfg.tol)
-    cells = _GRID_CELLS[mode](states, v)
-    width = len(_GRID_COLUMNS[mode]) - 2
-    rows = []
-    for (Rk, vk), has, failed, cell in zip(
-        points, _has_states(R, v).tolist(), states.failed.tolist(), cells
-    ):
-        coords = (vk / c if c > 0 else None, Rk) if mode == "witness" else (Rk, vk)
-        if not has:
-            cell = (None,) * width
-        elif failed or cell is None:
-            cell = (_SKIPPED,) * width
-        rows.append(coords + cell)
-    return rows
-
-
 def run_grid_scan(cfg: ScanConfig):
-    points = itertools.product(np.atleast_1d(cfg.R).tolist(), np.atleast_1d(cfg.v).tolist())
-    rows = []
-    while block := list(itertools.islice(points, _BLOCK)):
-        rows += _grid_rows(cfg, block)
-    skipped = sum(row[-1] == _SKIPPED for row in rows)
+    R_axis, v_axis = np.atleast_1d(cfg.R), np.atleast_1d(cfg.v)
+    # Every (R, v) pair, R outer.
+    R, v = np.repeat(R_axis, len(v_axis)), np.tile(v_axis, len(R_axis))
+    cells_of, width = _GRID_CELLS[cfg.mode], len(_GRID_COLUMNS[cfg.mode]) - 2
+    cells = []  # the value cells of each point
+    for first in range(0, len(R), _BLOCK):
+        Rb, vb = R[first : first + _BLOCK], v[first : first + _BLOCK]
+        states = stationary_arrays(Rb, vb, 0.0, cfg.c, cfg.tol)
+        # The fully degenerate origin has None cells by design; a point whose
+        # states fail the kernel's count check, or whose cell raises, is skipped.
+        per_point = zip(_has_states(Rb, vb).tolist(), states.failed.tolist(), cells_of(states, vb))
+        cells += [
+            (None,) * width if not has else (_SKIPPED,) * width if failed or cell is None else cell
+            for has, failed, cell in per_point
+        ]
+    skipped = sum(cell[-1] == _SKIPPED for cell in cells)
     comments = [f"skipped: {skipped}"] if skipped else []
-    return _GRID_COLUMNS[cfg.mode], comments, rows
+    # Each axis value is formatted once.
+    R_cells = [cell for cell in _cells(R_axis) for _ in range(len(v_axis))]
+    if cfg.mode == "witness":
+        ratio = list(_cells(v_axis / cfg.c)) if cfg.c > 0 else [None] * len(v_axis)
+        coords = [ratio * len(R_axis), R_cells]
+    else:
+        coords = [R_cells, list(_cells(v_axis)) * len(R_axis)]
+    return _GRID_COLUMNS[cfg.mode], comments, coords + list(zip(*cells))
 
 
 def run_echo(cfg: ScanConfig):
@@ -302,29 +306,18 @@ def run_echo(cfg: ScanConfig):
         initial = Eigenstate(1.0 + 0.0j, 0.0j, -0.5 * base.c, -1.0, 0.0)
     drive = circular_drive(base, cfg.amp, cfg.theta, cfg.T)
     trace = loschmidt_dynamical(initial, drive, cfg.dt)
-    comments = [
-        "summary: theta=%s s=%s L_adiabatic=%s L_mean=%s"
-        % (
-            _fmt(cfg.theta),
-            _fmt(s),
-            _fmt(loschmidt_adiabatic(cfg.theta, s)),
-            _fmt(trace_mean(trace)),
-        )
-    ]
-    rows = list(zip(trace.times, trace.values))
-    return ("t", "L"), comments, rows
+    summary = (cfg.theta, s, loschmidt_adiabatic(cfg.theta, s), trace_mean(trace))
+    comments = ["summary: theta=%s s=%s L_adiabatic=%s L_mean=%s" % tuple(_cells(summary))]
+    return ("t", "L"), comments, [trace.times, trace.values]
 
 
 def run_triple_table(cfg: ScanConfig):
-    columns = ("loop", "psi_n_minus_1", "psi_n", "psi_n_plus_1")
-    rows = []
-    for loop_name in ("phi", "theta"):
-        signs = [transport_sign(loop_name, lvl) for lvl in (-1, 0, 1)]
-        rows.append((loop_name, "%+d" % signs[0], "%+d" % signs[1], "%+d" % signs[2]))
-    return columns, [], rows
+    loops = ("phi", "theta")
+    signs = [["%+d" % transport_sign(loop, lvl) for loop in loops] for lvl in (-1, 0, 1)]
+    return ("loop", "psi_n_minus_1", "psi_n", "psi_n_plus_1"), [], [loops, *signs]
 
 
-def _render(cfg: ScanConfig, columns, comments, rows) -> str:
+def _render(cfg: ScanConfig, header, comments, columns) -> str:
     lines = [
         f"# dimerphase {__version__}",
         f"# mode: {cfg.mode}",
@@ -332,17 +325,8 @@ def _render(cfg: ScanConfig, columns, comments, rows) -> str:
         f"# config-hash: {cfg.config_hash}",
     ]
     lines.extend(f"# {c}" for c in comments)
-    lines.append(",".join(columns))
-    for row in rows:
-        cells = []
-        for x in row:
-            if x is None:
-                cells.append("")
-            elif isinstance(x, str):
-                cells.append(x)
-            else:
-                cells.append(_fmt(x))
-        lines.append(",".join(cells))
+    lines.append(",".join(header))
+    lines.extend(map(",".join, zip(*map(_cells, columns))))
     return "\n".join(lines) + "\n"
 
 
@@ -365,8 +349,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
     try:
-        columns, comments, rows = _RUNNERS[cfg.mode](cfg)
-        text = _render(cfg, columns, comments, rows)
+        header, comments, columns = _RUNNERS[cfg.mode](cfg)
+        text = _render(cfg, header, comments, columns)
         if cfg.out:
             with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)

@@ -38,7 +38,7 @@ from .model import (
     TWO_PI,
     Eigenstate,
     ModelParams,
-    _apply,
+    _apply_half,
     _check_finite,
     _check_overlap,
     _check_theta,
@@ -235,7 +235,8 @@ def evolve_nonlinear(
     steps spans the drive.  Step k samples the drive at k*h, k*h + h/2 and
     k*h + h, through drive.samples on blocks of steps.  Each step is
     renormalized; the pre-renormalization drift is the scheme's own error
-    estimate, and a drift above 1e-6 raises StepSizeError.  Returns (times,
+    estimate, and a drift above 1e-6 raises StepSizeError.  An initial state
+    of zero or non-finite norm raises InvalidStateError.  Returns (times,
     amplitudes) including both endpoints.
     """
     if not 0.0 < dt < math.inf:
@@ -246,34 +247,35 @@ def evolve_nonlinear(
 
     a1, a2 = complex(initial.amp1), complex(initial.amp2)
     norm = math.sqrt(abs(a1) ** 2 + abs(a2) ** 2)
+    if not 0.0 < norm < math.inf:
+        raise InvalidStateError(f"initial state has norm {norm!r}, not a positive finite one")
     a1, a2 = a1 / norm, a2 / norm
 
     times = np.linspace(0.0, T, n_steps + 1)
     out = np.empty((n_steps + 1, 2), dtype=complex)
     out[0] = (a1, a2)
 
-    c = drive.base.c
-    half, sixth = 0.5 * h, h / 6.0
+    hc, half, sixth = 0.5 * drive.base.c, 0.5 * h, h / 6.0
     for first in range(0, n_steps, _BLOCK):
         starts = np.arange(first, min(first + _BLOCK, n_steps)) * h
         # Rows in time order, so a bad sample is reported at its earliest time.
         R, v, e = drive.samples(np.stack([starts, starts + half, starts + h], axis=1))
-        stages = zip(starts.tolist(), *R.T.tolist(), *v.T.tolist(), *e.T.tolist())
-        for k, (t, R0, R1, R2, v0, v1, v2, e0, e1, e2) in enumerate(stages, first + 1):
+        # The kernel's half-coefficients R/2 and (v/2) e^{i phi} at each stage time.
+        stages = zip(starts.tolist(), *(0.5 * R).T.tolist(), *(0.5 * v * e).T.tolist())
+        col1, col2 = [], []
+        for t, hR0, hR1, hR2, g0, g1, g2 in stages:
             # Each stage is d(psi)/dt = -i H(psi) psi, with the model's kernel called
             # directly: a wrapper around it costs one more Python call per stage.
-            f1, f2 = _apply(R0, c, v0, e0, a1, a2)
+            f1, f2 = _apply_half(hR0, hc, g0, a1, a2)
             k1a, k1b = -1j * f1, -1j * f2
-            f1, f2 = _apply(R1, c, v1, e1, a1 + half * k1a, a2 + half * k1b)
+            f1, f2 = _apply_half(hR1, hc, g1, a1 + half * k1a, a2 + half * k1b)
             k2a, k2b = -1j * f1, -1j * f2
-            f1, f2 = _apply(R1, c, v1, e1, a1 + half * k2a, a2 + half * k2b)
+            f1, f2 = _apply_half(hR1, hc, g1, a1 + half * k2a, a2 + half * k2b)
             k3a, k3b = -1j * f1, -1j * f2
-            f1, f2 = _apply(R2, c, v2, e2, a1 + h * k3a, a2 + h * k3b)
+            f1, f2 = _apply_half(hR2, hc, g2, a1 + h * k3a, a2 + h * k3b)
             k4a, k4b = -1j * f1, -1j * f2
-
             a1 = a1 + sixth * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
             a2 = a2 + sixth * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-
             norm = math.sqrt(abs(a1) ** 2 + abs(a2) ** 2)
             # Written so that a nan norm fails the test too.
             if not abs(norm - 1.0) <= _DRIFT_LIMIT:
@@ -281,7 +283,11 @@ def evolve_nonlinear(
                     f"norm drifted by {abs(norm - 1.0):.3e} in one step at t={t + h:.6g}"
                 )
             a1, a2 = a1 / norm, a2 / norm
-            out[k] = (a1, a2)
+            col1.append(a1)
+            col2.append(a2)
+        # Stored per block: a numpy item assignment per step costs more than lists.
+        rows = slice(first + 1, first + 1 + len(col1))
+        out[rows, 0], out[rows, 1] = col1, col2
     return times, out
 
 

@@ -157,19 +157,21 @@ class ParamPath:
             raise ValueError("a path needs at least two points")
 
 
-def _imbalance(a1, a2):
-    """|a2|^2 - |a1|^2; elementwise on arrays."""
-    return (a2.real * a2.real + a2.imag * a2.imag) - (a1.real * a1.real + a1.imag * a1.imag)
+def _apply_half(hR, hc, coup, a1, a2):
+    """H(psi) psi for the amplitude pair (a1, a2); the one copy of the model's formula.
+
+    Takes hR = R/2, hc = c/2 and coup = (v/2) e^{i phi}, so a caller that steps
+    one point many times halves them once.  Elementwise on arrays too.
+    """
+    # The imbalance m = |a2|^2 - |a1|^2.
+    m = (a2.real * a2.real + a2.imag * a2.imag) - (a1.real * a1.real + a1.imag * a1.imag)
+    diag = hR + hc * m
+    return diag * a1 + coup * a2, coup.conjugate() * a1 - diag * a2
 
 
 def _apply(R, c, v, phase, a1, a2):
-    """H(psi) psi for the amplitude pair (a1, a2); the one copy of the model's formula.
-
-    phase is e^{i phi}.  Works elementwise on arrays as well as on scalars.
-    """
-    diag = 0.5 * R + 0.5 * c * _imbalance(a1, a2)
-    coup = 0.5 * v * phase
-    return diag * a1 + coup * a2, coup.conjugate() * a1 - diag * a2
+    """H(psi) psi from the model's coefficients; phase is e^{i phi}."""
+    return _apply_half(0.5 * R, 0.5 * c, 0.5 * v * phase, a1, a2)
 
 
 def _residual(R, c, v, phase, a1, a2, energy):
@@ -262,7 +264,9 @@ def _states_at_roots(R, c, v, phi, t, tol) -> StationaryArrays:
         amp1, amp2 = _amplitudes(t, at_zero, at_inf, rot)
         energy = -v * (1.0 + t * t) / (4.0 * t)
         energy = np.where(at_zero, -0.5 * (R + c), np.where(at_inf, 0.5 * (R - c), energy))
-        imbalance = _imbalance(amp1, amp2)
+        imbalance = (amp2.real * amp2.real + amp2.imag * amp2.imag) - (
+            amp1.real * amp1.real + amp1.imag * amp1.imag
+        )
         residual = _residual(R, c, v, rot.conjugate(), amp1, amp2, energy)
     energy = np.where(residual < tol, energy, np.nan)
 

@@ -6,7 +6,9 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dimerphase import cli
 
@@ -77,7 +79,7 @@ def test_spectrum_linear_model_band():
 
 
 def test_zero_energy_prints_without_sign():
-    assert cli._fmt(-0.0) == "0"
+    assert list(cli._cells([-0.0])) == list(cli._cells(np.array([-0.0]))) == ["0"]
     proc = run_cli("spectrum", "--R=-1", "--v", "0", "--c", "1")
     assert proc.stdout.splitlines()[-1] == "-1,0,-1,0,,"
 
@@ -288,6 +290,82 @@ def test_reruns_are_byte_identical(args):
     first = run_cli(*args)
     second = run_cli(*args)
     assert first.stdout == second.stdout
+
+
+def _config_hash(*args):
+    return cli.resolve_config(cli.build_parser().parse_args(list(args))).config_hash
+
+
+def test_equal_values_hash_alike_whatever_their_spelling(capsys):
+    hashes = {_config_hash("spectrum", "--R", R, "--v", "0.5") for R in ("1", "1.0", "1e0")}
+    assert len(hashes) == 1
+    assert _config_hash("spectrum", "--R", "0:1:3") == _config_hash("spectrum", "--R", "0.0:1e0:3")
+    # The `# config:` line keeps the spelling; only the hash reads values.
+    assert cli.main(["spectrum", "--R", "1e0", "--v", "0.5"]) == 0
+    header, _, _ = parse_csv(capsys.readouterr().out)
+    assert "R=1e0" in header[2]
+    assert header[3] == f"# config-hash: {hashes.pop()}"
+
+
+def test_different_values_hash_differently():
+    assert _config_hash("spectrum", "--R", "1") != _config_hash("spectrum", "--R", "1.5")
+    assert _config_hash("spectrum", "--R", "0:1:3") != _config_hash("spectrum", "--R", "0:1:4")
+    assert _config_hash("spectrum", "--R", "0:1:3") != _config_hash("spectrum", "--R", "0:2:3")
+    assert _config_hash("spectrum") != _config_hash("berry")
+
+
+def _render_per_cell(cfg, header, comments, rows):
+    """The CSV writer as a loop over the cells of each row, kept as a reference."""
+    lines = [
+        f"# dimerphase {cli.__version__}",
+        f"# mode: {cfg.mode}",
+        f"# config: {cfg.summary}",
+        f"# config-hash: {cfg.config_hash}",
+    ]
+    lines.extend(f"# {c}" for c in comments)
+    lines.append(",".join(header))
+    for row in rows:
+        cells = []
+        for x in row:
+            if x is None:
+                cells.append("")
+            elif isinstance(x, str):
+                cells.append(x)
+            else:
+                cells.append("%.12g" % (x + 0.0))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+_ODD_FLOATS = [
+    0.0, -0.0, 1.0, -2.5, 1.0 / 3.0, math.nan, math.inf, -math.inf,
+    5e-324, -1e-300, 2.2250738585072014e-308, 1.7976931348623157e308, 123456789012345.0,
+]
+
+
+def test_column_writer_matches_per_cell_writer():
+    cfg = cli.resolve_config(cli.build_parser().parse_args(["spectrum"]))
+    n = len(_ODD_FLOATS)
+    mixed = ([None, "", "+1", 7] + _ODD_FLOATS[::-1])[:n]
+    rows = list(zip(_ODD_FLOATS, mixed, [None] * n))
+    columns = [np.array(_ODD_FLOATS), mixed, [None] * n]
+    expected = _render_per_cell(cfg, ("a", "b", "c"), ["skipped: 1"], rows)
+    assert cli._render(cfg, ("a", "b", "c"), ["skipped: 1"], columns) == expected
+
+
+@settings(derandomize=True, database=None, max_examples=200)
+@given(
+    st.lists(
+        st.tuples(st.floats(), st.one_of(st.none(), st.just(""), st.floats(width=32))),
+        min_size=1,
+        max_size=20,
+    )
+)
+def test_column_writer_matches_per_cell_writer_on_any_floats(rows):
+    cfg = cli.resolve_config(cli.build_parser().parse_args(["echo"]))
+    numbers, cells = zip(*rows)
+    text = cli._render(cfg, ("t", "x"), [], [np.array(numbers), list(cells)])
+    assert text == _render_per_cell(cfg, ("t", "x"), [], rows)
 
 
 # ---------------------------------------------------------------------------

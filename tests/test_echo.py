@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from dimerphase import (
@@ -369,6 +369,56 @@ def test_evolve_matches_per_step_reference(n_steps):
     assert len(times) == n_steps + 1
     assert times.tobytes() == ref_times.tobytes()
     assert traj.tobytes() == ref_traj.tobytes()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(
+    base=st.one_of(
+        st.just((0.0, 0.0, 0.0)),
+        st.tuples(
+            st.floats(-2.0, 2.0),
+            st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+            st.floats(0.0, 2.0),
+        ),
+    ),
+    amps=st.one_of(st.just((1.0, 0.0, 0.0, 0.0)), st.tuples(*[st.floats(-1.0, 1.0)] * 4)),
+    amplitude=st.floats(0.0, 1.5),
+    theta=st.floats(0.0, math.pi),
+    n_steps=st.integers(1, 2100),
+)
+@example(base=(0.0, 0.0, 0.0), amps=(1.0, 0.0, 0.0, 0.0), amplitude=1.0, theta=1.0, n_steps=1500)
+@example(base=(0.3, 0.0, 0.8), amps=(0.6, 0.0, 0.0, 0.8), amplitude=0.5, theta=2.0, n_steps=1025)
+def test_evolve_matches_per_step_reference_everywhere(base, amps, amplitude, theta, n_steps):
+    # Any base, the fully degenerate origin and c = 0 included, any initial
+    # state, any drive, and step counts on both sides of the 1024-step block.
+    assume(math.hypot(*amps) > 1e-3)
+    initial = _state(complex(amps[0], amps[1]), complex(amps[2], amps[3]))
+    dt = 0.002
+    drive = circular_drive(ModelParams(*base), amplitude, theta, n_steps * dt)
+    times, traj = evolve_nonlinear(initial, drive, dt)
+    ref_times, ref_traj = _rk4_reference(initial, drive, dt)
+    assert times.tobytes() == ref_times.tobytes()
+    assert traj.tobytes() == ref_traj.tobytes()
+
+
+@pytest.mark.parametrize(
+    "amplitudes",
+    [(0.0, 0.0), (math.nan, 0.0), (1.0, complex(0.0, math.nan)), (math.inf, 0.0)],
+    ids=["zero", "nan", "nan-imaginary", "inf"],
+)
+def test_evolve_rejects_zero_or_non_finite_initial_state(amplitudes):
+    # Not a step-size problem: the state is bad before the first step.
+    base = ModelParams(R=0.3, c=1.0, v=0.8)
+    with pytest.raises(InvalidStateError, match="norm"):
+        evolve_nonlinear(_state(*amplitudes), zero_drive(base, 1.0), 0.01)
+
+
+def test_echo_rejects_zero_initial_state():
+    # The zero vector has residual 0 for any energy, so it passes the
+    # stationarity check; it must not reach a division by its norm.
+    drive = circular_drive(ModelParams(R=0.0, c=0.0, v=0.0), 1.0, 1.0, 1.0)
+    with pytest.raises(InvalidStateError, match="norm"):
+        loschmidt_dynamical(Eigenstate(0j, 0j, 0.0, 0.0, 0.0), drive, 0.01)
 
 
 @pytest.mark.parametrize(
