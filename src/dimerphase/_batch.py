@@ -21,6 +21,10 @@ import numpy as np
 # triple roots scatter up to 2.5e-5, and most of them are not grouped.
 GROUP_RADIUS = 1e-5
 
+# The one stationarity tolerance: a root is real when |Im| <= TOL (1 + |Re|), and
+# a state when |H(psi) psi - E psi| < TOL max(1, |R|, c, v), the scale of its rounding.
+TOL = 1e-9
+
 
 def _derivative(p):
     """Derivatives of the quartics p (..., 5), highest power first, kept five wide."""
@@ -74,13 +78,13 @@ def _eigenvalues(coeffs, lead, trail):
     return z, solvable
 
 
-def real_roots(coeffs: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def real_roots(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Real roots of the quartics coeffs (k, 5), highest power first, and their multiplicities.
 
     Returns roots and mult, both (k, 4): each row's distinct real roots
     ascending, NaN after them, and mult 0 there.  L leading zero
     coefficients are the root math.inf with multiplicity L.  A root counts
-    as real when |Im| <= tol * (1 + |Re|).  Also returns which rows could
+    as real when |Im| <= TOL * (1 + |Re|).  Also returns which rows could
     be solved: a row whose coefficients or companion matrix overflow gets
     no roots.
     """
@@ -118,7 +122,7 @@ def real_roots(coeffs: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, 
         w = np.where(inverted, 1.0 / w, w)
 
     roots = np.full((k, 4), np.nan)
-    real = np.abs(w.imag) <= tol * (1.0 + np.abs(w.real))
+    real = np.abs(w.imag) <= TOL * (1.0 + np.abs(w.real))
     roots[r[real], g[real]] = w.real[real]
     roots[lead > 0, 3] = math.inf
     mult[lead > 0, 3] = lead[lead > 0]

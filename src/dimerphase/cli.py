@@ -85,7 +85,6 @@ _KEYS = {
     "c": ("1", _parse_float, "nonlinearity strength"),
     "dt": ("0.002", _parse_float, "integrator time step"),
     "T": ("20", _parse_float, "drive duration"),
-    "tol": ("1e-9", _parse_float, "validation tolerance"),
     "theta": (repr(0.5 * math.pi), _parse_float, "drive polar angle (echo)"),
     "amp": ("1", _parse_float, "drive amplitude (echo)"),
 }
@@ -173,8 +172,8 @@ def resolve_config(args: argparse.Namespace) -> ScanConfig:
     out = args.out if args.out is not None else file_values.get("out")
     val = {key: parse(raw[key], key) for key, (_, parse, _) in _KEYS.items()}
 
-    if val["tol"] <= 0 or val["dt"] <= 0 or val["T"] <= 0:
-        raise UsageError("tol, dt, and T must all be positive")
+    if val["dt"] <= 0 or val["T"] <= 0:
+        raise UsageError("dt and T must both be positive")
     if not 0.0 <= val["theta"] <= math.pi:
         raise UsageError("--theta: must lie in [0, pi]")
     if val["amp"] < 0.0:
@@ -272,7 +271,7 @@ def run_grid_scan(cfg: ScanConfig):
     cells = []  # the value cells of each point
     for first in range(0, len(R), _BLOCK):
         Rb, vb = R[first : first + _BLOCK], v[first : first + _BLOCK]
-        states = stationary_arrays(Rb, vb, 0.0, cfg.c, cfg.tol)
+        states = stationary_arrays(Rb, vb, 0.0, cfg.c)
         # The fully degenerate origin has None cells by design; a point whose
         # states fail the kernel's count check, or whose cell raises, is skipped.
         per_point = zip(_has_states(Rb, vb).tolist(), states.failed.tolist(), cells_of(states, vb))
@@ -296,7 +295,7 @@ def run_echo(cfg: ScanConfig):
     base = ModelParams(R=float(cfg.R), c=cfg.c, v=float(cfg.v))
     s = 0.0
     if _has_states(base.R, base.v):
-        states = stationary_states(base, cfg.tol).states
+        states = stationary_states(base).states
         initial = states[0]
         # The base's nonlinearity_witness, from the same family.
         if len(states) >= 2:

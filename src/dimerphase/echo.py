@@ -21,13 +21,13 @@ phase between the split branches; time-averaging recovers it.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from ._batch import TOL
 from .errors import (
     AmbiguousRegimeError,
     InvalidStateError,
@@ -43,6 +43,7 @@ from .model import (
     _check_overlap,
     _check_theta,
     _overlap,
+    _phase_factor,
     _residual,
     stationary_states,
 )
@@ -125,7 +126,7 @@ class DriveSchedule:
             t_bad = t.flat[np.argmin(ok)].item()
             self.params_at(t_bad)  # raises its ValueError for this sample
             raise ValueError(f"drive left the parameter domain at t={t_bad!r}")
-        return R, v, np.cos(phi) + 1j * np.sin(phi)
+        return R, v, _phase_factor(phi)
 
 
 @dataclass(frozen=True)
@@ -171,14 +172,14 @@ def circular_drive(
     return DriveSchedule(base, offsets, T)
 
 
-def nonlinearity_witness(params: ModelParams, tol: float = 1e-9) -> WitnessReport:
+def nonlinearity_witness(params: ModelParams) -> WitnessReport:
     """Overlap modulus of the two lowest-energy stationary states.
 
     On the bias-free degeneracy this is the degenerate pair; elsewhere the two
     lowest states stand in for it.  Zero for a linear model, where the states
     are orthogonal eigenvectors of one Hermitian matrix.
     """
-    family = stationary_states(params, tol)
+    family = stationary_states(params)
     if len(family) < 2:
         raise ModelDegenerateError(
             f"witness needs two stationary states, found {len(family)}"
@@ -235,9 +236,9 @@ def evolve_nonlinear(
     steps spans the drive.  Step k samples the drive at k*h, k*h + h/2 and
     k*h + h, through drive.samples on blocks of steps.  Each step is
     renormalized; the pre-renormalization drift is the scheme's own error
-    estimate, and a drift above 1e-6 raises StepSizeError.  An initial state
-    of zero or non-finite norm raises InvalidStateError.  Returns (times,
-    amplitudes) including both endpoints.
+    estimate, and a drift above 1e-6 raises StepSizeError.  The initial norm
+    is a hypot, which does not overflow; a zero or non-finite one raises
+    InvalidStateError.  Returns (times, amplitudes) including both endpoints.
     """
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
@@ -246,7 +247,7 @@ def evolve_nonlinear(
     h = T / n_steps
 
     a1, a2 = complex(initial.amp1), complex(initial.amp2)
-    norm = math.sqrt(abs(a1) ** 2 + abs(a2) ** 2)
+    norm = math.hypot(a1.real, a1.imag, a2.real, a2.imag)
     if not 0.0 < norm < math.inf:
         raise InvalidStateError(f"initial state has norm {norm!r}, not a positive finite one")
     a1, a2 = a1 / norm, a2 / norm
@@ -294,16 +295,16 @@ def evolve_nonlinear(
 def loschmidt_dynamical(initial: Eigenstate, drive: DriveSchedule, dt: float) -> EchoTrace:
     """Echo trace L(t) = |<psi_0|psi(t)>|^2 of one driven run from psi_0 = initial.
 
-    initial must be stationary for drive.base, |H(psi_0) psi_0 - E psi_0| <=
-    1e-9 with E its stored energy, or InvalidStateError is raised: only then
+    initial must be stationary for drive.base by the solver's scaled residual
+    test, with E its stored energy, or InvalidStateError is raised: only then
     is the undriven flow the phase exp(-i E t), which drops out of the echo.
     """
     base = drive.base
     residual = _residual(
-        base.R, base.c, base.v, cmath.exp(1j * base.phi), initial.amp1, initial.amp2,
+        base.R, base.c, base.v, _phase_factor(base.phi), initial.amp1, initial.amp2,
         initial.energy,
     )
-    if not residual <= 1e-9:
+    if not residual <= TOL * max(1.0, abs(base.R), base.c, base.v):
         raise InvalidStateError(
             f"initial state is not stationary for the drive's base: residual {residual:.3e}"
         )

@@ -22,14 +22,13 @@ quartic, and stationary_states the solver for one point.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ._batch import real_roots
+from ._batch import TOL, real_roots
 from .errors import BranchLostError, InvalidStateError
 
 TWO_PI = 2.0 * math.pi
@@ -169,6 +168,11 @@ def _apply_half(hR, hc, coup, a1, a2):
     return diag * a1 + coup * a2, coup.conjugate() * a1 - diag * a2
 
 
+def _phase_factor(phi):
+    """e^{i phi} of an array of angles, bit for bit as cmath.exp(1j * phi) rounds it."""
+    return np.cos(phi) + 1j * np.sin(phi)
+
+
 def _apply(R, c, v, phase, a1, a2):
     """H(psi) psi from the model's coefficients; phase is e^{i phi}."""
     return _apply_half(0.5 * R, 0.5 * c, 0.5 * v * phase, a1, a2)
@@ -210,15 +214,13 @@ def _quartic(R, c, v):
 # solve_quartic_real_roots and reconstruct_states have no caller in the package.
 # They stay public here because the benchmark traces them by these names, and
 # a traced run fails with a KeyError on a name that is gone.
-def solve_quartic_real_roots(
-    coeffs: Sequence[float], tol: float = 1e-9
-) -> list[tuple[float, int]]:
+def solve_quartic_real_roots(coeffs: Sequence[float]) -> list[tuple[float, int]]:
     """Real roots of a quartic with their multiplicities, ascending: one row of the batch.
 
     Companion eigenvalues within a relative 1e-5 of each other form one root,
     whose multiplicity is the group's size, polished by Newton on the
     (mu-1)-th derivative: in t when |t| <= 1, in 1/t otherwise.  A root is
-    real when |Im| <= tol * (1 + |Re|).  L leading zero coefficients (v = 0
+    real when |Im| <= TOL * (1 + |Re|).  L leading zero coefficients (v = 0
     in the t-quartic) are the root math.inf with multiplicity L; trailing
     ones are exact zeros.  Raises np.linalg.LinAlgError when the
     coefficients or the companion matrix are not finite.
@@ -226,7 +228,7 @@ def solve_quartic_real_roots(
     cs = np.array([coeffs], dtype=float)
     if cs.shape != (1, 5):
         raise ValueError("expected five quartic coefficients")
-    roots, mult, solvable = real_roots(cs, tol)
+    roots, mult, solvable = real_roots(cs)
     if not solvable[0]:
         raise np.linalg.LinAlgError("the quartic's companion matrix is not finite")
     return [(t, m) for t, m in zip(roots[0].tolist(), mult[0].tolist()) if m]
@@ -243,32 +245,31 @@ def _amplitudes(t, at_zero, at_inf, rot):
     return amp1, amp2
 
 
-def _states_at_roots(R, c, v, phi, t, tol) -> StationaryArrays:
+def _states_at_roots(R, c, v, phi, t) -> StationaryArrays:
     """The states at candidate roots t (n, 4) of the points (R, c, v, phi).
 
     Amplitudes (|t|, -sign(t) e^{-i phi}) / sqrt(1 + t^2), with amp2 = 1 at
     t = 0 and psi = (1, 0) at t = inf; energy E = -v (1 + t^2) / (4 t), whose
-    limits are -(R + c)/2 at t = 0 and (R - c)/2 at t = inf.  A state is
-    kept when its stationarity residual |H(psi) psi - E psi| is below tol.
+    limits are -(R + c)/2 at t = 0 and (R - c)/2 at t = inf.  A state is kept
+    when its residual |H(psi) psi - E psi| is below TOL max(1, |R|, c, v).
     Energies equal to within 1e-12 (relative) are one degenerate level: they
     share one value and are ordered by imbalance.
     """
     R, c, v = (x[:, None] for x in (R, c, v))
     at_zero, at_inf = t == 0.0, np.isinf(t)
-    # e^{-i phi} from cmath, so each amplitude rounds as Python's complex product
-    # x * cmath.exp(-1j * phi) does.
-    rot = np.array([cmath.exp(-1j * p) for p in phi.tolist()], dtype=complex)[:, None]
+    phase = _phase_factor(phi)[:, None]
     # The np.where branches not taken divide by t = 0 or multiply inf by 0,
     # and states that overflow fail the residual test: neither warns.
     with np.errstate(all="ignore"):
-        amp1, amp2 = _amplitudes(t, at_zero, at_inf, rot)
+        amp1, amp2 = _amplitudes(t, at_zero, at_inf, phase.conjugate())
         energy = -v * (1.0 + t * t) / (4.0 * t)
         energy = np.where(at_zero, -0.5 * (R + c), np.where(at_inf, 0.5 * (R - c), energy))
         imbalance = (amp2.real * amp2.real + amp2.imag * amp2.imag) - (
             amp1.real * amp1.real + amp1.imag * amp1.imag
         )
-        residual = _residual(R, c, v, rot.conjugate(), amp1, amp2, energy)
-    energy = np.where(residual < tol, energy, np.nan)
+        residual = _residual(R, c, v, phase, amp1, amp2, energy)
+    scale = np.maximum(np.maximum(1.0, np.abs(R)), np.maximum(c, v))
+    energy = np.where(residual < TOL * scale, energy, np.nan)
 
     # Sort by energy (rejected states, NaN, go last), merge, then sort by
     # (energy, imbalance); both sorts are stable.
@@ -293,7 +294,7 @@ def _states_at_roots(R, c, v, phi, t, tol) -> StationaryArrays:
     )
 
 
-def stationary_arrays(R, v, phi, c, tol: float = 1e-9) -> StationaryArrays:
+def stationary_arrays(R, v, phi, c) -> StationaryArrays:
     """All stationary states at many parameter points, as (n, 4) arrays.
 
     R, v, phi and c are scalars or 1-D arrays that broadcast to n points;
@@ -312,20 +313,19 @@ def stationary_arrays(R, v, phi, c, tol: float = 1e-9) -> StationaryArrays:
         raise ValueError("parameters must be finite")
     if (v < 0.0).any() or (c < 0.0).any():
         raise ValueError("v and c must be >= 0")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
-    # The quartic ignores phi: each distinct (R, c, v) is solved once.
-    index: dict[tuple[float, float, float], int] = {}
-    rows = [index.setdefault(key, len(index)) for key in zip(R.tolist(), c.tolist(), v.tolist())]
-    distinct = np.array(list(index), dtype=float).reshape(-1, 3).T
+    # Each distinct (R, c, v) is solved once, found by lexsort: np.unique(axis=0) is 4-8x slower.
+    order = np.lexsort((v, c, R))
+    key = np.stack([R, c, v])[:, order]
+    first = np.r_[True, (key[:, 1:] != key[:, :-1]).any(axis=0)]
     with np.errstate(over="ignore"):
-        coeffs = np.stack(np.broadcast_arrays(*_quartic(*distinct)), axis=1)
-    roots, _, solvable = real_roots(coeffs, tol)
+        coeffs = np.stack(np.broadcast_arrays(*_quartic(*key[:, first])), axis=1)
+    roots, _, solvable = real_roots(coeffs)
+    rows = (np.cumsum(first) - 1)[np.argsort(order)]
     roots = roots[rows]
     roots[(v == 0.0)[:, None] & (roots < 0.0)] = np.nan
     roots[~_has_states(R, v)] = np.nan
-    states = _states_at_roots(R, c, v, phi, roots, tol)
+    states = _states_at_roots(R, c, v, phi, roots)
     states.failed[~solvable[rows]] = True
     return states
 
@@ -340,20 +340,18 @@ def _require_states(states: StationaryArrays, k: int, params: ModelParams) -> No
         )
 
 
-def reconstruct_states(
-    params: ModelParams, root: float, tol: float = 1e-9
-) -> list[Eigenstate]:
+def reconstruct_states(params: ModelParams, root: float) -> list[Eigenstate]:
     """The state at a root t = tan(beta/2) of the t-quartic: a list of zero or one.
 
     Built as stationary_arrays builds it, and kept when its stationarity
-    residual is below tol.
+    residual passes the same scaled test.
     """
     point = (np.array([x]) for x in (params.R, params.c, params.v, params.phi))
-    states = _states_at_roots(*point, np.array([[root, np.nan, np.nan, np.nan]]), tol)
+    states = _states_at_roots(*point, np.array([[root, np.nan, np.nan, np.nan]]))
     return states.take([0] * states.count[0], [0] * states.count[0])
 
 
-def stationary_states(params: ModelParams, tol: float = 1e-9) -> StationaryFamily:
+def stationary_states(params: ModelParams) -> StationaryFamily:
     """All stationary states at one parameter point, one per real root of the t-quartic.
 
     Needs v > 0 or R != 0; the fully degenerate origin has no preferred states.
@@ -363,7 +361,7 @@ def stationary_states(params: ModelParams, tol: float = 1e-9) -> StationaryFamil
     share one value and are ordered by imbalance.  This is stationary_arrays
     for one point.
     """
-    states = stationary_arrays(params.R, params.v, params.phi, params.c, tol)
+    states = stationary_arrays(params.R, params.v, params.phi, params.c)
     _require_states(states, 0, params)
     n = int(states.count[0])
     return StationaryFamily(params, tuple(states.take([0] * n, list(range(n)))))
@@ -393,9 +391,7 @@ def phi_loop(params: ModelParams, n_points: int) -> ParamPath:
     return ParamPath(np.full(n, params.R), np.full(n, params.c), np.full(n, params.v), phi)
 
 
-def continue_branch(
-    path: ParamPath, seed: Eigenstate, tol: float = 1e-9
-) -> list[Eigenstate]:
+def continue_branch(path: ParamPath, seed: Eigenstate) -> list[Eigenstate]:
     """Track one stationary branch along a parameter path by maximum overlap.
 
     At each point the candidate maximizing |<previous|candidate>| is taken;
@@ -404,7 +400,7 @@ def continue_branch(
     The whole path is solved in one stationary_arrays call; the tracking
     then walks its candidates.
     """
-    states = stationary_arrays(path.R, path.v, path.phi, path.c, tol)
+    states = stationary_arrays(path.R, path.v, path.phi, path.c)
     bad = (states.failed | ~_has_states(path.R, path.v)).tolist()
 
     a1, a2 = seed.amp1, seed.amp2

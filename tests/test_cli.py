@@ -68,6 +68,15 @@ def test_spectrum_below_critical_has_four_levels():
     assert energies == pytest.approx([-0.5, -0.5, -0.25, 0.25], abs=1e-9)
 
 
+def test_spectrum_at_large_bias_keeps_both_levels(capsys):
+    # At |R| >= 1e7 the residual of a true state exceeds 1e-9 through rounding
+    # alone; the scaled residual test keeps both states.
+    assert cli.main(["spectrum", "--R", "1e7:1e9:3", "--v", "1", "--c", "1"]) == 0
+    header, _, rows = parse_csv(capsys.readouterr().out)
+    assert not any(h.startswith("# skipped:") for h in header)
+    assert [len([x for x in row[2:] if x]) for row in rows] == [2, 2, 2]
+
+
 def test_spectrum_linear_model_band():
     proc = run_cli("spectrum", "--R", "0:2:5", "--v", "1", "--c", "0")
     _, _, rows = parse_csv(proc.stdout)
@@ -113,8 +122,8 @@ def test_failing_point_is_skipped_and_counted(monkeypatch, capsys):
     # one as failing its state-count check.
     real = cli.stationary_arrays
 
-    def fails_at_half_bias(R, v, phi, c, tol):
-        states = real(R, v, phi, c, tol)
+    def fails_at_half_bias(R, v, phi, c):
+        states = real(R, v, phi, c)
         return dataclasses.replace(states, failed=states.failed | (R == 0.5))
 
     monkeypatch.setattr(cli, "stationary_arrays", fails_at_half_bias)
@@ -423,7 +432,7 @@ def test_non_finite_values_are_usage_errors(args, flag):
     assert flag in run_cli(*args, expect=2).stderr
 
 
-@pytest.mark.parametrize("key", ["phi", "loop_points"])
+@pytest.mark.parametrize("key", ["phi", "loop_points", "tol"])
 def test_retired_settings_are_unknown(key, tmp_path):
     run_cli("triple", f"--{key.replace('_', '-')}", "16", expect=2)
     cfg = tmp_path / "old.cfg"

@@ -77,7 +77,7 @@ def test_witness_needs_a_pair(monkeypatch):
 
     params = ModelParams(R=0.0, c=1.0, v=0.5)
     single = StationaryFamily(params=params, states=(_state(1.0, 0.0),))
-    monkeypatch.setattr(echo_mod, "stationary_states", lambda p, tol=1e-9: single)
+    monkeypatch.setattr(echo_mod, "stationary_states", lambda p: single)
     with pytest.raises(ModelDegenerateError):
         nonlinearity_witness(params)
 
@@ -332,7 +332,7 @@ def _rk4_reference(initial, drive, dt):
     n_steps = max(1, round(T / dt))
     h = T / n_steps
     a1, a2 = complex(initial.amp1), complex(initial.amp2)
-    norm = math.sqrt(abs(a1) ** 2 + abs(a2) ** 2)
+    norm = math.hypot(a1.real, a1.imag, a2.real, a2.imag)
     a1, a2 = a1 / norm, a2 / norm
     out = [(a1, a2)]
     for k in range(n_steps):
@@ -413,6 +413,14 @@ def test_evolve_rejects_zero_or_non_finite_initial_state(amplitudes):
         evolve_nonlinear(_state(*amplitudes), zero_drive(base, 1.0), 0.01)
 
 
+def test_evolve_normalizes_large_initial_state_without_overflow():
+    # |1e200|^2 overflows; the hypot norm does not, and the state normalizes to (1, 0).
+    drive = circular_drive(ModelParams(R=0.3, c=1.0, v=0.8), 0.5, 1.0, 1.0)
+    _, big = evolve_nonlinear(_state(1e200, 0.0), drive, 0.01)
+    _, unit = evolve_nonlinear(_state(1.0, 0.0), drive, 0.01)
+    assert big.tobytes() == unit.tobytes()
+
+
 def test_echo_rejects_zero_initial_state():
     # The zero vector has residual 0 for any energy, so it passes the
     # stationarity check; it must not reach a division by its norm.
@@ -458,6 +466,14 @@ def test_echo_rejects_non_stationary_state():
     base = ModelParams(R=0.3, c=0.8, v=1.1)
     with pytest.raises(InvalidStateError):
         loschmidt_dynamical(_state(1.0, 0.0), zero_drive(base, 5.0), 1e-2)
+
+
+def test_echo_accepts_stationary_state_at_large_bias():
+    # At R = 1e8 rounding alone leaves a residual of 7.5e-9 > 1e-9; the
+    # stationarity check scales with max(1, |R|, c, v) as the solver's does.
+    base = ModelParams(R=1e8, c=1.0, v=1.0)
+    trace = loschmidt_dynamical(stationary_states(base).states[0], zero_drive(base, 1e-9), 1e-11)
+    np.testing.assert_allclose(trace.values, 1.0, atol=1e-10)
 
 
 def _two_flow_echo(initial, drive, times):

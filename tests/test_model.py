@@ -19,9 +19,12 @@ from dimerphase import (
     stationary_arrays,
     stationary_states,
 )
+from dimerphase._batch import TOL
 from dimerphase.model import (
+    TWO_PI,
     _apply,
     _overlap,
+    _phase_factor,
     _quartic,
     reconstruct_states,
     solve_quartic_real_roots,
@@ -519,8 +522,19 @@ def _columns(R, c, v, phi):
     return [np.array(x, dtype=float) for x in (R, c, v, phi)]
 
 
+# 0.0 == -0.0, so the two biases share one quartic solve in a batch; each row
+# must still be what its own point gives, the sign of zero included.
+_SIGNED_ZEROS = [
+    (R, c, v, 0.0)
+    for c, v in [(1.0, 0.5), (0.0, 1.0), (1.0, 1.0), (2.0, 1.2), (1.0, 0.0)]
+    for R in (0.0, -0.0)
+]
+
+
 @_BATCH_PROPERTY
 @given(points=kernel_batches)
+@example(points=_SIGNED_ZEROS)
+@example(points=_SIGNED_ZEROS[::-1])
 def test_kernel_rows_equal_single_point_solves(points):
     R, c, v, phi = _columns(*zip(*points))
     states = stationary_arrays(R, v, phi, c)
@@ -541,12 +555,12 @@ def test_kernel_rows_equal_single_point_solves(points):
         assert repr(fields) == repr([(s.energy, s.imbalance, s.amp1, s.amp2) for s in single])
 
 
-def _per_root_states(params, tol=1e-9):
+def _per_root_states(params):
     """States from one reconstruct_states call per root, merged and sorted in Python."""
-    roots = solve_quartic_real_roots(_quartic(params.R, params.c, params.v), tol)
+    roots = solve_quartic_real_roots(_quartic(params.R, params.c, params.v))
     if params.v == 0.0:
         roots = [(t, mult) for t, mult in roots if t >= 0.0]
-    states = [s for t, _ in roots for s in reconstruct_states(params, t, tol)]
+    states = [s for t, _ in roots for s in reconstruct_states(params, t)]
     states.sort(key=lambda s: s.energy)
     for i in range(1, len(states)):
         low, high = states[i - 1].energy, states[i].energy
@@ -598,14 +612,41 @@ def test_kernel_rejects_bad_parameters(R, v, c):
         stationary_arrays([0.0, R], [1.0, v], 0.0, c)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
-def test_kernel_rejects_bad_tolerance(tol):
-    # tol = inf would keep all four roots at (R, v, c) = (0, 1.5, 1), where two
-    # states exist; -1 and nan would reject every state and blame the physics.
-    with pytest.raises(ValueError, match="tol"):
-        stationary_arrays(0.0, 1.5, 0.0, 1.0, tol=tol)
-    with pytest.raises(ValueError, match="tol"):
-        stationary_states(ModelParams(R=0.0, c=1.0, v=1.5), tol=tol)
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(phis=st.lists(st.floats(0.0, TWO_PI, exclude_max=True), min_size=1, max_size=16))
+@example(phis=[0.0])
+def test_phase_factor_rounds_as_cmath(phis):
+    # The kernel rotates amplitudes by the conjugate, e^{-i phi}; both must be
+    # cmath's values bit for bit, the sign of a zero imaginary part included.
+    phase = _phase_factor(np.array(phis))
+    for phi, e, rot in zip(phis, phase.tolist(), phase.conjugate().tolist()):
+        for got, want in ((e, cmath.exp(1j * phi)), (rot, cmath.exp(-1j * phi))):
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+_decades = st.floats(-100.0, 100.0).map(lambda e: 10.0**e)
+# (R, c, v) over 200 decades, R of either sign.  The far root t ~ 2 max(|R|, c) / v
+# must keep t^2 finite: a point whose t^2 overflows still loses a state.
+scaled_points = st.tuples(
+    st.builds(lambda sign, x: sign * x, st.sampled_from([-1.0, 1.0]), _decades),
+    _decades,
+    _decades,
+).filter(lambda p: 2.0 * max(abs(p[0]), p[1]) / p[2] < 1e150)
+
+
+@_BATCH_PROPERTY
+@given(points=st.lists(scaled_points, min_size=1, max_size=24))
+@example(points=[(1e8, 1.0, 1.0), (0.0, 1.0, 1e8), (0.0, 1e12, 1.0), (-3e60, 2e-40, 5e-20)])
+def test_kernel_keeps_every_state_at_any_scale(points):
+    # Rounding in H(psi) psi grows with max(|R|, c, v), and so does the residual
+    # test: a large scale must not reject true states and fail the point.
+    R, c, v = (np.array(x) for x in zip(*points))
+    states = stationary_arrays(R, v, 0.0, c)
+    scale = np.maximum(np.maximum(1.0, np.abs(R)), np.maximum(c, v))
+    assert not states.failed.any()
+    assert ((2 <= states.count) & (states.count <= 4)).all()
+    for k, n in enumerate(states.count.tolist()):
+        assert (states.residual[k, :n] < TOL * scale[k]).all()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
