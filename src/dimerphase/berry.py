@@ -14,7 +14,6 @@ reduced to [0, 2*pi).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -27,7 +26,15 @@ from .errors import (
     NearSingularLoopError,
     SingularLimitError,
 )
-from .model import TWO_PI, Eigenstate, _check_finite, _check_overlap, _check_theta, _overlap
+from .model import (
+    TWO_PI,
+    Branch,
+    Eigenstate,
+    _check_finite,
+    _check_overlap,
+    _check_theta,
+    _overlap_parts,
+)
 
 # Lower bound on 1 - sin(theta)*s (general quadrature) and 1 - sin(theta)
 # (unit-overlap limit) before the integrands are declared singular.
@@ -203,18 +210,27 @@ def berry_phase_discrete(branch: Sequence[Eigenstate]) -> float:
 
     The branch is treated cyclically, so passing the closing point twice is
     harmless (the duplicate factor is <psi|psi> = 1).  Any consecutive overlap
-    with modulus below 0.5 means the loop is sampled too coarsely.
+    with modulus below 0.5 means the loop is sampled too coarsely.  A Branch
+    is read through its amplitude columns, any other sequence of states
+    through its records; the phases of the overlaps are summed in order.
     """
     n = len(branch)
     if n < 16:
         raise ValueError("need at least 16 samples around the loop")
+    if isinstance(branch, Branch):
+        a1, a2 = branch.amp1, branch.amp2
+    else:
+        a1 = np.array([s.amp1 for s in branch], dtype=complex)
+        a2 = np.array([s.amp2 for s in branch], dtype=complex)
+    re, im = _overlap_parts(a1, a2, np.roll(a1, -1), np.roll(a2, -1))
+    modulus = np.hypot(re, im)
+    coarse = np.flatnonzero(modulus < 0.5)
+    if coarse.size:
+        k = int(coarse[0])
+        raise LoopTooCoarseError(
+            f"overlap modulus {modulus[k]:.3f} between samples {k} and {(k + 1) % n}"
+        )
     total = 0.0
-    for k in range(n):
-        a, b = branch[k], branch[(k + 1) % n]
-        z = _overlap(a.amp1, a.amp2, b.amp1, b.amp2)
-        if abs(z) < 0.5:
-            raise LoopTooCoarseError(
-                f"overlap modulus {abs(z):.3f} between samples {k} and {(k + 1) % n}"
-            )
-        total += cmath.phase(z)
+    for y, x in zip(im.tolist(), re.tolist()):
+        total += math.atan2(y, x)
     return _wrap(-total)

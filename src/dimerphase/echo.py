@@ -42,7 +42,7 @@ from .model import (
     _check_finite,
     _check_overlap,
     _check_theta,
-    _overlap,
+    _overlap_parts,
     _phase_factor,
     _residual,
     stationary_states,
@@ -191,7 +191,7 @@ def nonlinearity_witness(params: ModelParams) -> WitnessReport:
 
 def _pair_witness(lo1: complex, lo2: complex, hi1: complex, hi2: complex) -> float:
     """min(1, |<lo|hi>|) of a state pair given by its amplitudes."""
-    return min(1.0, abs(_overlap(lo1, lo2, hi1, hi2)))
+    return min(1.0, abs(complex(*_overlap_parts(lo1, lo2, hi1, hi2))))
 
 
 def loschmidt_adiabatic(theta: float, overlap: float) -> float:

@@ -23,8 +23,8 @@ quartic, and stationary_states the solver for one point.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -113,6 +113,38 @@ class StationaryFamily:
 
 
 @dataclass(frozen=True, eq=False)
+class Branch(Sequence):
+    """One tracked stationary state per path point, stored as columns.
+
+    amp1, amp2, energy, imbalance and residual are 1-D arrays with one entry
+    per point.  min_overlap is the smallest overlap modulus |<previous|chosen>|
+    the walk accepted, the step from the seed included.  Indexing and
+    iteration give Eigenstate records; a slice gives a list of them.
+    """
+
+    amp1: np.ndarray
+    amp2: np.ndarray
+    energy: np.ndarray
+    imbalance: np.ndarray
+    residual: np.ndarray
+    min_overlap: float
+
+    def _columns(self):
+        return (self.amp1, self.amp2, self.energy, self.imbalance, self.residual)
+
+    def __len__(self) -> int:
+        return len(self.energy)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return list(self)[k]
+        return Eigenstate(*(f[k].item() for f in self._columns()))
+
+    def __iter__(self):
+        return map(Eigenstate, *(f.tolist() for f in self._columns()))
+
+
+@dataclass(frozen=True, eq=False)
 class StationaryArrays:
     """Stationary states at n parameter points, one row per point.
 
@@ -132,10 +164,12 @@ class StationaryArrays:
     count: np.ndarray
     failed: np.ndarray
 
+    def _columns(self):
+        return (self.amp1, self.amp2, self.energy, self.imbalance, self.residual)
+
     def take(self, k, j) -> list[Eigenstate]:
         """The states in rows k, columns j (index arrays of one length), as records."""
-        fields = (self.amp1, self.amp2, self.energy, self.imbalance, self.residual)
-        return [Eigenstate(*state) for state in zip(*(f[k, j].tolist() for f in fields))]
+        return [Eigenstate(*state) for state in zip(*(f[k, j].tolist() for f in self._columns()))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,11 +268,16 @@ def solve_quartic_real_roots(coeffs: Sequence[float]) -> list[tuple[float, int]]
     return [(t, m) for t, m in zip(roots[0].tolist(), mult[0].tolist()) if m]
 
 
-def _amplitudes(t, at_zero, at_inf, rot):
-    """amp1 and amp2 of the states at roots t, with rot = e^{-i phi}."""
-    tsq = t * t
-    a1 = np.sqrt(tsq / (1.0 + tsq))
-    s = np.sqrt(1.0 / (1.0 + tsq))
+def _amplitudes(t, tsq, u, at_zero, at_inf, rot):
+    """amp1 and amp2 of the states at roots t, with tsq = t^2, u = 1/t and rot = e^{-i phi}.
+
+    Where t is finite but t^2 overflows, the moduli are built from u instead,
+    as 1/sqrt(1 + u^2) and |u|/sqrt(1 + u^2).
+    """
+    far = np.isinf(tsq) & ~at_inf
+    root = np.sqrt(1.0 + u * u)
+    a1 = np.where(far, 1.0 / root, np.sqrt(tsq / (1.0 + tsq)))
+    s = np.where(far, np.abs(u) / root, np.sqrt(1.0 / (1.0 + tsq)))
     a2 = np.where(t < 0.0, s, -s) * rot
     amp1 = np.where(at_zero, 0.0, np.where(at_inf, 1.0, a1)).astype(complex)
     amp2 = np.where(at_zero, 1.0 + 0.0j, np.where(at_inf, 0.0j, a2))
@@ -250,7 +289,9 @@ def _states_at_roots(R, c, v, phi, t) -> StationaryArrays:
 
     Amplitudes (|t|, -sign(t) e^{-i phi}) / sqrt(1 + t^2), with amp2 = 1 at
     t = 0 and psi = (1, 0) at t = inf; energy E = -v (1 + t^2) / (4 t), whose
-    limits are -(R + c)/2 at t = 0 and (R - c)/2 at t = inf.  A state is kept
+    limits are -(R + c)/2 at t = 0 and (R - c)/2 at t = inf.  The far root of
+    a tiny v or a huge |R| is taken through u = 1/t: the amplitudes where t^2
+    overflows, and E = -(v/4)(t + u) where v (1 + t^2) does.  A state is kept
     when its residual |H(psi) psi - E psi| is below TOL max(1, |R|, c, v).
     Energies equal to within 1e-12 (relative) are one degenerate level: they
     share one value and are ordered by imbalance.
@@ -261,8 +302,10 @@ def _states_at_roots(R, c, v, phi, t) -> StationaryArrays:
     # The np.where branches not taken divide by t = 0 or multiply inf by 0,
     # and states that overflow fail the residual test: neither warns.
     with np.errstate(all="ignore"):
-        amp1, amp2 = _amplitudes(t, at_zero, at_inf, phase.conjugate())
-        energy = -v * (1.0 + t * t) / (4.0 * t)
+        tsq, u = t * t, 1.0 / t
+        amp1, amp2 = _amplitudes(t, tsq, u, at_zero, at_inf, phase.conjugate())
+        lift = -v * (1.0 + tsq)
+        energy = np.where(np.isinf(lift) & ~at_inf, -(v / 4.0) * (t + u), lift / (4.0 * t))
         energy = np.where(at_zero, -0.5 * (R + c), np.where(at_inf, 0.5 * (R - c), energy))
         imbalance = (amp2.real * amp2.real + amp2.imag * amp2.imag) - (
             amp1.real * amp1.real + amp1.imag * amp1.imag
@@ -367,9 +410,17 @@ def stationary_states(params: ModelParams) -> StationaryFamily:
     return StationaryFamily(params, tuple(states.take([0] * n, list(range(n)))))
 
 
-def _overlap(a1: complex, a2: complex, b1: complex, b2: complex) -> complex:
-    """Inner product <a|b> of two amplitude pairs."""
-    return a1.conjugate() * b1 + a2.conjugate() * b2
+def _overlap_parts(a1, a2, b1, b2):
+    """Real and imaginary parts of the inner product <a|b> of amplitude pairs.
+
+    Works on Python complex numbers and elementwise on complex arrays alike,
+    rounded as Python rounds a1.conjugate() * b1 + a2.conjugate() * b2; numpy's
+    complex product rounds differently.  Take the modulus with np.hypot or
+    abs(complex(re, im)), which round as Python's complex abs; math.hypot does not.
+    """
+    re = (a1.real * b1.real + a1.imag * b1.imag) + (a2.real * b2.real + a2.imag * b2.imag)
+    im = (a1.real * b1.imag - a1.imag * b1.real) + (a2.real * b2.imag - a2.imag * b2.real)
+    return re, im
 
 
 def _point(path: ParamPath, k: int) -> ModelParams:
@@ -391,33 +442,46 @@ def phi_loop(params: ModelParams, n_points: int) -> ParamPath:
     return ParamPath(np.full(n, params.R), np.full(n, params.c), np.full(n, params.v), phi)
 
 
-def continue_branch(path: ParamPath, seed: Eigenstate) -> list[Eigenstate]:
+def continue_branch(path: ParamPath, seed: Eigenstate) -> Branch:
     """Track one stationary branch along a parameter path by maximum overlap.
 
-    At each point the candidate maximizing |<previous|candidate>| is taken;
-    if even the best overlap falls below 0.5 the branch has been lost (folded
-    away or the path is sampled too coarsely) and BranchLostError is raised.
-    The whole path is solved in one stationary_arrays call; the tracking
-    then walks its candidates.
+    At each point the candidate maximizing |<previous|candidate>| is taken,
+    the first one on a tie; if even the best overlap falls below 0.5 the
+    branch has been lost (folded away or the path is sampled too coarsely)
+    and BranchLostError is raised.  A point without trustworthy states
+    raises as stationary_states does; of the two, the error at the earlier
+    point is raised.
+
+    The whole path is solved in one stationary_arrays call.  One (n, 4, 4)
+    table then holds the overlap moduli of every candidate at point k-1 (the
+    seed at k = 0) with every candidate at point k, and the walk is one
+    lookup per point in its argmax.
     """
     states = stationary_arrays(path.R, path.v, path.phi, path.c)
-    bad = (states.failed | ~_has_states(path.R, path.v)).tolist()
+    n = len(path.R)
+    before1 = np.concatenate([np.full((1, 4), seed.amp1, dtype=complex), states.amp1[:-1]])
+    before2 = np.concatenate([np.full((1, 4), seed.amp2, dtype=complex), states.amp2[:-1]])
+    re, im = _overlap_parts(
+        before1[:, :, None], before2[:, :, None], states.amp1[:, None, :], states.amp2[:, None, :]
+    )
+    table = np.hypot(re, im)
+    # A missing candidate (NaN) loses to every real one, as no overlap is below 0.
+    table[np.isnan(table)] = -1.0
+    best = table.argmax(axis=2).tolist()
+    chosen, j = [], 0
+    for row in best:
+        j = row[j]
+        chosen.append(j)
+    rows, chosen = np.arange(n), np.array(chosen)
+    walked = table[rows, np.r_[0, chosen[:-1]], chosen]
 
-    a1, a2 = seed.amp1, seed.amp2
-    chosen = []
-    for k, n in enumerate(states.count.tolist()):
+    bad = states.failed | ~_has_states(path.R, path.v)
+    stops = np.flatnonzero(bad | (walked < 0.5))
+    if stops.size:
+        k = int(stops[0])
         if bad[k]:
             _require_states(states, k, _point(path, k))
-        cands = list(zip(states.amp1[k, :n].tolist(), states.amp2[k, :n].tolist()))
-        best, best_ov = None, -1.0
-        for j, (b1, b2) in enumerate(cands):
-            ov = abs(_overlap(a1, a2, b1, b2))
-            if ov > best_ov:
-                best, best_ov = j, ov
-        if best is None or best_ov < 0.5:
-            raise BranchLostError(
-                f"best overlap {best_ov:.3f} at {_point(path, k)}; refine the path or stop earlier"
-            )
-        chosen.append(best)
-        a1, a2 = cands[best]
-    return states.take(np.arange(len(path.R)), chosen)
+        raise BranchLostError(
+            f"best overlap {walked[k]:.3f} at {_point(path, k)}; refine the path or stop earlier"
+        )
+    return Branch(*(f[rows, chosen] for f in states._columns()), float(walked.min()))

@@ -27,7 +27,7 @@ from dimerphase import (
     solid_angle,
     stationary_states,
 )
-from dimerphase.berry import _companion_solid_angle
+from dimerphase.berry import _companion_solid_angle, _wrap
 
 TWO_PI = 2.0 * math.pi
 
@@ -405,15 +405,53 @@ def test_discrete_duplicate_closing_point_is_harmless():
     params = ModelParams(R=0.0, c=0.0, v=2.0)
     branch = _ground_branch(params, 128)
     assert berry_phase_discrete(branch) == pytest.approx(
-        berry_phase_discrete(branch + [branch[0]]), abs=1e-12
+        berry_phase_discrete([*branch, branch[0]]), abs=1e-12
     )
 
 
 def test_discrete_rejects_coarse_loop():
     up = Eigenstate(1.0 + 0.0j, 0.0j, -0.5, -1.0, 0.0)
     down = Eigenstate(0.0j, 1.0 + 0.0j, -0.5, 1.0, 0.0)
-    with pytest.raises(LoopTooCoarseError):
+    with pytest.raises(LoopTooCoarseError, match="modulus 0.000 between samples 0 and 1$"):
         berry_phase_discrete([up, down] * 8)
+    with pytest.raises(LoopTooCoarseError, match="between samples 4 and 5$"):
+        berry_phase_discrete([up] * 5 + [down] + [up] * 12)
+
+
+def test_discrete_coarse_closing_pair_names_the_wrap():
+    # Each step turns the state by pi/30; only the closing step is coarse.
+    turn = [k * math.pi / 30.0 for k in range(16)]
+    twist = [Eigenstate(complex(math.cos(a)), complex(math.sin(a)), 0.0, 0.0, 0.0) for a in turn]
+    with pytest.raises(LoopTooCoarseError, match="modulus 0.000 between samples 15 and 0$"):
+        berry_phase_discrete(twist)
+
+
+def _sequential_phase(states):
+    """The loop phase as a Python loop over the records, one cmath.phase a step."""
+    total = 0.0
+    for a, b in zip(states, [*states[1:], states[0]]):
+        total += cmath.phase(a.amp1.conjugate() * b.amp1 + a.amp2.conjugate() * b.amp2)
+    return _wrap(-total)
+
+
+@pytest.mark.parametrize(
+    "R, c, v",
+    [(0.0, c, v) for c in (0.0, 0.5, 2.0) for v in (0.5, 1.0, 2.0)]
+    + [(0.5, 1.0, 0.7), (-0.8, 1.5, 0.6), (0.3, 2.0, 0.5)],
+)
+def test_discrete_phase_bits_match_sequential_reference(R, c, v):
+    params = ModelParams(R=R, c=c, v=v, phi=0.7)
+    branch = _ground_branch(params, 256)
+    records = list(branch)
+    want = _sequential_phase(records).hex()
+    assert berry_phase_discrete(branch).hex() == want
+    assert berry_phase_discrete(records).hex() == want
+    rng = np.random.default_rng(int(1000 * (R + c + v)))
+    regauged = [
+        dataclasses.replace(st, amp1=st.amp1 * cmath.exp(1j * a), amp2=st.amp2 * cmath.exp(1j * a))
+        for st, a in zip(records, rng.uniform(0.0, TWO_PI, size=len(records)))
+    ]
+    assert berry_phase_discrete(regauged).hex() == _sequential_phase(regauged).hex()
 
 
 def test_phase_pair_range():

@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import math
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -20,12 +21,17 @@ from dimerphase import (
     stationary_states,
 )
 from dimerphase._batch import TOL
+import dimerphase.model as model_mod
 from dimerphase.model import (
     TWO_PI,
+    Branch,
     _apply,
-    _overlap,
+    _has_states,
+    _overlap_parts,
     _phase_factor,
+    _point,
     _quartic,
+    _require_states,
     reconstruct_states,
     solve_quartic_real_roots,
 )
@@ -381,7 +387,7 @@ def test_continue_branch_coarse_bias_sweep_reattaches():
     )
     # the rising branch folds away: a coarse sweep silently lands elsewhere
     end = coarse[-1]
-    assert abs(_overlap(seed.amp1, seed.amp2, end.amp1, end.amp2)) > 0.5
+    assert abs(_python_overlap(seed, end)) > 0.5
     # while the surviving branch tracks smoothly
     deltas = [
         abs(a.imbalance - b.imbalance) for a, b in zip(fine[:-1], fine[1:])
@@ -389,12 +395,221 @@ def test_continue_branch_coarse_bias_sweep_reattaches():
     assert max(deltas) < 0.02
 
 
+def test_branch_is_a_sequence_of_records():
+    params = ModelParams(R=0.5, c=1.0, v=0.7, phi=0.3)
+    seed = stationary_states(params).states[0]
+    branch = continue_branch(phi_loop(params, 16), seed)
+    assert isinstance(branch, Branch) and len(branch) == 17
+    records = list(branch)
+    assert records[0] == branch[0] and records[-1] == branch[-1] == branch[16]
+    assert branch[::-1] == records[::-1] and branch[3:5] == records[3:5]
+    assert records.index(branch[4]) == 4
+    for k, state in enumerate(records):
+        assert isinstance(state.amp1, complex) and isinstance(state.energy, float)
+        assert (state.amp1, state.energy) == (branch.amp1[k], branch.energy[k])
+    with pytest.raises(IndexError):
+        branch[17]
+
+
+def test_branch_min_overlap_is_the_smallest_accepted_step():
+    # The seed's step counts: a seed off the path's states lowers the minimum.
+    params = ModelParams(R=0.3, c=2.0, v=0.5)
+    states = stationary_states(params).states
+    off = stationary_states(ModelParams(R=0.3, c=2.0, v=0.45)).states[0]
+    for path, seed in [
+        (phi_loop(params, 64), states[0]),
+        (phi_loop(params, 64), off),
+        (_bias_sweep(params, 1.5, 9), states[-1]),
+    ]:
+        branch = continue_branch(path, seed)
+        steps = zip([seed, *branch[:-1]], branch)
+        assert branch.min_overlap == min(abs(_python_overlap(a, b)) for a, b in steps)
+    assert continue_branch(phi_loop(params, 64), off).min_overlap < 1.0 - 1e-6
+
+
+def _reference_walk(path, seed):
+    """The per-point walk continue_branch replaced: the reference for its choices.
+
+    Returns the chosen states and the smallest overlap accepted.
+    """
+    states = model_mod.stationary_arrays(path.R, path.v, path.phi, path.c)
+    bad = (states.failed | ~_has_states(path.R, path.v)).tolist()
+    a1, a2 = seed.amp1, seed.amp2
+    chosen, accepted = [], []
+    for k, n in enumerate(states.count.tolist()):
+        if bad[k]:
+            _require_states(states, k, _point(path, k))
+        cands = list(zip(states.amp1[k, :n].tolist(), states.amp2[k, :n].tolist()))
+        best, best_ov = None, -1.0
+        for j, (b1, b2) in enumerate(cands):
+            ov = abs(a1.conjugate() * b1 + a2.conjugate() * b2)
+            if ov > best_ov:
+                best, best_ov = j, ov
+        if best is None or best_ov < 0.5:
+            raise BranchLostError(
+                f"best overlap {best_ov:.3f} at {_point(path, k)}; refine the path or stop earlier"
+            )
+        chosen.append(best)
+        accepted.append(best_ov)
+        a1, a2 = cands[best]
+    return states.take(np.arange(len(path.R)), chosen), min(accepted)
+
+
+def _walk_outcome(walk):
+    """What a walk gave: its states and minimum overlap, or its error's type and text."""
+    try:
+        states, least = walk()
+    except (ArithmeticError, BranchLostError, InvalidStateError) as err:
+        return type(err), str(err)
+    return repr([(s.amp1, s.amp2, s.energy, s.imbalance, s.residual) for s in states]), least
+
+
+def _walks_agree(path, seed):
+    """Assert continue_branch does what the reference walk does; return that outcome."""
+
+    def walk():
+        branch = continue_branch(path, seed)
+        return branch, branch.min_overlap
+
+    got = _walk_outcome(walk)
+    assert got == _walk_outcome(lambda: _reference_walk(path, seed))
+    return got
+
+
+@st.composite
+def walk_paths(draw):
+    """Coupling-phase loops and bias sweeps, R = 0, c = v and v = 0 among them."""
+    c = draw(nonlinearities)
+    v = draw(st.one_of(couplings, st.just(c), st.just(0.0)))
+    R = draw(biases)
+    phi = draw(st.floats(0.0, 6.28))
+    n = draw(st.integers(2, 40))
+    if draw(st.booleans()):
+        return phi_loop(ModelParams(R, c, v, phi), n)
+    stop = draw(st.one_of(biases, st.just(-R)))
+    return ParamPath(np.linspace(R, stop, n), *(np.full(n, x) for x in (c, v, phi)))
+
+
+def _seed_state(path, pick):
+    """State pick (cyclically) of the path's first point, or (1, 0) where it has none."""
+    try:
+        states = stationary_states(_point(path, 0)).states
+    except (ArithmeticError, InvalidStateError):
+        return Eigenstate(1.0 + 0.0j, 0.0j, 0.0, -1.0, 0.0)
+    return states[pick % len(states)]
+
+
+_WALK_PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+
+
+@_WALK_PROPERTY
+@given(path=walk_paths(), pick=st.integers(0, 3))
+@example(path=phi_loop(ModelParams(0.0, 1.0, 1.0), 8), pick=1)
+@example(path=_bias_sweep(ModelParams(-1.0, 1.0, 0.0), 1.0, 5), pick=0)
+def test_walk_chooses_as_the_per_point_reference(path, pick):
+    _walks_agree(path, _seed_state(path, pick))
+
+
+def _faulty_solver(failed_at, lost_at, toward, mix):
+    """stationary_arrays with point failed_at marked failed, and every state of
+    point lost_at replaced by one whose overlap with toward is mix < 0.5."""
+    real = model_mod.stationary_arrays
+
+    def solve(*args):
+        states = real(*args)
+        amp1, amp2, failed = states.amp1.copy(), states.amp2.copy(), states.failed.copy()
+        if failed_at is not None:
+            failed[failed_at] = True
+        if lost_at is not None:
+            t1, t2 = toward.amp1, toward.amp2
+            rest = math.sqrt(1.0 - mix * mix)
+            n = states.count[lost_at]
+            amp1[lost_at, :n] = mix * t1 - rest * t2.conjugate()
+            amp2[lost_at, :n] = mix * t2 + rest * t1.conjugate()
+        return dataclasses.replace(states, amp1=amp1, amp2=amp2, failed=failed)
+
+    return solve
+
+
+def _faulty_walks_agree(path, seed, failed_at, lost_at, mix):
+    """Corrupt the solve at failed_at and lost_at, and compare both walks on it."""
+    toward = seed
+    if lost_at:
+        # The state the reference reaches just before lost_at, where it gets there.
+        try:
+            toward = _reference_walk(path, seed)[0][lost_at - 1]
+        except (ArithmeticError, BranchLostError, InvalidStateError):
+            pass
+    solver = _faulty_solver(failed_at, lost_at, toward, mix)
+    with unittest.mock.patch.object(model_mod, "stationary_arrays", solver):
+        return _walks_agree(path, seed)
+
+
+@_WALK_PROPERTY
+@given(
+    path=walk_paths(),
+    pick=st.integers(0, 3),
+    mix=st.floats(0.0, 0.49),
+    data=st.data(),
+)
+def test_walk_raises_as_the_reference_at_the_earlier_fault(path, pick, mix, data):
+    point = st.none() | st.integers(0, len(path.R) - 1)
+    failed_at, lost_at = data.draw(point), data.draw(point)
+    _faulty_walks_agree(path, _seed_state(path, pick), failed_at, lost_at, mix)
+
+
+@pytest.mark.parametrize(
+    ("failed_at", "lost_at", "error"),
+    [
+        (3, 5, ArithmeticError),
+        (5, 3, BranchLostError),
+        (4, 4, ArithmeticError),
+        (None, 0, BranchLostError),
+        (0, None, ArithmeticError),
+    ],
+)
+def test_walk_raises_at_the_earlier_of_a_failed_and_a_lost_point(failed_at, lost_at, error):
+    params = ModelParams(R=0.2, c=1.0, v=0.6)
+    seed = stationary_states(params).states[0]
+    kind, message = _faulty_walks_agree(phi_loop(params, 8), seed, failed_at, lost_at, 0.25)
+    assert kind is error
+    if error is BranchLostError:
+        assert message.startswith("best overlap 0.250 at ")
+
+
+def _python_overlap(a, b):
+    """<a|b> of two states in Python complex arithmetic."""
+    return a.amp1.conjugate() * b.amp1 + a.amp2.conjugate() * b.amp2
+
+
 def test_state_overlap_hermitian_symmetry():
     fam = stationary_states(ModelParams(R=0.3, c=1.0, v=0.7, phi=0.4))
     a, b = fam.states[0], fam.states[1]
-    ab = _overlap(a.amp1, a.amp2, b.amp1, b.amp2)
-    assert ab == pytest.approx(_overlap(b.amp1, b.amp2, a.amp1, a.amp2).conjugate())
-    assert abs(_overlap(a.amp1, a.amp2, a.amp1, a.amp2)) == pytest.approx(1.0, abs=1e-12)
+    ab = complex(*_overlap_parts(a.amp1, a.amp2, b.amp1, b.amp2))
+    assert ab == pytest.approx(complex(*_overlap_parts(b.amp1, b.amp2, a.amp1, a.amp2)).conjugate())
+    assert abs(complex(*_overlap_parts(a.amp1, a.amp2, a.amp1, a.amp2))) == pytest.approx(
+        1.0, abs=1e-12
+    )
+
+
+_amplitude_parts = st.floats(-2.0, 2.0) | st.sampled_from([0.0, -0.0, 1e-300, -1e-170])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(parts=st.lists(st.tuples(*[_amplitude_parts] * 8), min_size=1, max_size=8))
+def test_overlap_parts_round_as_python_complex(parts):
+    # One formula for scalars and arrays, bit for bit Python's complex product
+    # and sum; np.hypot of the parts is Python's complex abs.
+    pairs = [[complex(x, y) for x, y in zip(p[::2], p[1::2])] for p in parts]
+    arrays = [np.array(column) for column in zip(*pairs)]
+    re, im = _overlap_parts(*arrays)
+    moduli = np.hypot(re, im).tolist()
+    for (a1, a2, b1, b2), x, y, modulus in zip(pairs, re.tolist(), im.tolist(), moduli):
+        want = a1.conjugate() * b1 + a2.conjugate() * b2
+        scalar = _overlap_parts(a1, a2, b1, b2)
+        for got in ((x, y), scalar):
+            assert (got[0].hex(), got[1].hex()) == (want.real.hex(), want.imag.hex())
+        assert modulus.hex() == abs(want).hex()
 
 
 def test_eigenstate_amplitudes_roundtrip():
@@ -466,9 +681,18 @@ def test_uncoupled_bias_beyond_nonlinearity_is_fully_polarized():
     assert [s.imbalance for s in fam.states] == [-1.0, 1.0]
 
 
-@pytest.mark.parametrize(("R", "count"), [(0.3, 4), (5.0, 2)])
-def test_tiny_coupling_keeps_every_state(R, count):
-    fam = stationary_states(ModelParams(R=R, c=1.0, v=1e-8))
+@pytest.mark.parametrize(
+    ("R", "v", "count"),
+    [
+        pytest.param(0.3, 1e-8, 4, id="0.3-4"),
+        pytest.param(5.0, 1e-8, 2, id="5.0-2"),
+        pytest.param(5.0, 1e-154, 2, id="5.0-1e-154-2"),
+        pytest.param(-5.0, 1e-300, 2, id="-5.0-1e-300-2"),
+    ],
+)
+def test_tiny_coupling_keeps_every_state(R, v, count):
+    # Below v ~ 1e-154 the far root's t^2 overflows; its state comes from 1/t.
+    fam = stationary_states(ModelParams(R=R, c=1.0, v=v))
     assert len(fam) == count
 
 
@@ -624,19 +848,25 @@ def test_phase_factor_rounds_as_cmath(phis):
             assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 
 
-_decades = st.floats(-100.0, 100.0).map(lambda e: 10.0**e)
-# (R, c, v) over 200 decades, R of either sign.  The far root t ~ 2 max(|R|, c) / v
-# must keep t^2 finite: a point whose t^2 overflows still loses a state.
-scaled_points = st.tuples(
-    st.builds(lambda sign, x: sign * x, st.sampled_from([-1.0, 1.0]), _decades),
-    _decades,
-    _decades,
-).filter(lambda p: 2.0 * max(abs(p[0]), p[1]) / p[2] < 1e150)
+_decades = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+_signs = st.sampled_from([-1.0, 1.0])
+# (R, c, v) over 600 decades, R of either sign, and couplings down to 1e-300 at
+# |R|, c = O(1), where the far root t ~ 2 max(|R|, c) / v squares past the
+# largest float.  The companion matrix holds 2 max(|R|, c) / v, which must stay finite.
+scaled_points = st.one_of(
+    st.tuples(st.builds(lambda sign, x: sign * x, _signs, _decades), _decades, _decades),
+    st.tuples(
+        st.builds(lambda sign, x: sign * x, _signs, st.floats(0.1, 10.0)),
+        st.floats(0.0, 10.0),
+        st.floats(-300.0, -100.0).map(lambda e: 10.0**e),
+    ),
+).filter(lambda p: math.isfinite(2.0 * max(abs(p[0]), p[1]) / p[2]))
 
 
 @_BATCH_PROPERTY
 @given(points=st.lists(scaled_points, min_size=1, max_size=24))
 @example(points=[(1e8, 1.0, 1.0), (0.0, 1.0, 1e8), (0.0, 1e12, 1.0), (-3e60, 2e-40, 5e-20)])
+@example(points=[(1.0, 0.0, 1e-154), (1.0, 0.0, 1e-200), (-2.0, 1.0, 1e-300)])
 def test_kernel_keeps_every_state_at_any_scale(points):
     # Rounding in H(psi) psi grows with max(|R|, c, v), and so does the residual
     # test: a large scale must not reject true states and fail the point.
@@ -652,9 +882,12 @@ def test_kernel_keeps_every_state_at_any_scale(points):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_kernel_marks_overflowing_points_failed_and_solves_the_rest():
     # 2 (R - c) overflows at R = 1e308; 2 R / v overflows the companion
-    # matrix at v = 1e-300; at v = 1.7e308 the polish's slope coefficients
-    # overflow.  None may warn or stop the other points of the batch.
-    R, v = [1e308, 1e308, 1e10, 0.0, 1e10], [0.0, 1.0, 1e-300, 1.7e308, 1.0]
+    # matrix at v = 1e-300 and R = 1e10, and at v = 5e-324 and R = 2.  None
+    # may warn or stop the other points of the batch.  At v = 1.7e308 the
+    # polish's slope coefficients and v (1 + t^2) overflow, yet both states
+    # are found, at E = -+v/2.
+    R, v = [1e308, 1e308, 1e10, 2.0, 0.0, 1e10], [0.0, 1.0, 1e-300, 5e-324, 1.7e308, 1.0]
     states = stationary_arrays(R, v, 0.0, 1.0)
-    assert states.failed.tolist() == [True, True, True, True, False]
-    assert states.count.tolist()[4] == 2
+    assert states.failed.tolist() == [True, True, True, True, False, False]
+    assert states.count.tolist()[4:] == [2, 2]
+    assert states.energy[4, :2].tolist() == [-0.85e308, 0.85e308]
