@@ -233,17 +233,37 @@ def evolve_nonlinear(
     """Integrate i d(psi)/dt = H(psi, t) psi with classical fixed-step RK4.
 
     The requested dt, positive and finite, is rounded so an integer number of
-    steps spans the drive.  Step k samples the drive at k*h, k*h + h/2 and
-    k*h + h, through drive.samples on blocks of steps.  Each step is
-    renormalized; the pre-renormalization drift is the scheme's own error
-    estimate, and a drift above 1e-6 raises StepSizeError.  The initial norm
-    is a hypot, which does not overflow; a zero or non-finite one raises
-    InvalidStateError.  Returns (times, amplitudes) including both endpoints.
+    steps spans the drive; a count too large to store raises ValueError.
+    Step k samples the drive at k*h, k*h + h/2 and k*h + h, through
+    drive.samples on blocks of steps.  Each step is renormalized; the
+    pre-renormalization drift is the scheme's own error estimate, and a drift
+    above 1e-6 raises StepSizeError.  The initial norm is a hypot, which does
+    not overflow; a zero or non-finite one raises InvalidStateError.  Returns
+    (times, amplitudes) including both endpoints.
+
+    The steps run on four floats per state, the real and imaginary parts
+    (x1, y1, x2, y2), through the model's real-part kernel, with the -i of
+    the equation folded into the stage weights: x + h Im f, y - h Re f.  The
+    amplitudes are bit for bit those of the same RK4 in Python complex
+    numbers (tests/test_echo.py keeps that form as the reference), with one
+    exception: a part that starts as -0.0 and gets exactly zero increments
+    may keep its sign where the complex form, through the 0.0 * y terms of
+    its real-times-complex products, flips it.  Only the initial state can
+    hold such a part: in either form, a part that is not -0.0 at the start of
+    a step is not -0.0 after it.
     """
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     T = drive.total_time
-    n_steps = max(1, round(T / dt))
+    try:
+        n_steps = max(1, round(T / dt))
+        # The larger array first: np.empty fails without touching memory.
+        out = np.empty((n_steps + 1, 2), dtype=complex)
+        times = np.linspace(0.0, T, n_steps + 1)
+    except (OverflowError, ValueError, MemoryError):
+        raise ValueError(
+            f"dt={dt!r} splits T={T!r} into {T / dt:.3g} steps, too many to store"
+        ) from None
     h = T / n_steps
 
     a1, a2 = complex(initial.amp1), complex(initial.amp2)
@@ -251,44 +271,52 @@ def evolve_nonlinear(
     if not 0.0 < norm < math.inf:
         raise InvalidStateError(f"initial state has norm {norm!r}, not a positive finite one")
     a1, a2 = a1 / norm, a2 / norm
-
-    times = np.linspace(0.0, T, n_steps + 1)
-    out = np.empty((n_steps + 1, 2), dtype=complex)
     out[0] = (a1, a2)
+    # Rows of (x1, y1, x2, y2), one per time, as one flat float view of out.
+    flat = out.view(float).reshape(-1)
 
+    x1, y1, x2, y2 = a1.real, a1.imag, a2.real, a2.imag
     hc, half, sixth = 0.5 * drive.base.c, 0.5 * h, h / 6.0
     for first in range(0, n_steps, _BLOCK):
         starts = np.arange(first, min(first + _BLOCK, n_steps)) * h
         # Rows in time order, so a bad sample is reported at its earliest time.
         R, v, e = drive.samples(np.stack([starts, starts + half, starts + h], axis=1))
         # The kernel's half-coefficients R/2 and (v/2) e^{i phi} at each stage time.
-        stages = zip(starts.tolist(), *(0.5 * R).T.tolist(), *(0.5 * v * e).T.tolist())
-        col1, col2 = [], []
-        for t, hR0, hR1, hR2, g0, g1, g2 in stages:
-            # Each stage is d(psi)/dt = -i H(psi) psi, with the model's kernel called
-            # directly: a wrapper around it costs one more Python call per stage.
-            f1, f2 = _apply_half(hR0, hc, g0, a1, a2)
-            k1a, k1b = -1j * f1, -1j * f2
-            f1, f2 = _apply_half(hR1, hc, g1, a1 + half * k1a, a2 + half * k1b)
-            k2a, k2b = -1j * f1, -1j * f2
-            f1, f2 = _apply_half(hR1, hc, g1, a1 + half * k2a, a2 + half * k2b)
-            k3a, k3b = -1j * f1, -1j * f2
-            f1, f2 = _apply_half(hR2, hc, g2, a1 + h * k3a, a2 + h * k3b)
-            k4a, k4b = -1j * f1, -1j * f2
-            a1 = a1 + sixth * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-            a2 = a2 + sixth * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-            norm = math.sqrt(abs(a1) ** 2 + abs(a2) ** 2)
+        coup = 0.5 * v * e
+        stages = zip(*(0.5 * R).T.tolist(), *coup.real.T.tolist(), *coup.imag.T.tolist())
+        block = []
+        for hR0, hR1, hR2, gr0, gr1, gr2, gi0, gi1, gi2 in stages:
+            # Stage j returns f = H(psi) psi as (p1, q1, p2, q2) = (Re f1, Im f1,
+            # Re f2, Im f2), and d(psi)/dt = -i f moves x by Im f and y by -Re f.
+            # The kernel is called directly: a wrapper costs one more call per stage.
+            p1, q1, p2, q2 = _apply_half(hR0, hc, gr0, gi0, x1, y1, x2, y2)
+            r1, s1, r2, s2 = _apply_half(
+                hR1, hc, gr1, gi1,
+                x1 + half * q1, y1 - half * p1, x2 + half * q2, y2 - half * p2,
+            )
+            t1, u1, t2, u2 = _apply_half(
+                hR1, hc, gr1, gi1,
+                x1 + half * s1, y1 - half * r1, x2 + half * s2, y2 - half * r2,
+            )
+            w1, z1, w2, z2 = _apply_half(
+                hR2, hc, gr2, gi2, x1 + h * u1, y1 - h * t1, x2 + h * u2, y2 - h * t2
+            )
+            x1 = x1 + sixth * (q1 + 2.0 * s1 + 2.0 * u1 + z1)
+            y1 = y1 - sixth * (p1 + 2.0 * r1 + 2.0 * t1 + w1)
+            x2 = x2 + sixth * (q2 + 2.0 * s2 + 2.0 * u2 + z2)
+            y2 = y2 - sixth * (p2 + 2.0 * r2 + 2.0 * t2 + w2)
+            # abs of a complex is libm's hypot, which math.hypot does not round alike.
+            norm = math.sqrt(abs(complex(x1, y1)) ** 2 + abs(complex(x2, y2)) ** 2)
             # Written so that a nan norm fails the test too.
             if not abs(norm - 1.0) <= _DRIFT_LIMIT:
+                t = (first + len(block) // 4) * h
                 raise StepSizeError(
                     f"norm drifted by {abs(norm - 1.0):.3e} in one step at t={t + h:.6g}"
                 )
-            a1, a2 = a1 / norm, a2 / norm
-            col1.append(a1)
-            col2.append(a2)
-        # Stored per block: a numpy item assignment per step costs more than lists.
-        rows = slice(first + 1, first + 1 + len(col1))
-        out[rows, 0], out[rows, 1] = col1, col2
+            x1, y1, x2, y2 = x1 / norm, y1 / norm, x2 / norm, y2 / norm
+            block += (x1, y1, x2, y2)
+        # Stored per block: a numpy item assignment per step costs more than a list.
+        flat[4 * (first + 1) : 4 * (first + 1) + len(block)] = block
     return times, out
 
 

@@ -190,16 +190,30 @@ class ParamPath:
             raise ValueError("a path needs at least two points")
 
 
-def _apply_half(hR, hc, coup, a1, a2):
-    """H(psi) psi for the amplitude pair (a1, a2); the one copy of the model's formula.
+def _apply_half(hR, hc, gr, gi, x1, y1, x2, y2):
+    """H(psi) psi on real parts; the one copy of the model's formula.
 
-    Takes hR = R/2, hc = c/2 and coup = (v/2) e^{i phi}, so a caller that steps
-    one point many times halves them once.  Elementwise on arrays too.
+    Takes hR = R/2, hc = c/2, the coupling (v/2) e^{i phi} = gr + i gi and the
+    amplitudes a1 = x1 + i y1, a2 = x2 + i y2, so a caller that steps one
+    point many times halves them once.  Returns (Re, Im) of
+    diag a1 + coup a2, then of coup* a1 - diag a2.  Each product and sum is
+    taken in the order of Python's complex arithmetic, which multiplies by a
+    real x as by (x, 0.0): hence the 0.0 terms, which set the signs of zeros
+    and turn an infinite part into nan as the complex product does.  So the
+    four floats are bit for bit the formula's in Python complex numbers,
+    signed zeros included, though a nan may differ in sign (numpy's complex
+    product may fuse a multiply and an add, and round otherwise).
+    Elementwise on arrays too.
     """
     # The imbalance m = |a2|^2 - |a1|^2.
-    m = (a2.real * a2.real + a2.imag * a2.imag) - (a1.real * a1.real + a1.imag * a1.imag)
+    m = (x2 * x2 + y2 * y2) - (x1 * x1 + y1 * y1)
     diag = hR + hc * m
-    return diag * a1 + coup * a2, coup.conjugate() * a1 - diag * a2
+    return (
+        (diag * x1 - 0.0 * y1) + (gr * x2 - gi * y2),
+        (diag * y1 + 0.0 * x1) + (gr * y2 + gi * x2),
+        (gr * x1 + gi * y1) - (diag * x2 - 0.0 * y2),
+        (gr * y1 - gi * x1) - (diag * y2 + 0.0 * x2),
+    )
 
 
 def _phase_factor(phi):
@@ -208,18 +222,25 @@ def _phase_factor(phi):
 
 
 def _apply(R, c, v, phase, a1, a2):
-    """H(psi) psi from the model's coefficients; phase is e^{i phi}."""
-    return _apply_half(0.5 * R, 0.5 * c, 0.5 * v * phase, a1, a2)
+    """H(psi) psi of one amplitude pair as two complex numbers; phase is e^{i phi}."""
+    coup = 0.5 * v * phase
+    f = _apply_half(0.5 * R, 0.5 * c, coup.real, coup.imag, a1.real, a1.imag, a2.real, a2.imag)
+    return complex(f[0], f[1]), complex(f[2], f[3])
 
 
 def _residual(R, c, v, phase, a1, a2, energy):
     """Stationarity residual |H(psi) psi - E psi| of amplitude pairs; elementwise.
 
-    phase is e^{i phi}.
+    phase is e^{i phi}.  Bit for bit the residual of the complex form, with
+    E psi as a real times a complex: its 0.0 * y terms, left out here, only
+    set signs of zeros, which hypot ignores, or make nan of an infinite part,
+    which the kernel's own 0.0 terms already do.
     """
-    h1, h2 = _apply(R, c, v, phase, a1, a2)
-    d1, d2 = h1 - energy * a1, h2 - energy * a2
-    return np.hypot(np.hypot(d1.real, d1.imag), np.hypot(d2.real, d2.imag))
+    coup = 0.5 * v * phase
+    x1, y1, x2, y2 = a1.real, a1.imag, a2.real, a2.imag
+    f1r, f1i, f2r, f2i = _apply_half(0.5 * R, 0.5 * c, coup.real, coup.imag, x1, y1, x2, y2)
+    d1 = np.hypot(f1r - energy * x1, f1i - energy * y1)
+    return np.hypot(d1, np.hypot(f2r - energy * x2, f2i - energy * y2))
 
 
 def _check_overlap(overlap: float) -> None:

@@ -229,6 +229,13 @@ def test_echo_zero_amplitude_keeps_unit_echo():
         assert float(row[1]) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_echo_step_count_too_large_to_store_is_an_error(capsys):
+    # An error that names the step count, not numpy's "Maximum allowed size exceeded".
+    assert cli.main(["echo", "--dt", "1e-300", "--T", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "dt=1e-300" in err and "T=1.0" in err and "1e+300 steps" in err
+
+
 def test_echo_equatorial_mean_near_half():
     proc = run_cli("echo", "--R", "0", "--v", "0", "--c", "0", "--T", "20")
     header, _, _ = parse_csv(proc.stdout)

@@ -326,6 +326,23 @@ def test_evolve_rejects_bad_dt():
         evolve_nonlinear(_state(1.0, 0.0), zero_drive(base, 1.0), math.inf)
 
 
+def test_evolve_rejects_a_step_count_too_large_to_store():
+    # round(1 / 1e-300) steps: too many for numpy to size an array, so nothing
+    # is allocated.  A count numpy sizes but cannot allocate raises the same.
+    base = ModelParams(R=0.0, c=0.0, v=1.0)
+    with pytest.raises(ValueError, match=r"dt=1e-300 splits T=1\.0 into 1e\+300 steps"):
+        evolve_nonlinear(_state(1.0, 0.0), zero_drive(base, 1.0), 1e-300)
+
+
+def test_step_size_error_names_the_step_end_in_a_later_block():
+    # The step from t = 3.0 is step 1500, in the second 1024-step block, and
+    # the first one to see the bump; the error names its end time.
+    base = ModelParams(R=0.3, c=1.0, v=0.8)
+    drive = DriveSchedule(base, lambda t: (np.where(t > 3.0, 1e4, 0.0), 0.0, 0.0), 4.0)
+    with pytest.raises(StepSizeError, match=r"in one step at t=3\.002$"):
+        evolve_nonlinear(stationary_states(base).states[0], drive, 0.002)
+
+
 def _rk4_reference(initial, drive, dt):
     """The RK4 integrator with one params_at call per stage time, as a reference."""
     T = drive.total_time
@@ -399,6 +416,36 @@ def test_evolve_matches_per_step_reference_everywhere(base, amps, amplitude, the
     ref_times, ref_traj = _rk4_reference(initial, drive, dt)
     assert times.tobytes() == ref_times.tobytes()
     assert traj.tobytes() == ref_traj.tobytes()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    base=st.tuples(
+        st.sampled_from([0.0, 0.5, -1.0]),
+        st.sampled_from([0.0, 1.0]),
+        st.sampled_from([0.0, 0.8]),
+        st.sampled_from([0.0, 2.0, 4.0, 5.5]),
+    ),
+    amps=st.tuples(*[st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 0.6, -0.6])] * 4),
+)
+def test_evolve_matches_per_step_reference_on_signed_zeros(base, amps):
+    # Zero and subnormal amplitude parts, with a coupling phase in each
+    # quadrant, at bases that keep some parts zero: v = 0 decouples a zero
+    # amplitude, and H(psi) psi = 0 at the origin (or at R = v = 0 with equal
+    # populations) keeps every part.  The values always agree, and so do the
+    # bytes, except for the sign of a part that starts as -0.0 while it stays
+    # zero: the complex step's 0.0 * y terms can flip it, and the float step
+    # has no such terms.
+    # A state of subnormals alone does not normalize to norm 1 (its hypot rounds).
+    assume(max(map(abs, amps)) == 0.6)
+    initial = _state(complex(amps[0], amps[1]), complex(amps[2], amps[3]))
+    drive = zero_drive(ModelParams(*base), 0.03)
+    _, traj = evolve_nonlinear(initial, drive, 0.01)
+    _, ref_traj = _rk4_reference(initial, drive, 0.01)
+    got, want = traj.view(float), ref_traj.view(float)
+    assert np.array_equal(got, want)
+    differ = got.view(np.int64) != want.view(np.int64)
+    assert not np.any(differ & ~(np.signbit(want[0]) & (want[0] == 0.0)))
 
 
 @pytest.mark.parametrize(

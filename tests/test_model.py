@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import math
+import struct
 import unittest.mock
 
 import numpy as np
@@ -26,12 +27,14 @@ from dimerphase.model import (
     TWO_PI,
     Branch,
     _apply,
+    _apply_half,
     _has_states,
     _overlap_parts,
     _phase_factor,
     _point,
     _quartic,
     _require_states,
+    _residual,
     reconstruct_states,
     solve_quartic_real_roots,
 )
@@ -610,6 +613,88 @@ def test_overlap_parts_round_as_python_complex(parts):
         for got in ((x, y), scalar):
             assert (got[0].hex(), got[1].hex()) == (want.real.hex(), want.imag.hex())
         assert modulus.hex() == abs(want).hex()
+
+
+def _python_kernel(hR, hc, coup, a1, a2):
+    """The kernel's formula on complex numbers, in Python complex arithmetic."""
+    m = (a2.real * a2.real + a2.imag * a2.imag) - (a1.real * a1.real + a1.imag * a1.imag)
+    diag = hR + hc * m
+    return diag * a1 + coup * a2, coup.conjugate() * a1 - diag * a2
+
+
+def _bits(*values):
+    """The bytes of some floats: signed zeros count."""
+    return struct.pack(f"{len(values)}d", *values)
+
+
+def _complex_array(re, im):
+    """re + i im with both parts kept as they are (re + 1j * im rounds a -0.0 or inf part)."""
+    z = np.empty(np.shape(re), dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+# O(1) values with full mantissas, whose products round and cancel in sums;
+# and zeros of both signs, subnormals, and magnitudes from 1e-300 to 1e300,
+# whose products overflow to inf and whose sums of infs are nan.
+_generic_part = st.floats(-2.0, 2.0).map(lambda x: x * math.pi)
+_kernel_part = (
+    _generic_part
+    | st.floats(-1e300, 1e300)
+    | st.floats(-1e-300, 1e-300)
+    | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e300, 1e300, 1.0, -1.0])
+)
+
+
+def _parts(n, part=_kernel_part):
+    """n floats: all O(1), where rounding shows, or any mix of the kinds above."""
+    return st.tuples(*[_generic_part] * n) | st.tuples(*[part] * n)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(rows=st.lists(_parts(8), min_size=1, max_size=8))
+def test_apply_half_rounds_as_python_complex(rows):
+    # The real-part kernel, on scalars and on arrays, is bit for bit the
+    # complex formula in Python's complex arithmetic.
+    columns = [np.array(column) for column in zip(*rows)]
+    with np.errstate(all="ignore"):
+        on_arrays = np.stack(_apply_half(*columns), axis=1).tolist()
+    for (hR, hc, gr, gi, x1, y1, x2, y2), array_row in zip(rows, on_arrays):
+        f1, f2 = _python_kernel(hR, hc, complex(gr, gi), complex(x1, y1), complex(x2, y2))
+        want = _bits(f1.real, f1.imag, f2.real, f2.imag)
+        assert _bits(*_apply_half(hR, hc, gr, gi, x1, y1, x2, y2)) == want
+        assert _bits(*array_row) == want
+
+
+_residual_point = st.tuples(
+    _parts(5),  # R, c, v and the parts of the phase factor
+    # x1, y1, x2, y2, E of four states, infinite parts among them
+    st.lists(_parts(5, _kernel_part | st.sampled_from([math.inf, -math.inf])), min_size=4, max_size=4),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(points=st.lists(_residual_point, min_size=1, max_size=6))
+def test_residual_rounds_as_python_complex(points):
+    # _residual on (n, 4) arrays against its complex form, d = H(psi) psi - E psi
+    # and |d| by np.hypot, with H(psi) psi and E psi in Python's complex
+    # arithmetic.  (numpy's complex product may fuse a multiply and an add.)
+    # Infinite amplitude parts check that leaving out E psi's 0.0 * y terms
+    # keeps every residual.
+    R, c, v, phase_re, phase_im = (np.array(column)[:, None] for column in zip(*(p for p, _ in points)))
+    x1, y1, x2, y2, E = (np.array(column) for column in zip(*(zip(*rows) for _, rows in points)))
+    a1, a2, phase = _complex_array(x1, y1), _complex_array(x2, y2), _complex_array(phase_re, phase_im)
+    with np.errstate(all="ignore"):
+        got = _residual(R, c, v, phase, a1, a2, E)
+        coup = 0.5 * v * phase
+    d = np.empty((4,) + E.shape)
+    for k, j in np.ndindex(E.shape):
+        A1, A2, e = complex(a1[k, j]), complex(a2[k, j]), E[k, j].item()
+        h1, h2 = _python_kernel(0.5 * R[k, 0].item(), 0.5 * c[k, 0].item(), complex(coup[k, 0]), A1, A2)
+        d1, d2 = h1 - e * A1, h2 - e * A2
+        d[:, k, j] = d1.real, d1.imag, d2.real, d2.imag
+    want = np.hypot(np.hypot(d[0], d[1]), np.hypot(d[2], d[3]))
+    assert got.tobytes() == want.tobytes()
 
 
 def test_eigenstate_amplitudes_roundtrip():
