@@ -1,10 +1,11 @@
 """Command-line scans over the dimer model, CSV out.
 
-Subcommands: spectrum, berry, witness, echo, triple.  --R and --v accept
-either a fixed value ("1.5") or an axis spec ("start:stop:count"); everything
-else is fixed per run.  A flat key = value config file can hold any flag;
-explicit flags win.  Output is deterministic: identical configuration,
-identical bytes.
+Subcommands: spectrum, berry, witness, echo, triple.  Each takes only the
+settings it reads: the grid modes (spectrum, berry, witness) --R, --v and
+--c, where --R and --v accept a fixed value ("1.5") or an axis spec
+("start:stop:count"); echo all seven, with fixed values; triple none.  A
+flat key = value config file can hold any of a mode's flags; explicit flags
+win.  Output is deterministic: identical configuration, identical bytes.
 
 Exit codes: 0 success, 1 computation or I/O failure, 2 usage or config error.
 """
@@ -12,6 +13,7 @@ Exit codes: 0 success, 1 computation or I/O failure, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import math
 import re
@@ -39,9 +41,6 @@ from .model import (
     stationary_states,
 )
 from .triple import transport_sign
-
-MODES = ("spectrum", "berry", "witness", "echo", "triple")
-
 
 class UsageError(Exception):
     """Bad flags or config; maps to exit code 2."""
@@ -77,21 +76,46 @@ def _parse_float(text: str, name: str) -> float:
     return value
 
 
-# Every run setting: key -> (default, parser, help).  Each key is a --flag,
-# a config-file key and a ScanConfig field.
+def _in_range(parse, ok, rule: str):
+    """parse, then reject a value, or an axis with a point, that fails ok."""
+
+    def parse_in_range(text: str, name: str):
+        value = parse(text, name)
+        if not np.all(ok(value)):
+            raise UsageError(f"--{name}: must be {rule}")
+        return value
+
+    return parse_in_range
+
+
+# Every run setting: key -> (default, parser with its range check, help).
+# Each key is a --flag, a config-file key and a ScanConfig field.
 _KEYS = {
     "R": ("0", _parse_axis, "bias: value or start:stop:count axis"),
-    "v": ("1", _parse_axis, "coupling: value or start:stop:count axis"),
-    "c": ("1", _parse_float, "nonlinearity strength"),
-    "dt": ("0.002", _parse_float, "integrator time step"),
-    "T": ("20", _parse_float, "drive duration"),
-    "theta": (repr(0.5 * math.pi), _parse_float, "drive polar angle (echo)"),
-    "amp": ("1", _parse_float, "drive amplitude (echo)"),
+    "v": ("1", _in_range(_parse_axis, lambda x: x >= 0.0, ">= 0"), "coupling: value or axis"),
+    "c": ("1", _in_range(_parse_float, lambda x: x >= 0.0, ">= 0"), "nonlinearity strength"),
+    "dt": ("0.002", _in_range(_parse_float, lambda x: x > 0.0, "> 0"), "integrator time step"),
+    "T": ("20", _in_range(_parse_float, lambda x: x > 0.0, "> 0"), "drive duration"),
+    "theta": (
+        repr(0.5 * math.pi),
+        _in_range(_parse_float, lambda x: 0.0 <= x <= math.pi, "in [0, pi]"),
+        "drive polar angle",
+    ),
+    "amp": ("1", _in_range(_parse_float, lambda x: x >= 0.0, ">= 0"), "drive amplitude"),
 }
 
-_CONFIG_KEYS = set(_KEYS) | {"out"}
+# The settings each mode reads; only these are flags, config keys and hashed.
+_GRID_KEYS = ("R", "v", "c")
+_MODE_KEYS = {
+    "spectrum": _GRID_KEYS,
+    "berry": _GRID_KEYS,
+    "witness": _GRID_KEYS,
+    "echo": tuple(_KEYS),
+    "triple": (),
+}
 
-# R and v hold a float or a 1-D ndarray axis; out is an optional path.
+# R and v hold a float or a 1-D ndarray axis, a setting the mode does not
+# read holds None, and out is an optional path.
 ScanConfig = make_dataclass(
     "ScanConfig",
     ["mode", *_KEYS, "out", "config_hash", "summary"],
@@ -125,16 +149,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Scans over a nonlinear two-mode model: spectra, phases, witnesses, echoes.",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in MODES:
-        sp = sub.add_parser(mode, help=f"run a {mode} scan")
+    for mode, keys in _MODE_KEYS.items():
+        # No abbreviations: triple's --c would otherwise read as --config.
+        sp = sub.add_parser(mode, help=f"run a {mode} scan", allow_abbrev=False)
         sp.add_argument("--out", help="output CSV path (default: stdout)")
         sp.add_argument("--config", help="flat key = value config file")
-        for key, (_, _, help_text) in _KEYS.items():
-            sp.add_argument(f"--{key}", help=help_text)
+        for key in keys:
+            sp.add_argument(f"--{key}", help=_KEYS[key][2])
     return parser
 
 
-def load_config_file(path: str) -> dict[str, str]:
+def load_config_file(path: str, keys: set[str]) -> dict[str, str]:
+    """The key = value pairs of a config file; a key outside keys is an error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -149,48 +175,29 @@ def load_config_file(path: str) -> dict[str, str]:
             raise UsageError(f"{path}:{lineno}: expected key = value")
         key, _, val = line.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in keys:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = val.strip()
     return values
 
 
 def resolve_config(args: argparse.Namespace) -> ScanConfig:
-    file_values: dict[str, str] = {}
-    if args.config:
-        file_values = load_config_file(args.config)
-
-    def pick(key: str) -> str:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            return flag
-        if key in file_values:
-            return file_values[key]
-        return _KEYS[key][0]
-
-    raw = {key: pick(key) for key in _KEYS}
-    out = args.out if args.out is not None else file_values.get("out")
-    val = {key: parse(raw[key], key) for key, (_, parse, _) in _KEYS.items()}
-
-    if val["dt"] <= 0 or val["T"] <= 0:
-        raise UsageError("dt and T must both be positive")
-    if not 0.0 <= val["theta"] <= math.pi:
-        raise UsageError("--theta: must lie in [0, pi]")
-    if val["amp"] < 0.0:
-        raise UsageError("--amp: must be >= 0")
-    if np.any(val["v"] < 0.0):
-        raise UsageError("--v: coupling must be >= 0")
-    if val["c"] < 0.0:
-        raise UsageError("--c: nonlinearity must be >= 0")
-    if args.mode in ("echo", "triple"):
+    keys = _MODE_KEYS[args.mode]
+    file_values = load_config_file(args.config, {*keys, "out"}) if args.config else {}
+    # Flags win over the config file, and the file over the defaults.
+    given = {**file_values, **{k: x for k, x in vars(args).items() if x is not None}}
+    raw = {key: given.get(key, _KEYS[key][0]) for key in keys}
+    val = {key: _KEYS[key][1](raw[key], key) for key in keys}
+    if args.mode == "echo":
         for name in ("R", "v"):
             if isinstance(val[name], np.ndarray):
-                raise UsageError(f"--{name}: {args.mode} takes a fixed value, not an axis")
+                raise UsageError(f"--{name}: echo takes a fixed value, not an axis")
 
     hashed = [f"mode={args.mode}"] + [f"{k}={_canonical(val[k])}" for k in sorted(val)]
     digest = hashlib.sha256("\n".join(hashed).encode("utf-8")).hexdigest()[:12]
     summary = " ".join(f"{k}={raw[k]}" for k in sorted(raw))
-    return ScanConfig(mode=args.mode, **val, out=out, config_hash=digest, summary=summary)
+    settings = {**dict.fromkeys(_KEYS), **val, "out": given.get("out")}
+    return ScanConfig(mode=args.mode, **settings, config_hash=digest, summary=summary)
 
 
 def _canonical(value) -> str:
@@ -203,12 +210,16 @@ def _canonical(value) -> str:
 
 def _cells(column):
     """One column's CSV cells, lazily so that they are freed row by row: a float
-    array in one pass, or a sequence that may also hold strings, written as
-    they are, and None, written blank.  Adding 0.0 turns -0.0 into 0.0, so a
-    zero prints as "0" whatever its sign."""
-    if isinstance(column, np.ndarray):
-        return map("%.12g".__mod__, (column + 0.0).tolist())
-    return ("" if x is None else x if isinstance(x, str) else "%.12g" % (x + 0.0) for x in column)
+    array, with NaN written blank, or a sequence of strings, written as they
+    are.  Adding 0.0 turns -0.0 into 0.0, so a zero prints as "0" whatever
+    its sign."""
+    if not isinstance(column, np.ndarray):
+        return column
+    values = (column + 0.0).tolist()
+    # The per-cell NaN test costs a third of the formatting: only where there is a NaN.
+    if np.isnan(column).any():
+        return ("" if x != x else "%.12g" % x for x in values)
+    return map("%.12g".__mod__, values)
 
 
 # Errors of a computation that cannot evaluate a point or a run: main maps
@@ -227,68 +238,51 @@ _GRID_COLUMNS = {
 _BLOCK = 1024
 
 
-def _spectrum_cells(states, v: np.ndarray) -> list:
-    return [
-        tuple(energies[:n]) + (None,) * (4 - n)
-        for energies, n in zip(states.energy.tolist(), states.count.tolist())
-    ]
-
-
-def _berry_cells(states, v: np.ndarray) -> list:
-    """The loop phase of each point's lowest state; None where it has none or it raises."""
-    cells = []
+def _berry_values(states, v: np.ndarray) -> np.ndarray:
+    """The loop phase over pi of each point's lowest state; NaN where it has none or it raises."""
+    values = np.full((len(v), 1), np.nan)
     lowest = zip(v.tolist(), states.energy[:, 0].tolist(), states.imbalance[:, 0].tolist())
-    for n, (vk, energy, imbalance) in zip(states.count.tolist(), lowest):
-        try:
-            gamma = berry_phase_closed_form(vk, energy, imbalance) if n else None
-        except _COMPUTE_ERRORS:
-            gamma = None
-        cells.append(None if gamma is None else (gamma / math.pi,))
-    return cells
+    for k, (n, point) in enumerate(zip(states.count.tolist(), lowest)):
+        if n:
+            with contextlib.suppress(*_COMPUTE_ERRORS):
+                values[k] = berry_phase_closed_form(*point) / math.pi
+    return values
 
 
-def _witness_cells(states, v: np.ndarray) -> list:
-    """nonlinearity_witness of each point; None where it has fewer than two states."""
-    pairs = zip(states.amp1[:, :2].tolist(), states.amp2[:, :2].tolist())
-    return [
-        (_pair_witness(a1[0], a2[0], a1[1], a2[1]),) if n >= 2 else None
-        for n, (a1, a2) in zip(states.count.tolist(), pairs)
-    ]
-
-
-_GRID_CELLS = {"spectrum": _spectrum_cells, "berry": _berry_cells, "witness": _witness_cells}
-
-# Cell value of a point that could not be computed: it renders blank, like
-# the None cells of the fully degenerate origin, but counts as skipped.
-_SKIPPED = ""
+# Each grid mode's values: one row per point, NaN for a blank cell.
+_GRID_VALUES = {
+    "spectrum": lambda states, v: states.energy,
+    "berry": _berry_values,
+    "witness": lambda states, v: _pair_witness(
+        states.amp1[:, :1], states.amp2[:, :1], states.amp1[:, 1:2], states.amp2[:, 1:2]
+    ),
+}
 
 
 def run_grid_scan(cfg: ScanConfig):
     R_axis, v_axis = np.atleast_1d(cfg.R), np.atleast_1d(cfg.v)
     # Every (R, v) pair, R outer.
     R, v = np.repeat(R_axis, len(v_axis)), np.tile(v_axis, len(R_axis))
-    cells_of, width = _GRID_CELLS[cfg.mode], len(_GRID_COLUMNS[cfg.mode]) - 2
-    cells = []  # the value cells of each point
+    blocks = []
     for first in range(0, len(R), _BLOCK):
         Rb, vb = R[first : first + _BLOCK], v[first : first + _BLOCK]
         states = stationary_arrays(Rb, vb, 0.0, cfg.c)
-        # The fully degenerate origin has None cells by design; a point whose
-        # states fail the kernel's count check, or whose cell raises, is skipped.
-        per_point = zip(_has_states(Rb, vb).tolist(), states.failed.tolist(), cells_of(states, vb))
-        cells += [
-            (None,) * width if not has else (_SKIPPED,) * width if failed or cell is None else cell
-            for has, failed, cell in per_point
-        ]
-    skipped = sum(cell[-1] == _SKIPPED for cell in cells)
+        values = _GRID_VALUES[cfg.mode](states, vb)
+        values[states.failed] = np.nan
+        blocks.append(values)
+    values = np.concatenate(blocks)
+    # A point is skipped when its states fail the kernel's count check or its
+    # value raises; the fully degenerate origin has no states and blank cells by design.
+    skipped = np.count_nonzero(_has_states(R, v) & np.isnan(values[:, 0]))
     comments = [f"skipped: {skipped}"] if skipped else []
     # Each axis value is formatted once.
     R_cells = [cell for cell in _cells(R_axis) for _ in range(len(v_axis))]
     if cfg.mode == "witness":
-        ratio = list(_cells(v_axis / cfg.c)) if cfg.c > 0 else [None] * len(v_axis)
-        coords = [ratio * len(R_axis), R_cells]
+        ratio = v_axis / cfg.c if cfg.c > 0 else np.full_like(v_axis, np.nan)
+        coords = [list(_cells(ratio)) * len(R_axis), R_cells]
     else:
         coords = [R_cells, list(_cells(v_axis)) * len(R_axis)]
-    return _GRID_COLUMNS[cfg.mode], comments, coords + list(zip(*cells))
+    return _GRID_COLUMNS[cfg.mode], comments, coords + list(values.T)
 
 
 def run_echo(cfg: ScanConfig):
@@ -305,7 +299,7 @@ def run_echo(cfg: ScanConfig):
         initial = Eigenstate(1.0 + 0.0j, 0.0j, -0.5 * base.c, -1.0, 0.0)
     drive = circular_drive(base, cfg.amp, cfg.theta, cfg.T)
     trace = loschmidt_dynamical(initial, drive, cfg.dt)
-    summary = (cfg.theta, s, loschmidt_adiabatic(cfg.theta, s), trace_mean(trace))
+    summary = np.array([cfg.theta, s, loschmidt_adiabatic(cfg.theta, s), trace_mean(trace)])
     comments = ["summary: theta=%s s=%s L_adiabatic=%s L_mean=%s" % tuple(_cells(summary))]
     return ("t", "L"), comments, [trace.times, trace.values]
 
@@ -320,7 +314,7 @@ def _render(cfg: ScanConfig, header, comments, columns) -> str:
     lines = [
         f"# dimerphase {__version__}",
         f"# mode: {cfg.mode}",
-        f"# config: {cfg.summary}",
+        f"# config: {cfg.summary}".rstrip(),  # triple reads no setting
         f"# config-hash: {cfg.config_hash}",
     ]
     lines.extend(f"# {c}" for c in comments)
@@ -329,13 +323,8 @@ def _render(cfg: ScanConfig, header, comments, columns) -> str:
     return "\n".join(lines) + "\n"
 
 
-_RUNNERS = {
-    "spectrum": run_grid_scan,
-    "berry": run_grid_scan,
-    "witness": run_grid_scan,
-    "echo": run_echo,
-    "triple": run_triple_table,
-}
+_RUNNERS = {**dict.fromkeys(_GRID_COLUMNS, run_grid_scan), "echo": run_echo}
+_RUNNERS["triple"] = run_triple_table
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -27,7 +27,6 @@ from typing import Callable
 
 import numpy as np
 
-from ._batch import TOL
 from .errors import (
     AmbiguousRegimeError,
     InvalidStateError,
@@ -42,6 +41,7 @@ from .model import (
     _check_finite,
     _check_overlap,
     _check_theta,
+    _is_stationary,
     _overlap_parts,
     _phase_factor,
     _residual,
@@ -185,13 +185,13 @@ def nonlinearity_witness(params: ModelParams) -> WitnessReport:
             f"witness needs two stationary states, found {len(family)}"
         )
     lo, hi = family.states[0], family.states[1]
-    value = _pair_witness(lo.amp1, lo.amp2, hi.amp1, hi.amp2)
+    value = float(_pair_witness(lo.amp1, lo.amp2, hi.amp1, hi.amp2))
     return WitnessReport(params, (lo.energy, hi.energy), value)
 
 
-def _pair_witness(lo1: complex, lo2: complex, hi1: complex, hi2: complex) -> float:
-    """min(1, |<lo|hi>|) of a state pair given by its amplitudes."""
-    return min(1.0, abs(complex(*_overlap_parts(lo1, lo2, hi1, hi2))))
+def _pair_witness(lo1, lo2, hi1, hi2):
+    """min(1, |<lo|hi>|) of state pairs by their amplitudes, elementwise; NaN stays NaN."""
+    return np.minimum(1.0, np.hypot(*_overlap_parts(lo1, lo2, hi1, hi2)))
 
 
 def loschmidt_adiabatic(theta: float, overlap: float) -> float:
@@ -238,7 +238,8 @@ def evolve_nonlinear(
     drive.samples on blocks of steps.  Each step is renormalized; the
     pre-renormalization drift is the scheme's own error estimate, and a drift
     above 1e-6 raises StepSizeError.  The initial norm is a hypot, which does
-    not overflow; a zero or non-finite one raises InvalidStateError.  Returns
+    not overflow; a state that it does not divide to unit norm within 1e-6
+    (a zero, non-finite or subnormal one) raises InvalidStateError.  Returns
     (times, amplitudes) including both endpoints.
 
     The steps run on four floats per state, the real and imaginary parts
@@ -268,9 +269,12 @@ def evolve_nonlinear(
 
     a1, a2 = complex(initial.amp1), complex(initial.amp2)
     norm = math.hypot(a1.real, a1.imag, a2.real, a2.imag)
-    if not 0.0 < norm < math.inf:
-        raise InvalidStateError(f"initial state has norm {norm!r}, not a positive finite one")
-    a1, a2 = a1 / norm, a2 / norm
+    if 0.0 < norm < math.inf:
+        a1, a2 = a1 / norm, a2 / norm
+    # A zero or non-finite norm cannot divide the state, and one of subnormal
+    # parts is rounded so coarsely that the quotient is not a unit vector.
+    if not abs(math.hypot(a1.real, a1.imag, a2.real, a2.imag) - 1.0) <= _DRIFT_LIMIT:
+        raise InvalidStateError(f"initial state has norm {norm!r}, which does not normalize")
     out[0] = (a1, a2)
     # Rows of (x1, y1, x2, y2), one per time, as one flat float view of out.
     flat = out.view(float).reshape(-1)
@@ -332,15 +336,15 @@ def loschmidt_dynamical(initial: Eigenstate, drive: DriveSchedule, dt: float) ->
         base.R, base.c, base.v, _phase_factor(base.phi), initial.amp1, initial.amp2,
         initial.energy,
     )
-    if not residual <= TOL * max(1.0, abs(base.R), base.c, base.v):
+    if not _is_stationary(residual, base.R, base.c, base.v):
         raise InvalidStateError(
             f"initial state is not stationary for the drive's base: residual {residual:.3e}"
         )
     times, traj = evolve_nonlinear(initial, drive, dt)
-    # An elementwise sum, not a matmul: BLAS would wake a worker thread that
-    # keeps spinning through the next run's pure-Python integration.
-    values = np.abs(np.sum(traj * np.conj(traj[0]), axis=1)) ** 2
-    return EchoTrace(times, values)
+    # In Python's complex rounding, not numpy's complex product, which may fuse
+    # a multiply and an add on some machines: the values do not depend on the CPU.
+    overlap = _overlap_parts(traj[0, 0], traj[0, 1], traj[:, 0], traj[:, 1])
+    return EchoTrace(times, np.hypot(*overlap) ** 2)
 
 
 def trace_mean(trace: EchoTrace) -> float:

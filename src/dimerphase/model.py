@@ -243,6 +243,11 @@ def _residual(R, c, v, phase, a1, a2, energy):
     return np.hypot(d1, np.hypot(f2r - energy * x2, f2i - energy * y2))
 
 
+def _is_stationary(residual, R, c, v):
+    """The one stationarity test, elementwise: residual < TOL max(1, |R|, c, v)."""
+    return residual < TOL * np.maximum(np.maximum(1.0, np.abs(R)), np.maximum(c, v))
+
+
 def _check_overlap(overlap: float) -> None:
     if not 0.0 <= overlap <= 1.0:
         raise ValueError("overlap modulus must lie in [0, 1]")
@@ -313,7 +318,7 @@ def _states_at_roots(R, c, v, phi, t) -> StationaryArrays:
     limits are -(R + c)/2 at t = 0 and (R - c)/2 at t = inf.  The far root of
     a tiny v or a huge |R| is taken through u = 1/t: the amplitudes where t^2
     overflows, and E = -(v/4)(t + u) where v (1 + t^2) does.  A state is kept
-    when its residual |H(psi) psi - E psi| is below TOL max(1, |R|, c, v).
+    when its residual |H(psi) psi - E psi| passes _is_stationary.
     Energies equal to within 1e-12 (relative) are one degenerate level: they
     share one value and are ordered by imbalance.
     """
@@ -332,8 +337,7 @@ def _states_at_roots(R, c, v, phi, t) -> StationaryArrays:
             amp1.real * amp1.real + amp1.imag * amp1.imag
         )
         residual = _residual(R, c, v, phase, amp1, amp2, energy)
-    scale = np.maximum(np.maximum(1.0, np.abs(R)), np.maximum(c, v))
-    energy = np.where(residual < TOL * scale, energy, np.nan)
+    energy = np.where(_is_stationary(residual, R, c, v), energy, np.nan)
 
     # Sort by energy (rejected states, NaN, go last), merge, then sort by
     # (energy, imbalance); both sorts are stable.

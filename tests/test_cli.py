@@ -88,7 +88,7 @@ def test_spectrum_linear_model_band():
 
 
 def test_zero_energy_prints_without_sign():
-    assert list(cli._cells([-0.0])) == list(cli._cells(np.array([-0.0]))) == ["0"]
+    assert list(cli._cells(np.array([-0.0, math.nan]))) == ["0", ""]
     proc = run_cli("spectrum", "--R=-1", "--v", "0", "--c", "1")
     assert proc.stdout.splitlines()[-1] == "-1,0,-1,0,,"
 
@@ -251,7 +251,8 @@ def test_echo_equatorial_mean_near_half():
 
 def test_triple_sign_table():
     proc = run_cli("triple")
-    _, cols, rows = parse_csv(proc.stdout)
+    header, cols, rows = parse_csv(proc.stdout)
+    assert header[2] == "# config:"
     assert cols == ["loop", "psi_n_minus_1", "psi_n", "psi_n_plus_1"]
     assert rows[0] == ["phi", "+1", "+1", "+1"]
     assert rows[1] == ["theta", "-1", "+1", "-1"]
@@ -343,10 +344,10 @@ def _render_per_cell(cfg, header, comments, rows):
     for row in rows:
         cells = []
         for x in row:
-            if x is None:
-                cells.append("")
-            elif isinstance(x, str):
+            if isinstance(x, str):
                 cells.append(x)
+            elif math.isnan(x):
+                cells.append("")
             else:
                 cells.append("%.12g" % (x + 0.0))
         lines.append(",".join(cells))
@@ -359,12 +360,15 @@ _ODD_FLOATS = [
 ]
 
 
+_TEXTS = ["", "+1", "-1", "phi", "theta"]
+
+
 def test_column_writer_matches_per_cell_writer():
     cfg = cli.resolve_config(cli.build_parser().parse_args(["spectrum"]))
     n = len(_ODD_FLOATS)
-    mixed = ([None, "", "+1", 7] + _ODD_FLOATS[::-1])[:n]
-    rows = list(zip(_ODD_FLOATS, mixed, [None] * n))
-    columns = [np.array(_ODD_FLOATS), mixed, [None] * n]
+    texts = (_TEXTS * n)[:n]
+    rows = list(zip(_ODD_FLOATS, texts, [math.nan] * n))
+    columns = [np.array(_ODD_FLOATS), texts, np.full(n, np.nan)]
     expected = _render_per_cell(cfg, ("a", "b", "c"), ["skipped: 1"], rows)
     assert cli._render(cfg, ("a", "b", "c"), ["skipped: 1"], columns) == expected
 
@@ -372,16 +376,17 @@ def test_column_writer_matches_per_cell_writer():
 @settings(derandomize=True, database=None, max_examples=200)
 @given(
     st.lists(
-        st.tuples(st.floats(), st.one_of(st.none(), st.just(""), st.floats(width=32))),
+        st.tuples(st.floats(), st.floats(width=32), st.sampled_from(_TEXTS)),
         min_size=1,
         max_size=20,
     )
 )
 def test_column_writer_matches_per_cell_writer_on_any_floats(rows):
     cfg = cli.resolve_config(cli.build_parser().parse_args(["echo"]))
-    numbers, cells = zip(*rows)
-    text = cli._render(cfg, ("t", "x"), [], [np.array(numbers), list(cells)])
-    assert text == _render_per_cell(cfg, ("t", "x"), [], rows)
+    numbers, others, texts = zip(*rows)
+    columns = [np.array(numbers), np.array(others), list(texts)]
+    text = cli._render(cfg, ("t", "x", "y"), [], columns)
+    assert text == _render_per_cell(cfg, ("t", "x", "y"), [], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +442,38 @@ def test_out_of_range_flags_are_usage_errors():
 )
 def test_non_finite_values_are_usage_errors(args, flag):
     assert flag in run_cli(*args, expect=2).stderr
+
+
+@pytest.mark.parametrize(
+    "mode, keys",
+    [
+        ("spectrum", ["R", "c", "v"]),
+        ("berry", ["R", "c", "v"]),
+        ("witness", ["R", "c", "v"]),
+        ("echo", ["R", "T", "amp", "c", "dt", "theta", "v"]),
+        ("triple", []),
+    ],
+)
+def test_each_mode_takes_only_the_settings_it_reads(mode, keys, capsys):
+    cfg = cli.resolve_config(cli.build_parser().parse_args([mode]))
+    assert [kv.split("=")[0] for kv in cfg.summary.split()] == keys
+    for key in {"R", "v", "c", "dt", "T", "theta", "amp"} - set(keys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([mode, f"--{key}", "1"])
+        assert exc.value.code == 2 and f"--{key}" in capsys.readouterr().err
+
+
+def test_setting_a_mode_does_not_read_is_a_usage_error(tmp_path):
+    assert "--dt" in run_cli("spectrum", "--dt", "0.1", expect=2).stderr
+    cfg = tmp_path / "echo.cfg"
+    cfg.write_text("R = 0.5\ntheta = 1\n")
+    assert "theta" in run_cli("spectrum", "--config", str(cfg), expect=2).stderr
+
+
+def test_spectrum_config_line_holds_only_its_settings(capsys):
+    assert cli.main(["spectrum", "--R", "0.5"]) == 0
+    header, _, _ = parse_csv(capsys.readouterr().out)
+    assert header[2] == "# config: R=0.5 c=1 v=1"
 
 
 @pytest.mark.parametrize("key", ["phi", "loop_points", "tol"])

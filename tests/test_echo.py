@@ -29,7 +29,8 @@ from dimerphase import (
     trace_mean,
     zero_drive,
 )
-from dimerphase.model import _apply
+from dimerphase.echo import _pair_witness
+from dimerphase.model import _apply, _overlap_parts, stationary_arrays
 
 RIGHT_ANGLE = math.pi / 2.0
 
@@ -57,6 +58,18 @@ def test_witness_below_critical_coupling():
 def test_witness_above_critical_coupling():
     rep = nonlinearity_witness(ModelParams(R=0.0, c=1.0, v=2.0))
     assert rep.witness == pytest.approx(0.0, abs=1e-9)
+
+
+def test_pair_witness_is_elementwise_and_keeps_nan():
+    # The grid's witness column: one call on the two lowest columns of the
+    # kernel's arrays gives each point's nonlinearity_witness, and NaN where
+    # a point has fewer than two states (the fully degenerate origin here).
+    R, v = [0.0, 0.3, 0.0, 0.0], [0.5, 0.8, 2.0, 0.0]
+    states = stationary_arrays(R, v, 0.0, 1.0)
+    w = _pair_witness(states.amp1[:, 0], states.amp2[:, 0], states.amp1[:, 1], states.amp2[:, 1])
+    witness = [nonlinearity_witness(ModelParams(Rk, 1.0, vk)).witness for Rk, vk in zip(R, v[:3])]
+    assert w[:3].tolist() == witness
+    assert np.isnan(w[3])
 
 
 @pytest.mark.parametrize("v", [0.1, 0.3, 0.7, 0.9])
@@ -450,8 +463,15 @@ def test_evolve_matches_per_step_reference_on_signed_zeros(base, amps):
 
 @pytest.mark.parametrize(
     "amplitudes",
-    [(0.0, 0.0), (math.nan, 0.0), (1.0, complex(0.0, math.nan)), (math.inf, 0.0)],
-    ids=["zero", "nan", "nan-imaginary", "inf"],
+    [
+        (0.0, 0.0),
+        (math.nan, 0.0),
+        (1.0, complex(0.0, math.nan)),
+        (math.inf, 0.0),
+        # The norm of these parts rounds to 5e-324, and dividing by it gives (1, 1).
+        (0.0, complex(5e-324, 5e-324)),
+    ],
+    ids=["zero", "nan", "nan-imaginary", "inf", "subnormal"],
 )
 def test_evolve_rejects_zero_or_non_finite_initial_state(amplitudes):
     # Not a step-size problem: the state is bad before the first step.
@@ -507,6 +527,19 @@ def test_echo_zero_drive_is_unity():
     initial = stationary_states(base).states[0]
     trace = loschmidt_dynamical(initial, zero_drive(base, 5.0), 1e-2)
     np.testing.assert_allclose(trace.values, 1.0, atol=1e-10)
+
+
+def test_echo_overlap_rounds_as_python_complex_arithmetic():
+    # numpy's complex product may fuse a multiply and an add on some CPUs;
+    # the echo's overlap, taken as Python rounds it, does not depend on the machine.
+    base = ModelParams(R=0.0, c=1.0, v=0.5)
+    initial = stationary_states(base).states[0]
+    drive = circular_drive(base, 0.3, 1.0, 20.0)
+    trace = loschmidt_dynamical(initial, drive, 0.002)
+    _, traj = evolve_nonlinear(initial, drive, 0.002)
+    a1, a2 = traj[0].tolist()
+    moduli = [abs(complex(*_overlap_parts(a1, a2, b1, b2))) for b1, b2 in traj.tolist()]
+    assert trace.values.tobytes() == (np.array(moduli) ** 2).tobytes()
 
 
 def test_echo_rejects_non_stationary_state():
