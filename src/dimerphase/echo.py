@@ -48,8 +48,9 @@ from .model import (
     stationary_states,
 )
 
-# One-step norm drift above this aborts the integration: the step is too big
-# for the classical fourth-order scheme to be trusted.
+# |norm - 1| of a stored state above this aborts the integration: the steps are
+# too big for the classical fourth-order scheme to be trusted.  The steps do not
+# renormalize, so once per block it is tested on the drift since the start.
 _DRIFT_LIMIT = 1e-6
 
 # Integrator steps whose drive samples are taken at once: enough to spread
@@ -131,7 +132,7 @@ class DriveSchedule:
 
 @dataclass(frozen=True)
 class EchoTrace:
-    """Echo samples L(t_k); L(0) = 1 to rounding, and values stay within [0, 1 + 1e-9]."""
+    """Echo samples L(t_k); L(0) = 1 to rounding, and values stay within [0, (1 + 1e-6)^2]."""
 
     times: np.ndarray
     values: np.ndarray
@@ -235,12 +236,12 @@ def evolve_nonlinear(
     The requested dt, positive and finite, is rounded so an integer number of
     steps spans the drive; a count too large to store raises ValueError.
     Step k samples the drive at k*h, k*h + h/2 and k*h + h, through
-    drive.samples on blocks of steps.  Each step is renormalized; the
-    pre-renormalization drift is the scheme's own error estimate, and a drift
-    above 1e-6 raises StepSizeError.  The initial norm is a hypot, which does
-    not overflow; a state that it does not divide to unit norm within 1e-6
-    (a zero, non-finite or subnormal one) raises InvalidStateError.  Returns
-    (times, amplitudes) including both endpoints.
+    drive.samples on blocks of steps.  No step renormalizes: the drift is the
+    scheme's error estimate.  Once per block, the first stored time where
+    |norm - 1| exceeds 1e-6 (or is nan) raises StepSizeError.  The initial
+    norm is a hypot, which does not overflow; a state that it does not divide
+    to unit norm within 1e-6 (a zero, non-finite or subnormal one) raises
+    InvalidStateError.  Returns (times, amplitudes) including both endpoints.
 
     The steps run on four floats per state, the real and imaginary parts
     (x1, y1, x2, y2), through the model's real-part kernel, with the -i of
@@ -276,8 +277,6 @@ def evolve_nonlinear(
     if not abs(math.hypot(a1.real, a1.imag, a2.real, a2.imag) - 1.0) <= _DRIFT_LIMIT:
         raise InvalidStateError(f"initial state has norm {norm!r}, which does not normalize")
     out[0] = (a1, a2)
-    # Rows of (x1, y1, x2, y2), one per time, as one flat float view of out.
-    flat = out.view(float).reshape(-1)
 
     x1, y1, x2, y2 = a1.real, a1.imag, a2.real, a2.imag
     hc, half, sixth = 0.5 * drive.base.c, 0.5 * h, h / 6.0
@@ -309,18 +308,17 @@ def evolve_nonlinear(
             y1 = y1 - sixth * (p1 + 2.0 * r1 + 2.0 * t1 + w1)
             x2 = x2 + sixth * (q2 + 2.0 * s2 + 2.0 * u2 + z2)
             y2 = y2 - sixth * (p2 + 2.0 * r2 + 2.0 * t2 + w2)
-            # abs of a complex is libm's hypot, which math.hypot does not round alike.
-            norm = math.sqrt(abs(complex(x1, y1)) ** 2 + abs(complex(x2, y2)) ** 2)
-            # Written so that a nan norm fails the test too.
-            if not abs(norm - 1.0) <= _DRIFT_LIMIT:
-                t = (first + len(block) // 4) * h
-                raise StepSizeError(
-                    f"norm drifted by {abs(norm - 1.0):.3e} in one step at t={t + h:.6g}"
-                )
-            x1, y1, x2, y2 = x1 / norm, y1 / norm, x2 / norm, y2 / norm
             block += (x1, y1, x2, y2)
         # Stored per block: a numpy item assignment per step costs more than a list.
-        flat[4 * (first + 1) : 4 * (first + 1) + len(block)] = block
+        rows = out[first + 1 : first + 1 + len(block) // 4]
+        rows.view(float).reshape(-1)[:] = block
+        # Parts that overflowed make abs warn; a nan drift fails the test too.
+        with np.errstate(all="ignore"):
+            drift = np.abs(np.hypot(np.abs(rows[:, 0]), np.abs(rows[:, 1])) - 1.0)
+        ok = drift <= _DRIFT_LIMIT
+        if not ok.all():
+            k = int(np.argmin(ok))
+            raise StepSizeError(f"norm drifted by {drift[k]:.3e} at t={(first + k + 1) * h:.6g}")
     return times, out
 
 

@@ -3,6 +3,7 @@
 import cmath
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -352,8 +353,17 @@ def test_step_size_error_names_the_step_end_in_a_later_block():
     # the first one to see the bump; the error names its end time.
     base = ModelParams(R=0.3, c=1.0, v=0.8)
     drive = DriveSchedule(base, lambda t: (np.where(t > 3.0, 1e4, 0.0), 0.0, 0.0), 4.0)
-    with pytest.raises(StepSizeError, match=r"in one step at t=3\.002$"):
+    with pytest.raises(StepSizeError, match=r"norm drifted by .* at t=3\.002$"):
         evolve_nonlinear(stationary_states(base).states[0], drive, 0.002)
+
+
+def test_step_size_error_names_the_first_time_the_drift_adds_up_past_the_limit():
+    # At dt = 0.1 each step drifts the norm by about 7.5e-9, far below the
+    # limit; the drift accumulates and passes 1e-6 at t = 13.4 of 20.
+    base = ModelParams(R=0.0, c=1.0, v=1.0)
+    drive = circular_drive(base, 1.0, RIGHT_ANGLE, 20.0)
+    with pytest.raises(StepSizeError, match=r"norm drifted by 1\.0\d\de-06 at t=13\.4$"):
+        evolve_nonlinear(stationary_states(base).states[0], drive, 0.1)
 
 
 def _rk4_reference(initial, drive, dt):
@@ -381,8 +391,6 @@ def _rk4_reference(initial, drive, dt):
         k4a, k4b = -1j * f1, -1j * f2
         a1 = a1 + (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
         a2 = a2 + (h / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-        norm = math.sqrt(abs(a1) ** 2 + abs(a2) ** 2)
-        a1, a2 = a1 / norm, a2 / norm
         out.append((a1, a2))
     return np.linspace(0.0, T, n_steps + 1), np.array(out)
 
@@ -596,6 +604,26 @@ def test_echo_matches_two_flow_reference(R, c, v):
     trace = loschmidt_dynamical(initial, drive, 0.002)
     reference = _two_flow_echo(initial, drive, trace.times)
     assert np.max(np.abs(trace.values - reference)) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "name, base, initial, bound",
+    [
+        ("echo", ModelParams(R=0.0, c=1.0, v=1.0), None, 4.8e-9),
+        ("echo_degenerate", ModelParams(R=0.0, c=0.0, v=0.0), _state(1.0, 0.0), 1.18e-9),
+    ],
+)
+def test_golden_echo_matches_two_flow_reference(name, base, initial, bound):
+    # The golden echo runs (T = 1, dt = 0.01 and the CLI's default drive)
+    # against DOP853.  The bounds, 4.79e-9 and 1.17e-9 rounded up, are the
+    # errors of RK4 with a renormalization after every step: the scheme
+    # without it must be no less accurate.
+    initial = initial or stationary_states(base).states[0]
+    drive = circular_drive(base, 1.0, RIGHT_ANGLE, 1.0)
+    times, values = np.loadtxt(
+        Path(__file__).parent / "golden" / f"{name}.csv", delimiter=",", skiprows=1
+    ).T
+    assert np.max(np.abs(values - _two_flow_echo(initial, drive, times))) < bound
 
 
 def test_echo_diagonal_drive_is_unity():
