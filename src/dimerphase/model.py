@@ -14,10 +14,12 @@ energy; a root is kept when the rebuilt state's stationarity residual is small.
 
 stationary_arrays is the one solver: it takes arrays of parameter points and
 returns their states as arrays.  The quartic ignores phi, so each distinct
-(R, c, v) is solved once, and all of them go through one batch root finder,
-_batch.real_roots, whether their roots are simple or multiple and whether v
-is zero or not.  solve_quartic_real_roots is that root finder for one
-quartic, and stationary_states the solver for one point.
+(R, c, v) is solved once, and all of them go through one batch root finder
+for this one family, _batch.real_roots.  Its root count has a closed form,
+_expected_count: four states inside the astroid |R|^(2/3) + v^(2/3) = c^(2/3)
+and two outside it, so a point whose count differs is marked failed.
+solve_quartic_real_roots is that root finder for one point, and
+stationary_states the solver for one point.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._batch import TOL, real_roots
+from ._batch import TOL, _expected_count, real_roots
 from .errors import BranchLostError, InvalidStateError
 
 TWO_PI = 2.0 * math.pi
@@ -151,9 +153,10 @@ class StationaryArrays:
     energy, amp1, amp2, imbalance and residual have shape (n, 4): row k holds
     the count[k] states of point k, sorted by (energy, imbalance) as in a
     StationaryFamily, and NaN after them.  failed[k] marks a point whose
-    states cannot be trusted: v > 0 with a state count outside 2..4, or a
-    quartic whose coefficients or companion matrix overflow.  The fully degenerate origin
-    v = R = 0 has count 0 and is not failed.
+    states cannot be trusted: v > 0 with a state count other than the
+    astroid's (_expected_count; in its band any of 2..4), or a quartic that
+    overflows.  The fully degenerate origin v = R = 0 has count 0 and is
+    not failed.
     """
 
     energy: np.ndarray
@@ -258,39 +261,25 @@ def _has_states(R, v):
     return (v > 0.0) | (R != 0.0)
 
 
-def _quartic(R, c, v):
-    """Quartic in t = tan(beta/2) whose real roots are the stationary states.
-
-    The state psi(beta) = (sin beta/2, -cos beta/2 e^{-i phi}) has imbalance
-    m = cos beta and is stationary when (R + c m) sin beta = v cos beta, that
-    is when v t^4 + 2(R - c) t^3 + 2(R + c) t - v = 0.  At v = 0 the leading
-    coefficient vanishes and t = inf, psi = (1, 0), is a root as well.
-
-    Independent of phi: the coupling phase is a gauge choice for the spectrum.
-    """
-    return (v, 2.0 * (R - c), 0.0, 2.0 * (R + c), -v)
-
-
 # solve_quartic_real_roots and reconstruct_states have no caller in the package.
 # They stay public here because the benchmark traces them by these names, and
 # a traced run fails with a KeyError on a name that is gone.
-def solve_quartic_real_roots(coeffs: Sequence[float]) -> list[tuple[float, int]]:
-    """Real roots of a quartic with their multiplicities, ascending: one row of the batch.
+def solve_quartic_real_roots(point: Sequence[float]) -> list[tuple[float, int]]:
+    """Real roots of the t-quartic at one point (R, c, v), with multiplicities, ascending.
 
-    Companion eigenvalues within a relative 1e-5 of each other form one root,
-    whose multiplicity is the group's size, polished by Newton on the
-    (mu-1)-th derivative: in t when |t| <= 1, in 1/t otherwise.  A root is
-    real when |Im| <= TOL * (1 + |Re|).  L leading zero coefficients (v = 0
-    in the t-quartic) are the root math.inf with multiplicity L; trailing
-    ones are exact zeros.  Raises np.linalg.LinAlgError when the
-    coefficients or the companion matrix are not finite.
+    The quartic v t^4 + 2(R - c) t^3 + 2(R + c) t - v has a real root
+    t = tan(beta/2) for each stationary state psi(beta) = (sin beta/2,
+    -cos beta/2 e^{-i phi}), whose imbalance m = cos beta makes it stationary,
+    (R + c m) sin beta = v cos beta.  At v = 0 its roots are 0, the root
+    math.inf of the vanished leading coefficient, and of the pair -t, t, one
+    state, only t.  One row of _batch.real_roots; raises ArithmeticError where
+    the quartic overflows.
     """
-    cs = np.array([coeffs], dtype=float)
-    if cs.shape != (1, 5):
-        raise ValueError("expected five quartic coefficients")
-    roots, mult, solvable = real_roots(cs)
+    if len(point) != 3:
+        raise ValueError("expected one point (R, c, v)")
+    roots, mult, solvable = real_roots(*(np.array([x], dtype=float) for x in point))
     if not solvable[0]:
-        raise np.linalg.LinAlgError("the quartic's companion matrix is not finite")
+        raise ArithmeticError(f"the t-quartic at {tuple(point)} overflows")
     return [(t, m) for t, m in zip(roots[0].tolist(), mult[0].tolist()) if m]
 
 
@@ -320,7 +309,8 @@ def _states_at_roots(R, c, v, phi, t) -> StationaryArrays:
     overflows, and E = -(v/4)(t + u) where v (1 + t^2) does.  A state is kept
     when its residual |H(psi) psi - E psi| passes _is_stationary.
     Energies equal to within 1e-12 (relative) are one degenerate level: they
-    share one value and are ordered by imbalance.
+    share one value and are ordered by imbalance.  No point is marked failed
+    here: that takes the astroid's count, which stationary_arrays compares.
     """
     R, c, v = (x[:, None] for x in (R, c, v))
     at_zero, at_inf = t == 0.0, np.isinf(t)
@@ -356,7 +346,7 @@ def _states_at_roots(R, c, v, phi, t) -> StationaryArrays:
         return np.where(kept, a[rows, order], np.nan)
 
     count = kept.sum(axis=1)
-    failed = (v[:, 0] > 0.0) & ((count < 2) | (count > 4))
+    failed = np.zeros(len(t), dtype=bool)
     return StationaryArrays(
         energy, pick(amp1), pick(amp2), pick(imbalance), pick(residual), count, failed
     )
@@ -368,7 +358,7 @@ def stationary_arrays(R, v, phi, c) -> StationaryArrays:
     R, v, phi and c are scalars or 1-D arrays that broadcast to n points;
     phi is used as given (ModelParams stores it reduced to [0, 2*pi)).  Each
     point gets exactly what stationary_states gives it, whatever the other
-    points of the call: between two and four states whenever v > 0, and at
+    points of the call: the astroid's count of states whenever v > 0, and at
     v = 0 the roots +t and -t as one state, reported once, since the
     relative phase is free there.  A point that fails marks only its own row.
     """
@@ -386,15 +376,15 @@ def stationary_arrays(R, v, phi, c) -> StationaryArrays:
     order = np.lexsort((v, c, R))
     key = np.stack([R, c, v])[:, order]
     first = np.r_[True, (key[:, 1:] != key[:, :-1]).any(axis=0)]
-    with np.errstate(over="ignore"):
-        coeffs = np.stack(np.broadcast_arrays(*_quartic(*key[:, first])), axis=1)
-    roots, _, solvable = real_roots(coeffs)
+    roots, _, solvable = real_roots(*key[:, first])
+    expected, band = _expected_count(*key[:, first])
     rows = (np.cumsum(first) - 1)[np.argsort(order)]
     roots = roots[rows]
-    roots[(v == 0.0)[:, None] & (roots < 0.0)] = np.nan
     roots[~_has_states(R, v)] = np.nan
     states = _states_at_roots(R, c, v, phi, roots)
-    states.failed[~solvable[rows]] = True
+    count, band = states.count, band[rows]
+    wrong = np.where(band, (count < 2) | (count > 4), count != expected[rows])
+    states.failed[:] = ((v > 0.0) & wrong) | ~solvable[rows]
     return states
 
 
@@ -402,9 +392,10 @@ def _require_states(states: StationaryArrays, k: int, params: ModelParams) -> No
     if not _has_states(params.R, params.v):
         raise InvalidStateError("need v > 0 or R != 0 to define stationary states")
     if states.failed[k]:
+        expected, band = _expected_count(params.R, params.c, params.v)
         raise ArithmeticError(
             f"no trustworthy stationary states at {params}: found {states.count[k]},"
-            " expected 2..4 (or the quartic overflowed)"
+            f" expected {'2..4' if band else expected} (or the quartic overflowed)"
         )
 
 
@@ -423,7 +414,8 @@ def stationary_states(params: ModelParams) -> StationaryFamily:
     """All stationary states at one parameter point, one per real root of the t-quartic.
 
     Needs v > 0 or R != 0; the fully degenerate origin has no preferred states.
-    Between two and four states exist whenever v > 0.  At v = 0 the relative
+    Whenever v > 0 there are four states inside the astroid
+    |R|^(2/3) + v^(2/3) = c^(2/3) and two outside it.  At v = 0 the relative
     phase is free, so the roots +t and -t are one state, reported once.
     Energies equal to within 1e-12 (relative) are one degenerate level: they
     share one value and are ordered by imbalance.  This is stationary_arrays

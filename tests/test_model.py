@@ -28,11 +28,11 @@ from dimerphase.model import (
     Branch,
     _apply,
     _apply_half,
+    _expected_count,
     _has_states,
     _overlap_parts,
     _phase_factor,
     _point,
-    _quartic,
     _require_states,
     _residual,
     reconstruct_states,
@@ -101,7 +101,13 @@ def test_hamiltonian_apply_balanced_state():
     ],
 )
 def test_quartic_coefficients(params, expected):
-    np.testing.assert_allclose(_quartic(params.R, params.c, params.v), expected, atol=1e-15)
+    # Every root the solver gives is a root of the quartic with these coefficients,
+    # and it gives each real root of that quartic.
+    roots = solve_quartic_real_roots((params.R, params.c, params.v))
+    for t, _ in roots:
+        assert abs(np.polyval(expected, t)) <= 1e-14 * np.polyval(np.abs(expected), abs(t))
+    real = [z.real for z in np.roots(expected) if abs(z.imag) <= 1e-8]
+    assert sum(m for _, m in roots) == len(real)
 
 
 def test_quartic_phi_independent():
@@ -112,23 +118,31 @@ def test_quartic_phi_independent():
 
 
 def test_quartic_roots_linear_limit():
-    roots = solve_quartic_real_roots((1.0, 0.0, -1.0, 0.0, 0.0))
-    assert [(round(r, 12), m) for r, m in roots] == [(-1.0, 1), (0.0, 2), (1.0, 1)]
+    # At c = 0 the quartic is (t^2 + 1)(v (t^2 - 1) + 2 R t): the real roots
+    # (-R -+ sqrt(R^2 + v^2)) / v are the two states of the linear problem.
+    roots = solve_quartic_real_roots((3.0, 0.0, 4.0))
+    assert [(round(r, 12), m) for r, m in roots] == [(-2.0, 1), (0.5, 1)]
+    # At v = 0 and R = -c it is 2 (R - c) t^3: a triple root at 0, and one at infinity.
+    assert solve_quartic_real_roots((-1.0, 1.0, 0.0)) == [(0.0, 3), (math.inf, 1)]
 
 
 def test_quartic_roots_double_at_half():
-    roots = solve_quartic_real_roots((1.0, 1.0, -0.75, -1.0, -0.25))
+    # (-27, 125, 64) lies on the astroid: 27^(2/3) + 64^(2/3) = 9 + 16 = 125^(2/3).
+    # Its double root is tan(beta/2) = 1/2, at cos beta = 3/5, sin beta = 4/5;
+    # the quartic is 4 (2t - 1)^2 (4 - 15 t - 16 t^2).
+    roots = solve_quartic_real_roots((-27.0, 125.0, 64.0))
     values = [r for r, _ in roots]
     mults = [m for _, m in roots]
-    np.testing.assert_allclose(values, [-1.0, -0.5, 1.0], atol=1e-12)
+    root481 = math.sqrt(481.0)
+    expected = [-32.0 / (15.0 + root481), 0.5, 32.0 / (root481 - 15.0)]
+    np.testing.assert_allclose(values, expected, rtol=1e-12)
     assert mults == [1, 2, 1]
 
 
 def test_quartic_roots_from_model_coefficients():
     # R = 0: t = -1 and 1 are the m = 0 states, t = 4 -+ sqrt(15) the
     # self-trapped pair, whose two roots have product 1.
-    coeffs = _quartic(0.0, 2.0, 0.5)
-    roots = solve_quartic_real_roots(coeffs)
+    roots = solve_quartic_real_roots((0.0, 2.0, 0.5))
     values = [r for r, _ in roots]
     mults = [m for _, m in roots]
     root15 = math.sqrt(15.0)
@@ -137,55 +151,69 @@ def test_quartic_roots_from_model_coefficients():
 
 
 def test_quartic_triple_root_at_critical_coupling():
-    coeffs = _quartic(0.0, 1.0, 1.0)
-    roots = solve_quartic_real_roots(coeffs)
+    roots = solve_quartic_real_roots((0.0, 1.0, 1.0))
     assert roots == [(-1.0, 1), (1.0, 3)]
 
 
 def test_quartic_root_at_infinity_without_coupling():
-    coeffs = _quartic(-1.8, 1.0, 0.0)
-    assert solve_quartic_real_roots(coeffs) == [(0.0, 1), (math.inf, 1)]
+    assert solve_quartic_real_roots((-1.8, 1.0, 0.0)) == [(0.0, 1), (math.inf, 1)]
 
 
-_ROOT_VALUES = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0)
+_ROOT_VALUES = (-2.0, -1.0, -0.5, 0.5, 1.0, 3.0)
 
 
 @st.composite
 def constructed_quartics(draw):
-    """np.poly of real roots, each at most double, scaled, behind 0-2 leading zeros."""
-    lead = draw(st.integers(0, 2))
-    roots = draw(
-        st.lists(st.sampled_from(_ROOT_VALUES), min_size=4 - lead, max_size=4 - lead).filter(
-            lambda r: max(map(r.count, r)) <= 2
-        )
-    )
-    scale = draw(st.floats(1e-3, 1e3)) * draw(st.sampled_from([-1.0, 1.0]))
-    coeffs = [0.0] * lead + (scale * np.poly(roots)).tolist()
-    expected = [(t, roots.count(t)) for t in sorted(set(roots))]
-    return coeffs, expected + ([(math.inf, lead)] if lead else [])
+    """A point (R, c, v) whose t-quartic has known real roots, each with its multiplicity.
+
+    For v > 0 two roots r1, r2 are drawn.  The quartic's roots have product -1
+    and its t^2 coefficient vanishes, which fixes the other two: the roots of
+    x^2 - S x + P with P = -1/(r1 r2) and S = -(r1 r2 + P)/(r1 + r2).  Equal
+    roots lie on the astroid (a double root) or at its cusp (t = 1, triple).
+    For v = 0 the roots are 0, math.inf and a drawn s > 0, at R = c (s^2 - 1)/(s^2 + 1).
+    """
+    scale = draw(st.floats(1e-3, 1e3))
+    if draw(st.booleans()):
+        s = draw(st.sampled_from([t for t in _ROOT_VALUES if t > 0.0]))
+        point = (scale * (s * s - 1.0) / (s * s + 1.0), scale, 0.0)
+        return point, [(0.0, 1), (s, 1), (math.inf, 1)]
+    r1, r2 = draw(st.sampled_from(_ROOT_VALUES)), draw(st.sampled_from(_ROOT_VALUES))
+    assume(r1 + r2 != 0.0)
+    P = -1.0 / (r1 * r2)
+    S = -(r1 * r2 + P) / (r1 + r2)
+    assume(S * S >= 4.0 * P)
+    half = math.sqrt(S * S - 4.0 * P) / 2.0
+    roots = [r1, r2, S / 2.0 - half, S / 2.0 + half]
+    e1 = sum(roots)
+    e3 = r1 * r2 * (roots[2] + roots[3]) + P * (r1 + r2)
+    # p / v = t^4 - e1 t^3 - e3 t - 1, so 2 (R - c) = -e1 v and 2 (R + c) = -e3 v.
+    R, c = -(e1 + e3) * scale / 4.0, (e1 - e3) * scale / 4.0
+    assume(c >= 0.0)
+    distinct = sorted(set(round(t, 9) for t in roots))
+    return (R, c, scale), [(t, sum(round(r, 9) == t for r in roots)) for t in distinct]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(quartic=constructed_quartics())
 def test_quartic_roots_of_constructed_quartics(quartic):
-    coeffs, expected = quartic
-    roots = solve_quartic_real_roots(coeffs)
+    point, expected = quartic
+    roots = solve_quartic_real_roots(point)
     assert [m for _, m in roots] == [m for _, m in expected]
     np.testing.assert_allclose([t for t, _ in roots], [t for t, _ in expected], rtol=0, atol=1e-9)
 
 
 def test_quartic_rejects_wrong_length():
-    with pytest.raises(ValueError):
-        solve_quartic_real_roots((1.0, 0.0, -1.0, 0.0))
+    for point in [(1.0, 0.0), (1.0, 0.0, -1.0, 0.0), (1.0, 0.0, -1.0, 0.0, 0.0)]:
+        with pytest.raises(ValueError):
+            solve_quartic_real_roots(point)
 
 
 def test_quartic_matches_companion_roots_randomly():
     rng = np.random.default_rng(2024)
     for _ in range(1000):
-        R, c, v = rng.uniform(0.0, 3.0, size=3)
-        coeffs = _quartic(float(R), float(c), float(v))
-        polished = solve_quartic_real_roots(coeffs)
-        raw = np.roots(coeffs)
+        R, c, v = (float(x) for x in rng.uniform(0.0, 3.0, size=3))
+        polished = solve_quartic_real_roots((R, c, v))
+        raw = np.roots((v, 2.0 * (R - c), 0.0, 2.0 * (R + c), -v))
         raw_real = sorted(z.real for z in raw if abs(z.imag) <= 1e-8 * (1.0 + abs(z.real)))
         flat = sorted(r for r, m in polished for _ in range(m))
         assert len(flat) == len(raw_real)
@@ -200,7 +228,7 @@ def test_reconstruct_rejects_spurious_root():
 def test_reconstruct_degenerate_pair():
     # R = 0, c = 2, v = 1: t = 2 -+ sqrt(3) between the m = 0 roots -1 and 1.
     params = ModelParams(R=0.0, c=2.0, v=1.0)
-    roots = [t for t, _ in solve_quartic_real_roots(_quartic(params.R, params.c, params.v))]
+    roots = [t for t, _ in solve_quartic_real_roots((params.R, params.c, params.v))]
     pair = [2.0 - math.sqrt(3.0), 2.0 + math.sqrt(3.0)]
     np.testing.assert_allclose(roots, [-1.0, pair[0], 1.0, pair[1]], rtol=1e-12)
     states = [s for t in roots[1::2] for s in reconstruct_states(params, t)]
@@ -707,17 +735,15 @@ def test_eigenstate_amplitudes_roundtrip():
 
 _PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
-couplings = st.floats(-9.0, 1.0).map(lambda e: 10.0**e)
+couplings = st.floats(-300.0, 1.0).map(lambda e: 10.0**e)
 biases = st.one_of(st.floats(-10.0, 10.0), st.just(0.0), st.floats(-1e-3, 1e-3))
 nonlinearities = st.floats(0.0, 10.0)
 
 
 def _astroid_side(R, c, v):
-    """-1 inside |R|^(2/3) + v^(2/3) = c^(2/3), +1 outside, 0 within 1e-6 of it."""
-    gap = abs(R) ** (2.0 / 3.0) + v ** (2.0 / 3.0) - c ** (2.0 / 3.0)
-    if abs(gap) <= 1e-6 * c ** (2.0 / 3.0):
-        return 0
-    return -1 if gap < 0.0 else 1
+    """-1 inside |R|^(2/3) + v^(2/3) = c^(2/3), +1 outside, 0 in its band: the kernel's rule."""
+    expected, band = _expected_count(R, c, v)
+    return 0 if band else (-1 if expected == 4 else 1)
 
 
 @_PROPERTY
@@ -758,6 +784,95 @@ def test_self_trapped_pair_shares_energy_and_starts_at_negative_imbalance(c, v):
     states = stationary_states(ModelParams(R=0.0, c=c, v=v)).states
     assert states[0].energy == states[1].energy
     assert states[0].imbalance < 0.0
+
+
+@_PROPERTY
+@given(R=st.floats(-3.0, 3.0), c=st.floats(0.0, 3.0), v=couplings)
+@example(R=0.0, c=1.0, v=1e-23)
+@example(R=0.3, c=1.0, v=1e-300)
+def test_state_count_is_the_astroids(R, c, v):
+    # Every point has the astroid's count of states or is marked failed, and
+    # only a point in the band around the astroid may be failed.
+    states = stationary_arrays(R, v, 0.0, c)
+    expected, band = _expected_count(R, c, v)
+    count, failed = int(states.count[0]), bool(states.failed[0])
+    assert failed or count == expected or (band and 2 <= count <= 4)
+    assert band or not failed
+
+
+@_PROPERTY
+@given(
+    R=st.floats(-3.0, 3.0),
+    c=st.floats(0.1, 3.0),
+    v=couplings,
+    k=st.floats(-300.0, 0.0, exclude_max=True).map(lambda e: 10.0**e),
+)
+@example(R=0.3, c=1.0, v=0.5, k=1e-30)
+def test_four_states_inside_the_astroid_at_any_smaller_coupling(R, c, v, k):
+    # A coupling so small that 2 (|R| + c) / v overflows marks the point failed.
+    assume(_astroid_side(R, c, v) < 0 and k * v > 0.0)
+    assume(math.isfinite(2.0 * (abs(R) + c) / (k * v)))
+    states = stationary_arrays(R, [v, k * v], 0.0, c)
+    assert states.count.tolist() == [4, 4]
+    assert not states.failed.any()
+
+
+def _mp_quartic(mpmath, R, c, v):
+    """The t-quartic's coefficients at 40 digits, from the floats as they are."""
+    R, c, v = (mpmath.mpf(x) for x in (R, c, v))
+    return [v, 2 * (R - c), mpmath.mpf(0), 2 * (R + c), -v]
+
+
+def _mp_derivative(coeffs):
+    return [(len(coeffs) - 1 - i) * a for i, a in enumerate(coeffs[:-1])]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    theta=st.floats(-40.0, 0.0).map(lambda e: 10.0**e * math.pi / 2.0),
+    mirror=st.booleans(),
+    c=st.floats(0.1, 10.0),
+    offset=st.floats(-8.0, -3.0).map(lambda e: 10.0**e) | st.just(0.0),
+    outside=st.booleans(),
+)
+@example(theta=1e-10, mirror=False, c=1.0, offset=1e-8, outside=False)
+@example(theta=math.pi / 2.0, mirror=False, c=1.0, offset=1e-8, outside=False)
+@example(theta=math.pi / 2.0, mirror=False, c=3.0, offset=0.0, outside=False)
+def test_roots_agree_with_mpmath_near_the_astroid_and_at_its_cusp(
+    theta, mirror, c, offset, outside
+):
+    # Points a relative 1e-8 to 1e-3 off the astroid, tiny couplings and the
+    # neighbourhood of the cusp (theta = pi/2) included.  Every real root is
+    # found, simple, and within rounding of the 40-digit one: 64 eps times its
+    # condition number sum |a_i t^i| / |p'(t)|.  At the cusp itself (offset 0),
+    # R = 0 and c = v: the roots are -1, simple, and 1, triple, and at 40 digits
+    # p vanishes at both, p' only at 1, and p'' at 1 too, but not p'''.
+    mpmath = pytest.importorskip("mpmath")
+    if offset == 0.0:
+        assert solve_quartic_real_roots((0.0, c, c)) == [(-1.0, 1), (1.0, 3)]
+        with mpmath.workdps(40):
+            p = _mp_quartic(mpmath, 0.0, c, c)
+            d1 = _mp_derivative(p)
+            d2 = _mp_derivative(d1)
+            assert mpmath.polyval(p, -1) == 0 and mpmath.polyval(d1, -1) != 0
+            at_one = [mpmath.polyval(q, 1) == 0 for q in (p, d1, d2, _mp_derivative(d2))]
+            assert at_one == [True, True, True, False]
+        return
+    theta = math.pi - theta if mirror else theta
+    scale = c * (1.0 + offset if outside else 1.0 - offset)
+    R, v = scale * math.cos(theta) ** 3, scale * math.sin(theta) ** 3
+    assume(v > 0.0 and _astroid_side(R, c, v) != 0)
+    roots = solve_quartic_real_roots((R, c, v))
+    with mpmath.workdps(40):
+        coeffs = _mp_quartic(mpmath, R, c, v)
+        # The roots span up to 240 decades; 1000 extra bits resolve the smallest.
+        ref = mpmath.polyroots(coeffs, maxsteps=500, cleanup=False, extraprec=1000)
+        ref = sorted(z.real for z in ref if abs(z.imag) <= mpmath.mpf(10) ** -20 * abs(z))
+        assert [m for _, m in roots] == [1] * len(ref)
+        for (t, _), r in zip(roots, ref):
+            size = mpmath.polyval([abs(a) for a in coeffs], abs(r))
+            slope = abs(mpmath.polyval(_mp_derivative(coeffs), r))
+            assert abs(mpmath.mpf(t) - r) <= 64 * np.finfo(float).eps * size / slope
 
 
 def test_uncoupled_bias_beyond_nonlinearity_is_fully_polarized():
@@ -866,9 +981,7 @@ def test_kernel_rows_equal_single_point_solves(points):
 
 def _per_root_states(params):
     """States from one reconstruct_states call per root, merged and sorted in Python."""
-    roots = solve_quartic_real_roots(_quartic(params.R, params.c, params.v))
-    if params.v == 0.0:
-        roots = [(t, mult) for t, mult in roots if t >= 0.0]
+    roots = solve_quartic_real_roots((params.R, params.c, params.v))
     states = [s for t, _ in roots for s in reconstruct_states(params, t)]
     states.sort(key=lambda s: s.energy)
     for i in range(1, len(states)):
