@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -89,20 +89,15 @@ class FrameLoop:
 
 
 def frame_loop(
-    theta: float | Sequence[float] | Callable[[float], float],
-    overlap: float,
-    n_points: int = 1024,
+    theta: float | Sequence[float], overlap: float, n_points: int = 1024
 ) -> FrameLoop:
     """Loop whose azimuth winds once from 0 to 2*pi in n_points equal steps.
 
-    theta may be a constant, a callable theta(phi), or an array of
-    n_points + 1 samples.
+    theta may be a constant or an array of n_points + 1 samples.
     """
     if n_points < 3:
         raise ValueError("need at least three loop segments")
     phis = np.linspace(0.0, TWO_PI, n_points + 1)
-    if callable(theta):
-        theta = [theta(p) for p in phis]
     thetas = np.asarray(theta, dtype=float)
     if thetas.ndim == 0:
         thetas = np.full_like(phis, thetas)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -71,62 +70,60 @@ class WitnessReport:
 
 @dataclass(frozen=True)
 class DriveSchedule:
-    """Time-dependent parameter offsets applied on top of a base point.
+    """One smooth loop of a constant-magnitude perturbation around a base point.
 
-    perturbation(t) returns (dR, dv, dphi) for t in [0, total_time], which
-    must be positive and finite.  It is evaluated on arrays of times, and an
-    offset may be a constant, which stands for every time.  Closed drives
-    return to their starting offsets at t = total_time, modulo 2*pi in the
-    phase component.
+    The offset keeps fixed polar angle (dR = A cos(theta), dv = A sin(theta))
+    while its azimuth winds once with sin^2-ramped angular velocity,
+    dphi(t) = 2*pi u - sin(2*pi u), u = t/T: the traversal starts and ends at
+    rest, which suppresses diabatic kicks at the endpoints.  At A = 0 the phase
+    does not wind.  Checked once, when built: theta in [0, pi], A finite, T
+    positive and finite, and the driven R and v finite with v >= 0.
     """
 
     base: ModelParams
-    perturbation: Callable[[float], tuple[float, float, float]]
+    amplitude: float
+    polar_angle: float
     total_time: float
 
     def __post_init__(self):
-        T = float(self.total_time)
+        A, theta, T = self.amplitude, self.polar_angle, float(self.total_time)
+        if not 0.0 <= theta <= math.pi:
+            raise ValueError("polar angle must lie in [0, pi] so the coupling stays >= 0")
+        if not math.isfinite(A):
+            raise ValueError("amplitude must be finite")
         if not 0.0 < T < math.inf:
             raise ValueError(f"total_time must be positive and finite, got {T!r}")
         object.__setattr__(self, "total_time", T)
-
-    def params_at(self, t: float) -> ModelParams:
-        """The drive at one time, as a record; samples is the same on arrays."""
-        dR, dv, dphi = self.perturbation(t)
-        v = self.base.v + dv
+        R, v, _ = self._closed_form(0.0)  # R and v do not change in time
         if v < 0.0:
-            raise ValueError(f"drive made the coupling negative at t={t!r}")
-        try:
-            return ModelParams(
-                R=self.base.R + dR,
-                c=self.base.c,
-                v=v,
-                phi=(self.base.phi + dphi) % TWO_PI,
-            )
-        except ValueError as exc:
-            raise ValueError(f"{exc} at t={t!r}") from None
+            raise ValueError("drive made the coupling negative")
+        _check_finite(R=float(R), v=float(v))
+
+    def _closed_form(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(R, v, phi) at an array of times, each of its shape."""
+        t = np.asarray(t, dtype=float)
+        A, theta, base = self.amplitude, self.polar_angle, self.base
+        R = np.full(t.shape, base.R + A * math.cos(theta))
+        v = np.full(t.shape, base.v + A * math.sin(theta))
+        u = t / self.total_time
+        dphi = TWO_PI * u - np.sin(TWO_PI * u) if A else np.zeros(t.shape)
+        phi = np.mod(base.phi + dphi, TWO_PI)
+        # As ModelParams stores it: a tiny negative phi reduces to 2*pi, stored as 0.
+        return R, v, np.where(phi == TWO_PI, 0.0, phi)
+
+    # Kept only for the benchmark, which traces it by name; samples is the same on arrays.
+    def params_at(self, t: float) -> ModelParams:
+        """The drive at one time, as a record."""
+        R, v, phi = self._closed_form(t)
+        return ModelParams(R=float(R), c=self.base.c, v=float(v), phi=float(phi))
 
     def samples(self, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(R, v, e^{i phi}) at an array of times, each of the shape of times.
 
         Bit for bit what params_at gives at each time, with the phase factor
-        rounded as cmath.exp(1j * phi).  A sample that params_at would reject
-        raises its ValueError, for the first such time in array order.
+        rounded as cmath.exp(1j * phi).
         """
-        t = np.asarray(times, dtype=float)
-        dR, dv, dphi = (np.broadcast_to(x, t.shape) for x in self.perturbation(t))
-        base = self.base
-        R = base.R + dR
-        v = base.v + dv
-        with np.errstate(invalid="ignore"):
-            phi = np.mod(base.phi + dphi, TWO_PI)
-        # As ModelParams stores it: a tiny negative phi reduces to 2*pi, stored as 0.
-        phi = np.where(phi == TWO_PI, 0.0, phi)
-        ok = np.isfinite(R) & np.isfinite(v) & (v >= 0.0) & np.isfinite(phi)
-        if not ok.all():
-            t_bad = t.flat[np.argmin(ok)].item()
-            self.params_at(t_bad)  # raises its ValueError for this sample
-            raise ValueError(f"drive left the parameter domain at t={t_bad!r}")
+        R, v, phi = self._closed_form(times)
         return R, v, _phase_factor(phi)
 
 
@@ -139,38 +136,14 @@ class EchoTrace:
 
 
 def zero_drive(base: ModelParams, total_time: float) -> DriveSchedule:
-    return DriveSchedule(base, lambda t: (0.0, 0.0, 0.0), total_time)
+    return DriveSchedule(base, 0.0, 0.0, total_time)
 
 
 def circular_drive(
-    base: ModelParams,
-    amplitude: float,
-    polar_angle: float,
-    total_time: float,
+    base: ModelParams, amplitude: float, polar_angle: float, total_time: float
 ) -> DriveSchedule:
-    """One smooth loop of a constant-magnitude perturbation around the base point.
-
-    The offset keeps fixed polar angle (dR = A cos(theta), dv = A sin(theta))
-    while its azimuth winds once with sin^2-ramped angular velocity,
-    dphi(t) = 2*pi u - sin(2*pi u), u = t/T: the traversal starts and ends at
-    rest, which suppresses diabatic kicks at the endpoints.  amplitude = 0
-    degenerates to the zero drive.
-    """
-    if not 0.0 <= polar_angle <= math.pi:
-        raise ValueError("polar angle must lie in [0, pi] so the coupling stays >= 0")
-    if not math.isfinite(amplitude):
-        raise ValueError("amplitude must be finite")
-    if amplitude == 0.0:
-        return zero_drive(base, total_time)
-    dR = amplitude * math.cos(polar_angle)
-    dv = amplitude * math.sin(polar_angle)
-    T = float(total_time)
-
-    def offsets(t):
-        u = t / T
-        return (dR, dv, TWO_PI * u - np.sin(TWO_PI * u))
-
-    return DriveSchedule(base, offsets, T)
+    """One loop of the given amplitude and polar angle around base; see DriveSchedule."""
+    return DriveSchedule(base, amplitude, polar_angle, total_time)
 
 
 def nonlinearity_witness(params: ModelParams) -> WitnessReport:
@@ -282,7 +255,6 @@ def evolve_nonlinear(
     hc, half, sixth = 0.5 * drive.base.c, 0.5 * h, h / 6.0
     for first in range(0, n_steps, _BLOCK):
         starts = np.arange(first, min(first + _BLOCK, n_steps)) * h
-        # Rows in time order, so a bad sample is reported at its earliest time.
         R, v, e = drive.samples(np.stack([starts, starts + half, starts + h], axis=1))
         # The kernel's half-coefficients R/2 and (v/2) e^{i phi} at each stage time.
         coup = 0.5 * v * e

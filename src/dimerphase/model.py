@@ -334,10 +334,13 @@ def _states_at_roots(R, c, v, phi, t) -> StationaryArrays:
     rows = np.arange(len(t))[:, None]
     order = np.argsort(energy, axis=1, kind="stable")
     energy = energy[rows, order]
-    for k in range(1, energy.shape[1]):
-        low, high = energy[:, k - 1], energy[:, k]
-        merge = high - low <= 1e-12 * np.maximum(np.abs(low), np.abs(high))
-        energy[:, k] = np.where(merge, low, high)
+    # Energies of opposite sign near -+9e307 differ by more than the largest
+    # float: the difference is inf, which rightly does not merge them.
+    with np.errstate(over="ignore"):
+        for k in range(1, energy.shape[1]):
+            low, high = energy[:, k - 1], energy[:, k]
+            merge = high - low <= 1e-12 * np.maximum(np.abs(low), np.abs(high))
+            energy[:, k] = np.where(merge, low, high)
     resort = np.lexsort((imbalance[rows, order], energy), axis=1)
     energy, order = energy[rows, resort], order[rows, resort]
     kept = ~np.isnan(energy)

@@ -106,7 +106,8 @@ def test_criterion_04_perturbative_reduction():
                 t += a[k] * math.cos((k + 1) * phi) + b[k] * math.sin((k + 1) * phi)
             return min(math.pi - 0.1, max(0.1, t))
 
-        loop = frame_loop(theta, 0.0, n_points=1024)
+        thetas = [theta(p) for p in np.linspace(0.0, 2.0 * math.pi, 1025)]
+        loop = frame_loop(thetas, 0.0, n_points=1024)
         om = solid_angle(loop)
         pair = berry_phase_perturbative(loop)
         assert _mod_distance(pair.gamma_n, 0.5 * om) < 1e-8

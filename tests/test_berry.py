@@ -72,7 +72,7 @@ def test_frame_loop_theta_forms_agree():
     n = 64
     loops = [
         frame_loop(theta, 0.4, n_points=n)
-        for theta in (1.1, lambda phi: 1.1, np.full(n + 1, 1.1))
+        for theta in (1.1, np.full(n + 1, 1.1))
     ]
     for loop in loops[1:]:
         np.testing.assert_array_equal(loop.thetas, loops[0].thetas)
@@ -134,8 +134,8 @@ def test_perturbative_guard_at_unit_overlap_equator():
         berry_phase_perturbative(frame_loop(math.pi / 2.0, 1.0))
 
 
-def _smooth_theta(rng):
-    """Random smooth loop profile kept away from the poles."""
+def _smooth_theta(rng, n_points):
+    """A random smooth loop profile kept away from the poles, at n_points + 1 azimuths."""
     a = rng.uniform(-0.4, 0.4, size=3)
     b = rng.uniform(-0.4, 0.4, size=3)
     base = rng.uniform(0.8, math.pi - 0.8)
@@ -146,13 +146,13 @@ def _smooth_theta(rng):
             t += a[k] * math.cos((k + 1) * phi) + b[k] * math.sin((k + 1) * phi)
         return min(math.pi - 0.1, max(0.1, t))
 
-    return theta
+    return [theta(p) for p in np.linspace(0.0, TWO_PI, n_points + 1)]
 
 
 def test_perturbative_reduces_to_half_solid_angle():
     rng = np.random.default_rng(31)
     for _ in range(50):
-        loop = frame_loop(_smooth_theta(rng), 0.0, n_points=1024)
+        loop = frame_loop(_smooth_theta(rng, 1024), 0.0, n_points=1024)
         om = solid_angle(loop)
         pair = berry_phase_perturbative(loop)
         assert pair.gamma_n == pytest.approx(wrap(0.5 * om), abs=1e-8)
@@ -220,7 +220,7 @@ def test_small_overlap_equator_exact_at_any_s(s):
 
 
 def test_small_overlap_reduces_at_zero():
-    loop = frame_loop(_smooth_theta(np.random.default_rng(5)), 0.0, n_points=512)
+    loop = frame_loop(_smooth_theta(np.random.default_rng(5), 512), 0.0, n_points=512)
     om = solid_angle(loop)
     pair = berry_phase_small_overlap(loop)
     assert pair.gamma_n == pytest.approx(wrap(0.5 * om), abs=1e-12)

@@ -2,7 +2,6 @@
 
 import cmath
 import math
-import re
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +30,7 @@ from dimerphase import (
     zero_drive,
 )
 from dimerphase.echo import _pair_witness
-from dimerphase.model import _apply, _overlap_parts, stationary_arrays
+from dimerphase.model import TWO_PI, _apply, _overlap_parts, stationary_arrays
 
 RIGHT_ANGLE = math.pi / 2.0
 
@@ -188,18 +187,22 @@ def test_drives_reject_bad_duration(total_time):
     for build in (
         lambda: zero_drive(base, total_time),
         lambda: circular_drive(base, 0.0, 1.0, total_time),
-        lambda: DriveSchedule(base, lambda t: (0.0, 0.0, 0.0), total_time),
+        lambda: DriveSchedule(base, 1.0, 1.0, total_time),
     ):
         with pytest.raises(ValueError, match="total_time"):
             build()
 
 
 def test_circular_drive_zero_amplitude_is_zero_drive():
-    base = ModelParams(R=0.2, c=0.5, v=1.0)
-    drive = circular_drive(base, 0.0, 1.0, 10.0)
-    for t in (0.0, 3.7, 10.0):
-        assert drive.perturbation(t) == (0.0, 0.0, 0.0)
-        assert drive.params_at(t) == base
+    # At A = 0 the phase does not wind, whatever the polar angle.
+    base = ModelParams(R=0.2, c=0.5, v=1.0, phi=0.3)
+    times = np.array([0.0, 3.7, 10.0])
+    for theta in (0.0, 1.0, math.pi):
+        drive = circular_drive(base, 0.0, theta, 10.0)
+        for t in times:
+            assert drive.params_at(t) == base
+        got, want = drive.samples(times), zero_drive(base, 10.0).samples(times)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
 
 
 def test_circular_drive_closes():
@@ -214,32 +217,43 @@ def test_circular_drive_closes():
 def test_circular_drive_offsets_follow_polar_angle():
     base = ModelParams(R=0.0, c=0.0, v=1.0)
     drive = circular_drive(base, 2.0, math.pi / 3.0, 10.0)
-    dR, dv, _ = drive.perturbation(4.2)
-    assert dR == pytest.approx(2.0 * math.cos(math.pi / 3.0))
-    assert dv == pytest.approx(2.0 * math.sin(math.pi / 3.0))
+    p = drive.params_at(4.2)
+    assert p.R == pytest.approx(2.0 * math.cos(math.pi / 3.0))
+    assert p.v - 1.0 == pytest.approx(2.0 * math.sin(math.pi / 3.0))
 
 
 def test_drive_rejects_negative_coupling():
-    base = ModelParams(R=0.0, c=0.0, v=0.5)
-    drive = DriveSchedule(base, lambda t: (0.0, -1.0, 0.0), 1.0)
-    with pytest.raises(ValueError):
-        drive.params_at(0.3)
+    # When it is built, not when a sample is taken.  At theta = pi, sin(theta)
+    # rounds to 1.2e-16, and v = 0 - 1.2e-16 is negative.
+    for v, amplitude, theta in ((0.5, -1.0, RIGHT_ANGLE), (0.5, -0.6, 1.0), (0.0, -1.0, math.pi)):
+        with pytest.raises(ValueError, match="drive made the coupling negative"):
+            circular_drive(ModelParams(R=0.0, c=0.0, v=v), amplitude, theta, 1.0)
+    # A coupling driven to exactly 0 is allowed.
+    drive = circular_drive(ModelParams(R=0.0, c=0.0, v=0.5), -0.5, RIGHT_ANGLE, 1.0)
+    assert drive.params_at(0.3).v == 0.0
 
 
-def _assert_samples_match_params_at(drive, times):
-    """drive.samples(times) equals params_at at each time, bit for bit, or fails as it does."""
-    try:
-        expect = [drive.params_at(t) for t in times]
-    except ValueError as exc:
-        with pytest.raises(ValueError, match=re.escape(str(exc))):
-            drive.samples(np.array(times))
-        return
-    R, v, phase = drive.samples(np.array(times))
-    assert R.shape == v.shape == phase.shape == (len(times),)
-    for p, r, vv, e in zip(expect, R.tolist(), v.tolist(), phase.tolist()):
-        e_ref = cmath.exp(1j * p.phi)
-        got = [x.hex() for x in (r, vv, e.real, e.imag)]
-        assert got == [x.hex() for x in (p.R, p.v, e_ref.real, e_ref.imag)]
+@pytest.mark.parametrize(
+    "base, theta, name",
+    [
+        (ModelParams(R=1e308, c=0.0, v=1.0), 0.0, "R"),
+        (ModelParams(R=0.0, c=0.0, v=1e308), RIGHT_ANGLE, "v"),
+    ],
+    ids=["R", "v"],
+)
+def test_drive_rejects_parameters_that_overflow_when_built(base, theta, name):
+    # 1e308 + 1e308 is inf: the drive is rejected before any sample is taken.
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got inf$"):
+        circular_drive(base, 1e308, theta, 1.0)
+
+
+def _drive_reference(base, amplitude, theta, total_time, t):
+    """(R, v, e^{i phi}) of a circular drive at one time, in Python floats."""
+    R = base.R + amplitude * math.cos(theta)
+    v = base.v + amplitude * math.sin(theta)
+    u = t / total_time
+    phi = (base.phi + (TWO_PI * u - math.sin(TWO_PI * u))) % TWO_PI if amplitude else base.phi
+    return R, v, cmath.exp(1j * (0.0 if phi == TWO_PI else phi))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -254,26 +268,30 @@ def _assert_samples_match_params_at(drive, times):
     fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16),
 )
 def test_drive_samples_equal_params_at(R, c, v, phi, amplitude, theta, total_time, fractions):
-    # Negative amplitudes can drive v below zero, where both must raise alike.
-    drive = circular_drive(ModelParams(R, c, v, phi), amplitude, theta, total_time)
-    _assert_samples_match_params_at(drive, [f * total_time for f in fractions])
+    # Both equal the drive's closed form in Python floats, bit for bit.
+    base = ModelParams(R, c, v, phi)
+    if v + amplitude * math.sin(theta) < 0.0:
+        with pytest.raises(ValueError, match="coupling negative"):
+            circular_drive(base, amplitude, theta, total_time)
+        return
+    drive = circular_drive(base, amplitude, theta, total_time)
+    times = [f * total_time for f in fractions]
+    samples = drive.samples(np.array(times))
+    assert all(x.shape == (len(times),) for x in samples)
+    for t, r, vv, e in zip(times, *(x.tolist() for x in samples)):
+        R_ref, v_ref, e_ref = _drive_reference(base, amplitude, theta, total_time, t)
+        got = [x.hex() for x in (r, vv, e.real, e.imag)]
+        assert got == [x.hex() for x in (R_ref, v_ref, e_ref.real, e_ref.imag)]
+        p = drive.params_at(t)
+        assert (p.R, p.v, cmath.exp(1j * p.phi)) == (r, vv, e)
 
 
-@pytest.mark.parametrize(
-    "offsets",
-    [
-        lambda t: (0.0, 0.0, -1e-300),
-        lambda t: (-0.25, 0.5, 3.0 * t),
-        lambda t: (0.0, -2.0 * t, 0.0),
-        lambda t: (0.0, 0.0, math.inf),
-    ],
-    ids=["phase-rounds-to-two-pi", "constant-and-linear", "coupling-turns-negative", "inf-phase"],
-)
-def test_drive_samples_of_constant_and_custom_offsets(offsets):
-    # Constant offsets stand for every time; a tiny negative phase reduces to
-    # 2*pi, which is stored as 0.
-    drive = DriveSchedule(ModelParams(R=0.1, c=0.4, v=0.5), offsets, 2.0)
-    _assert_samples_match_params_at(drive, [0.0, 0.1, 0.3, 0.7, 1.9, 2.0])
+def test_drive_phase_that_rounds_to_two_pi_is_stored_as_zero():
+    # Just before t = 0 the winding is -1.7e-16, and 0 plus it reduces to
+    # 2*pi - 1.7e-16, which rounds to 2*pi: stored as 0, as ModelParams does.
+    drive = circular_drive(ModelParams(R=0.0, c=1.0, v=1.0), 1.0, 1.0, TWO_PI)
+    assert drive.params_at(-1e-5).phi == 0.0
+    assert drive.samples(np.array([-1e-5]))[2].tolist() == [1.0 + 0.0j]
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +367,12 @@ def test_evolve_rejects_a_step_count_too_large_to_store():
 
 
 def test_step_size_error_names_the_step_end_in_a_later_block():
-    # The step from t = 3.0 is step 1500, in the second 1024-step block, and
-    # the first one to see the bump; the error names its end time.
-    base = ModelParams(R=0.3, c=1.0, v=0.8)
-    drive = DriveSchedule(base, lambda t: (np.where(t > 3.0, 1e4, 0.0), 0.0, 0.0), 4.0)
-    with pytest.raises(StepSizeError, match=r"norm drifted by .* at t=3\.002$"):
-        evolve_nonlinear(stationary_states(base).states[0], drive, 0.002)
+    # At dt = 0.07 the drift passes the limit at the end of step 1226, in the
+    # second 1024-step block; the error names that step's end time.
+    base = ModelParams(R=0.0, c=1.0, v=1.0)
+    drive = circular_drive(base, 1.0, RIGHT_ANGLE, 300.0)
+    with pytest.raises(StepSizeError, match=r"norm drifted by 1\.001e-06 at t=85\.8143$"):
+        evolve_nonlinear(stationary_states(base).states[0], drive, 0.07)
 
 
 def test_step_size_error_names_the_first_time_the_drift_adds_up_past_the_limit():
@@ -502,28 +520,6 @@ def test_echo_rejects_zero_initial_state():
     drive = circular_drive(ModelParams(R=0.0, c=0.0, v=0.0), 1.0, 1.0, 1.0)
     with pytest.raises(InvalidStateError, match="norm"):
         loschmidt_dynamical(Eigenstate(0j, 0j, 0.0, 0.0, 0.0), drive, 0.01)
-
-
-@pytest.mark.parametrize(
-    "offsets",
-    [
-        lambda t: (0.0, np.where(t > 1.4, -2.0, 0.0), 0.0),
-        lambda t: (np.where(t > 1.4, math.inf, 0.0), 0.0, 0.0),
-        lambda t: (0.0, np.where(t > 1.4, math.nan, 0.0), 0.0),
-        lambda t: (0.0, 0.0, np.where(t > 1.4, math.nan, 0.0)),
-    ],
-    ids=["negative-coupling", "inf-bias", "nan-coupling", "nan-phase"],
-)
-def test_evolve_rejects_drive_that_turns_bad_partway(offsets):
-    # The drive turns bad in the second block of steps, at t > 1.4 of 2; the
-    # error names the first bad stage time, as the per-step reference does.
-    base = ModelParams(R=0.2, c=1.0, v=1.0)
-    initial = stationary_states(base).states[0]
-    drive = DriveSchedule(base, offsets, 2.0)
-    with pytest.raises(ValueError, match="t=1.40") as expected:
-        _rk4_reference(initial, drive, 0.001)
-    with pytest.raises(ValueError, match=re.escape(str(expected.value))):
-        evolve_nonlinear(initial, drive, 0.001)
 
 
 # ---------------------------------------------------------------------------

@@ -1089,3 +1089,14 @@ def test_kernel_marks_overflowing_points_failed_and_solves_the_rest():
     assert states.failed.tolist() == [True, True, True, True, False, False]
     assert states.count.tolist()[4:] == [2, 2]
     assert states.energy[4, :2].tolist() == [-0.85e308, 0.85e308]
+
+
+def test_kernel_keeps_apart_two_levels_whose_difference_overflows():
+    # At R = 8.5e307, c = 0, v = 1.7e308 the energies are -+hypot(R/2, v/2) =
+    # -+9.5e307, and their difference overflows to inf: the degenerate-level
+    # merge must not warn (warnings are errors here), and the levels stay two.
+    states = stationary_arrays(8.5e307, 1.7e308, 0.0, 0.0)
+    assert not states.failed.any()
+    assert states.count.tolist() == [2]
+    level = math.hypot(4.25e307, 0.85e308)
+    assert states.energy[0, :2].tolist() == pytest.approx([-level, level], rel=1e-12)
