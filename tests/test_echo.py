@@ -294,6 +294,27 @@ def test_drive_phase_that_rounds_to_two_pi_is_stored_as_zero():
     assert drive.samples(np.array([-1e-5]))[2].tolist() == [1.0 + 0.0j]
 
 
+@pytest.mark.parametrize(
+    "amplitude, theta, rejected",
+    [(0.5, 1.0, False), (-2.0, RIGHT_ANGLE, True)],
+    ids=["offset-in-R-and-v", "coupling-turns-negative"],
+)
+def test_drive_samples_of_constant_and_custom_offsets(amplitude, theta, rejected):
+    # The offsets dR = A cos(theta), dv = A sin(theta) stand for every time.
+    # One that turns the coupling negative (v = 0.5 - 2) is rejected when the
+    # drive is built, before any sample is taken.
+    base, T = ModelParams(R=0.1, c=0.4, v=0.5), 2.0
+    if rejected:
+        with pytest.raises(ValueError, match="^drive made the coupling negative$"):
+            DriveSchedule(base, amplitude, theta, T)
+        return
+    times = [0.0, 0.1, 0.3, 0.7, 1.9, 2.0]
+    R, v, phase = DriveSchedule(base, amplitude, theta, T).samples(np.array(times))
+    assert R.tolist() == [base.R + amplitude * math.cos(theta)] * len(times)
+    assert v.tolist() == [base.v + amplitude * math.sin(theta)] * len(times)
+    assert phase.tolist() == [_drive_reference(base, amplitude, theta, T, t)[2] for t in times]
+
+
 # ---------------------------------------------------------------------------
 # integrator
 
