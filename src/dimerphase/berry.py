@@ -41,13 +41,12 @@ from .model import (
 SINGULARITY_GUARD = 1e-6
 
 
-def _wrap(x: float) -> float:
-    y = math.fmod(x, TWO_PI)
-    if y < 0.0:
-        y += TWO_PI
-    if TWO_PI - y < 1e-12:
-        y = 0.0
-    return y
+def _wrap(x):
+    """x reduced to [0, 2*pi) elementwise, within 1e-12 of 2*pi to 0; a scalar to a float."""
+    y = np.fmod(x, TWO_PI)
+    y = np.where(y < 0.0, y + TWO_PI, y)
+    y = np.where(TWO_PI - y < 1e-12, 0.0, y)
+    return float(y) if y.ndim == 0 else y
 
 
 @dataclass(frozen=True)
@@ -182,6 +181,22 @@ def berry_phase_unit_overlap(loop: FrameLoop) -> PhasePair:
     return PhasePair(_wrap(g_n), _wrap(g_n1))
 
 
+def _loop_phase(v, energy, imbalance):
+    """berry_phase_closed_form elementwise, for v >= 0: NaN where it raises
+    InvalidStateError, and where E is NaN, as in a grid row with no state.
+    4 E^2 = 0, as at E = 0 or where it underflows, leaves no quotient: NaN."""
+    v, energy, imbalance = (np.asarray(x, dtype=float) for x in (v, energy, imbalance))
+    with np.errstate(all="ignore"):
+        e2 = 4.0 * energy * energy
+        # fmax, as max(0.0, x) would, reads a NaN quotient (inf / inf) as 0.
+        radicand = np.fmax(0.0, 1.0 - (v * v) / e2)
+        gamma = _wrap(math.pi * (1.0 + np.copysign(np.sqrt(radicand), imbalance)))
+        # Written as not (4 E^2 < ...), so that a NaN energy fails it, v = 0 included.
+        zero = v == 0.0
+        valid = (e2 >= v * v * (1.0 - 1e-12)) & (zero | (e2 != 0.0))
+    return np.where(valid, np.where(zero, 0.0, gamma), np.nan)
+
+
 def berry_phase_closed_form(v: float, energy: float, imbalance: float) -> float:
     """Coupling-phase-loop geometric phase of a dimer stationary state.
 
@@ -192,12 +207,10 @@ def berry_phase_closed_form(v: float, energy: float, imbalance: float) -> float:
     _check_finite(v=v, energy=energy, imbalance=imbalance)
     if v < 0.0:
         raise ValueError("coupling magnitude v must be >= 0")
-    if v == 0.0:
-        return 0.0
-    if energy == 0.0 or 4.0 * energy * energy < v * v * (1.0 - 1e-12):
+    gamma = float(_loop_phase(v, energy, imbalance))
+    if math.isnan(gamma):
         raise InvalidStateError("4 E^2 >= v^2 fails: not a stationary-state energy")
-    radicand = max(0.0, 1.0 - (v * v) / (4.0 * energy * energy))
-    return _wrap(math.pi * (1.0 + math.copysign(math.sqrt(radicand), imbalance)))
+    return gamma
 
 
 def berry_phase_discrete(branch: Sequence[Eigenstate]) -> float:

@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 computation or I/O failure, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
 import math
 import re
@@ -24,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .berry import berry_phase_closed_form
+from .berry import _loop_phase
 from .echo import (
     _pair_witness,
     circular_drive,
@@ -238,21 +237,13 @@ _GRID_COLUMNS = {
 _BLOCK = 1024
 
 
-def _berry_values(states, v: np.ndarray) -> np.ndarray:
-    """The loop phase over pi of each point's lowest state; NaN where it has none or it raises."""
-    values = np.full((len(v), 1), np.nan)
-    lowest = zip(v.tolist(), states.energy[:, 0].tolist(), states.imbalance[:, 0].tolist())
-    for k, (n, point) in enumerate(zip(states.count.tolist(), lowest)):
-        if n:
-            with contextlib.suppress(*_COMPUTE_ERRORS):
-                values[k] = berry_phase_closed_form(*point) / math.pi
-    return values
-
-
 # Each grid mode's values: one row per point, NaN for a blank cell.
 _GRID_VALUES = {
     "spectrum": lambda states, v: states.energy,
-    "berry": _berry_values,
+    # The loop phase over pi of each point's lowest state.
+    "berry": lambda states, v: (
+        _loop_phase(v[:, None], states.energy[:, :1], states.imbalance[:, :1]) / math.pi
+    ),
     "witness": lambda states, v: _pair_witness(
         states.amp1[:, :1], states.amp2[:, :1], states.amp1[:, 1:2], states.amp2[:, 1:2]
     ),

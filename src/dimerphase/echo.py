@@ -22,7 +22,7 @@ phase between the split branches; time-averaging recovers it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,6 +84,10 @@ class DriveSchedule:
     amplitude: float
     polar_angle: float
     total_time: float
+    # The driven R = base.R + A cos(theta) and v = base.v + A sin(theta),
+    # which do not change in time.
+    R: float = field(init=False, repr=False)
+    v: float = field(init=False, repr=False)
 
     def __post_init__(self):
         A, theta, T = self.amplitude, self.polar_angle, float(self.total_time)
@@ -93,38 +97,34 @@ class DriveSchedule:
             raise ValueError("amplitude must be finite")
         if not 0.0 < T < math.inf:
             raise ValueError(f"total_time must be positive and finite, got {T!r}")
-        object.__setattr__(self, "total_time", T)
-        R, v, _ = self._closed_form(0.0)  # R and v do not change in time
+        R = self.base.R + A * math.cos(theta)
+        v = self.base.v + A * math.sin(theta)
         if v < 0.0:
             raise ValueError("drive made the coupling negative")
-        _check_finite(R=float(R), v=float(v))
+        _check_finite(R=R, v=v)
+        for name, value in (("total_time", T), ("R", R), ("v", v)):
+            object.__setattr__(self, name, value)
 
-    def _closed_form(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(R, v, phi) at an array of times, each of its shape."""
+    def _phase(self, t) -> np.ndarray:
+        """phi at an array of times, of its shape, in [0, 2*pi) as ModelParams stores it."""
         t = np.asarray(t, dtype=float)
-        A, theta, base = self.amplitude, self.polar_angle, self.base
-        R = np.full(t.shape, base.R + A * math.cos(theta))
-        v = np.full(t.shape, base.v + A * math.sin(theta))
         u = t / self.total_time
-        dphi = TWO_PI * u - np.sin(TWO_PI * u) if A else np.zeros(t.shape)
-        phi = np.mod(base.phi + dphi, TWO_PI)
-        # As ModelParams stores it: a tiny negative phi reduces to 2*pi, stored as 0.
-        return R, v, np.where(phi == TWO_PI, 0.0, phi)
+        dphi = TWO_PI * u - np.sin(TWO_PI * u) if self.amplitude else np.zeros(t.shape)
+        phi = np.mod(self.base.phi + dphi, TWO_PI)
+        # A tiny negative phi reduces to 2*pi, stored as 0.
+        return np.where(phi == TWO_PI, 0.0, phi)
 
-    # Kept only for the benchmark, which traces it by name; samples is the same on arrays.
+    # Kept only for the benchmark, which traces it by name; R, v and samples give the same.
     def params_at(self, t: float) -> ModelParams:
         """The drive at one time, as a record."""
-        R, v, phi = self._closed_form(t)
-        return ModelParams(R=float(R), c=self.base.c, v=float(v), phi=float(phi))
+        return ModelParams(R=self.R, c=self.base.c, v=self.v, phi=float(self._phase(t)))
 
-    def samples(self, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(R, v, e^{i phi}) at an array of times, each of the shape of times.
+    def samples(self, times) -> np.ndarray:
+        """e^{i phi} at an array of times, of the shape of times.
 
-        Bit for bit what params_at gives at each time, with the phase factor
-        rounded as cmath.exp(1j * phi).
+        Bit for bit cmath.exp(1j * phi) of params_at's phi at each time.
         """
-        R, v, phi = self._closed_form(times)
-        return R, v, _phase_factor(phi)
+        return _phase_factor(self._phase(times))
 
 
 @dataclass(frozen=True)
@@ -252,29 +252,28 @@ def evolve_nonlinear(
     out[0] = (a1, a2)
 
     x1, y1, x2, y2 = a1.real, a1.imag, a2.real, a2.imag
-    hc, half, sixth = 0.5 * drive.base.c, 0.5 * h, h / 6.0
+    # The kernel's half-coefficients: R/2, c/2 and (v/2) e^{i phi}.
+    hR, hc, hv = 0.5 * drive.R, 0.5 * drive.base.c, 0.5 * drive.v
+    half, sixth = 0.5 * h, h / 6.0
     for first in range(0, n_steps, _BLOCK):
         starts = np.arange(first, min(first + _BLOCK, n_steps)) * h
-        R, v, e = drive.samples(np.stack([starts, starts + half, starts + h], axis=1))
-        # The kernel's half-coefficients R/2 and (v/2) e^{i phi} at each stage time.
-        coup = 0.5 * v * e
-        stages = zip(*(0.5 * R).T.tolist(), *coup.real.T.tolist(), *coup.imag.T.tolist())
+        coup = hv * drive.samples(np.stack([starts, starts + half, starts + h], axis=1))
         block = []
-        for hR0, hR1, hR2, gr0, gr1, gr2, gi0, gi1, gi2 in stages:
+        for gr0, gr1, gr2, gi0, gi1, gi2 in zip(*coup.real.T.tolist(), *coup.imag.T.tolist()):
             # Stage j returns f = H(psi) psi as (p1, q1, p2, q2) = (Re f1, Im f1,
             # Re f2, Im f2), and d(psi)/dt = -i f moves x by Im f and y by -Re f.
             # The kernel is called directly: a wrapper costs one more call per stage.
-            p1, q1, p2, q2 = _apply_half(hR0, hc, gr0, gi0, x1, y1, x2, y2)
+            p1, q1, p2, q2 = _apply_half(hR, hc, gr0, gi0, x1, y1, x2, y2)
             r1, s1, r2, s2 = _apply_half(
-                hR1, hc, gr1, gi1,
+                hR, hc, gr1, gi1,
                 x1 + half * q1, y1 - half * p1, x2 + half * q2, y2 - half * p2,
             )
             t1, u1, t2, u2 = _apply_half(
-                hR1, hc, gr1, gi1,
+                hR, hc, gr1, gi1,
                 x1 + half * s1, y1 - half * r1, x2 + half * s2, y2 - half * r2,
             )
             w1, z1, w2, z2 = _apply_half(
-                hR2, hc, gr2, gi2, x1 + h * u1, y1 - h * t1, x2 + h * u2, y2 - h * t2
+                hR, hc, gr2, gi2, x1 + h * u1, y1 - h * t1, x2 + h * u2, y2 - h * t2
             )
             x1 = x1 + sixth * (q1 + 2.0 * s1 + 2.0 * u1 + z1)
             y1 = y1 - sixth * (p1 + 2.0 * r1 + 2.0 * t1 + w1)

@@ -65,22 +65,20 @@ def triple_frame(d: float, p: float, q: float) -> TripleFrame:
     return TripleFrame(d, p, q, omega, theta, phi_angle)
 
 
-def eigenvector_rows(theta: float, phi: float) -> np.ndarray:
+def eigenvector_rows(theta, phi) -> np.ndarray:
     """The three eigenvectors as rows (n-1, n, n+1) over basis (n+1, n, n-1).
 
     Row n-1: -cos(theta/2) (sin phi, cos phi, 0) + sin(theta/2) (0, 0, 1)
     Row n:   (cos phi, -sin phi, 0)
     Row n+1:  sin(theta/2) (sin phi, cos phi, 0) + cos(theta/2) (0, 0, 1)
+
+    Elementwise: angles of broadcast shape S give an array of shape S + (3, 3).
     """
-    ct, st = math.cos(0.5 * theta), math.sin(0.5 * theta)
-    cp, sp = math.cos(phi), math.sin(phi)
-    return np.array(
-        [
-            [-ct * sp, -ct * cp, st],
-            [cp, -sp, 0.0],
-            [st * sp, st * cp, ct],
-        ]
-    )
+    half, phi = np.broadcast_arrays(0.5 * np.asarray(theta, dtype=float), phi)
+    ct, st = np.cos(half), np.sin(half)
+    cp, sp = np.cos(phi), np.sin(phi)
+    rows = [[-ct * sp, -ct * cp, st], [cp, -sp, np.zeros_like(cp)], [st * sp, st * cp, ct]]
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
 
 def delta_matrix(frame: TripleFrame) -> np.ndarray:
@@ -102,32 +100,29 @@ def triple_eigensystem(frame: TripleFrame) -> TripleEigensystem:
     return TripleEigensystem((lo, 0.0, hi), vecs)
 
 
-def transport_sign(loop_angle: str, level: int, samples: int = 256) -> int:
+def transport_sign(loop_angle: str, level: int) -> int:
     """Sign picked up by one eigenvector around a closed angle loop.
 
     loop_angle 'phi' winds the azimuth once at theta = pi/2; 'theta' winds the
     polar angle once at fixed azimuth.  level is -1, 0, or +1 relative to n.
-    The vector is followed sample to sample with sign continuity, and the
+    The vector is followed over 256 equal steps with sign continuity, and the
     result is the sign of its overlap with the starting vector.
     """
-    if samples < 16:
-        raise ValueError("need at least 16 samples around the loop")
     row = _LEVEL_ROW.get(level)
     if row is None:
         raise ValueError("level must be -1, 0, or +1")
 
-    alphas = np.linspace(0.0, TWO_PI, samples + 1)
+    alphas = np.linspace(0.0, TWO_PI, 257)
     if loop_angle == "phi":
-        angle_pairs = [(0.5 * math.pi, a) for a in alphas]
+        rows = eigenvector_rows(0.5 * math.pi, alphas)
     elif loop_angle == "theta":
-        angle_pairs = [(a, 0.0) for a in alphas]
+        rows = eigenvector_rows(alphas, 0.0)
     else:
         raise ValueError("loop_angle must be 'phi' or 'theta'")
 
-    # With 16 or more samples a step turns the vector by at most pi/8, so each
-    # neighbour overlap has modulus >= cos(pi/8) and its sign marks a flip.
-    rows = np.array([eigenvector_rows(*pair)[row] for pair in angle_pairs])
-    dots = np.sum(rows[:-1] * rows[1:], axis=1)
-    closure = np.prod(np.sign(dots)) * float(np.dot(rows[0], rows[-1]))
+    # A step turns the vector by at most pi/128, so each neighbour overlap has
+    # modulus >= cos(pi/128) and its sign marks a flip.
+    vecs = rows[:, row]
+    dots = np.sum(vecs[:-1] * vecs[1:], axis=1)
+    closure = np.prod(np.sign(dots)) * float(np.dot(vecs[0], vecs[-1]))
     return 1 if closure > 0.0 else -1
-

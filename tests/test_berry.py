@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dimerphase import (
     Eigenstate,
@@ -27,7 +28,7 @@ from dimerphase import (
     solid_angle,
     stationary_states,
 )
-from dimerphase.berry import _companion_solid_angle, _wrap
+from dimerphase.berry import _companion_solid_angle, _loop_phase, _wrap
 
 TWO_PI = 2.0 * math.pi
 
@@ -317,6 +318,71 @@ def test_closed_form_rejects_unphysical_energy():
 def test_closed_form_rejects_non_finite(v, energy, imbalance, name):
     with pytest.raises(ValueError, match=name):
         berry_phase_closed_form(v, energy, imbalance)
+
+
+def _closed_form_reference(v, energy, imbalance):
+    """The loop phase of one finite point in Python floats; None where it is no
+    stationary state, or where 4 E^2 rounds to 0 and cannot divide."""
+    if v == 0.0:
+        return 0.0
+    if 4.0 * energy * energy == 0.0 or 4.0 * energy * energy < v * v * (1.0 - 1e-12):
+        return None
+    radicand = max(0.0, 1.0 - (v * v) / (4.0 * energy * energy))
+    y = math.fmod(math.pi * (1.0 + math.copysign(math.sqrt(radicand), imbalance)), TWO_PI)
+    y = y + TWO_PI if y < 0.0 else y
+    return 0.0 if TWO_PI - y < 1e-12 else y
+
+
+@st.composite
+def _loop_points(draw):
+    """(v, E, m) with v = 0, E = 0, 4 E^2 on either side of v^2, either sign of m,
+    and v and E small enough that 4 E^2 underflows or large enough that it overflows."""
+    scales = (st.floats(0.0, 1e3), st.floats(0.0, 1e-150), st.floats(1e150, 1e300))
+    v = draw(st.one_of(st.just(0.0), *scales))
+    energy = draw(
+        st.one_of(
+            st.just(0.0),
+            st.floats(-1e3, 1e3),
+            # Across the bound 4 E^2 = v^2 (1 - 1e-12).
+            st.floats(-2e-12, 2e-12).map(lambda d: 0.5 * v * (1.0 + d)),
+            st.floats(-2e-12, 2e-12).map(lambda d: -0.5 * v * (1.0 + d)),
+        )
+    )
+    imbalance = draw(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1.0, 1.0)))
+    return v, energy, imbalance
+
+
+def _closed_form_or_none(v, energy, imbalance):
+    try:
+        return berry_phase_closed_form(v, energy, imbalance)
+    except InvalidStateError:
+        return None
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(points=st.lists(_loop_points(), min_size=1, max_size=12))
+def test_loop_phase_on_arrays_equals_closed_form_by_point(points):
+    # Bit for bit, and both equal the formula in Python floats.
+    got = _loop_phase(*map(np.array, zip(*points)))
+    assert got.shape == (len(points),)
+    for value, point in zip(got.tolist(), points):
+        want = _closed_form_or_none(*point)
+        assert want == _closed_form_reference(*point)
+        if want is not None:
+            assert value.hex() == want.hex()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(points=st.lists(_loop_points(), min_size=1, max_size=12))
+def test_loop_phase_is_nan_exactly_where_closed_form_raises(points):
+    got = _loop_phase(*map(np.array, zip(*points)))
+    assert np.isnan(got).tolist() == [_closed_form_or_none(*p) is None for p in points]
+
+
+def test_loop_phase_of_a_row_with_no_state_is_nan():
+    # A grid row with no state holds NaN energies, v = 0 (the origin) included.
+    got = _loop_phase(np.array([0.0, 1.0]), np.full(2, math.nan), np.full(2, math.nan))
+    assert np.isnan(got).all()
 
 
 # ---------------------------------------------------------------------------

@@ -135,14 +135,17 @@ def test_failing_point_is_skipped_and_counted(monkeypatch, capsys):
 
 
 def test_raising_berry_cell_is_skipped_and_counted(monkeypatch, capsys):
-    real = cli.berry_phase_closed_form
+    # The kernel gives the middle point a lowest state of energy 0.1, which
+    # breaks 4 E^2 >= v^2 at v = 0.5: no loop phase, a blank cell.
+    real = cli.stationary_arrays
 
-    def fails_at_half_coupling(v, energy, imbalance):
-        if v == 0.5:
-            raise ArithmeticError("not a stationary-state energy")
-        return real(v, energy, imbalance)
+    def breaks_bound_at_half_coupling(R, v, phi, c):
+        states = real(R, v, phi, c)
+        energy = states.energy.copy()
+        energy[v == 0.5, 0] = 0.1
+        return dataclasses.replace(states, energy=energy)
 
-    monkeypatch.setattr(cli, "berry_phase_closed_form", fails_at_half_coupling)
+    monkeypatch.setattr(cli, "stationary_arrays", breaks_bound_at_half_coupling)
     assert cli.main(["berry", "--R", "0.5", "--v", "0:1:3"]) == 0
     header, _, rows = parse_csv(capsys.readouterr().out)
     assert "# skipped: 1" in header

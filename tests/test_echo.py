@@ -201,8 +201,8 @@ def test_circular_drive_zero_amplitude_is_zero_drive():
         drive = circular_drive(base, 0.0, theta, 10.0)
         for t in times:
             assert drive.params_at(t) == base
-        got, want = drive.samples(times), zero_drive(base, 10.0).samples(times)
-        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+        assert (drive.R, drive.v) == (base.R, base.v)
+        assert drive.samples(times).tobytes() == zero_drive(base, 10.0).samples(times).tobytes()
 
 
 def test_circular_drive_closes():
@@ -217,9 +217,8 @@ def test_circular_drive_closes():
 def test_circular_drive_offsets_follow_polar_angle():
     base = ModelParams(R=0.0, c=0.0, v=1.0)
     drive = circular_drive(base, 2.0, math.pi / 3.0, 10.0)
-    p = drive.params_at(4.2)
-    assert p.R == pytest.approx(2.0 * math.cos(math.pi / 3.0))
-    assert p.v - 1.0 == pytest.approx(2.0 * math.sin(math.pi / 3.0))
+    assert drive.R == pytest.approx(2.0 * math.cos(math.pi / 3.0))
+    assert drive.v - 1.0 == pytest.approx(2.0 * math.sin(math.pi / 3.0))
 
 
 def test_drive_rejects_negative_coupling():
@@ -230,7 +229,7 @@ def test_drive_rejects_negative_coupling():
             circular_drive(ModelParams(R=0.0, c=0.0, v=v), amplitude, theta, 1.0)
     # A coupling driven to exactly 0 is allowed.
     drive = circular_drive(ModelParams(R=0.0, c=0.0, v=0.5), -0.5, RIGHT_ANGLE, 1.0)
-    assert drive.params_at(0.3).v == 0.0
+    assert drive.v == 0.0
 
 
 @pytest.mark.parametrize(
@@ -247,11 +246,12 @@ def test_drive_rejects_parameters_that_overflow_when_built(base, theta, name):
         circular_drive(base, 1e308, theta, 1.0)
 
 
-def _drive_reference(base, amplitude, theta, total_time, t):
-    """(R, v, e^{i phi}) of a circular drive at one time, in Python floats."""
+def _drive_reference(drive, t):
+    """(R, v, e^{i phi}) of a drive at one time, from its four fields in Python floats."""
+    base, amplitude, theta = drive.base, drive.amplitude, drive.polar_angle
     R = base.R + amplitude * math.cos(theta)
     v = base.v + amplitude * math.sin(theta)
-    u = t / total_time
+    u = t / drive.total_time
     phi = (base.phi + (TWO_PI * u - math.sin(TWO_PI * u))) % TWO_PI if amplitude else base.phi
     return R, v, cmath.exp(1j * (0.0 if phi == TWO_PI else phi))
 
@@ -268,7 +268,8 @@ def _drive_reference(base, amplitude, theta, total_time, t):
     fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16),
 )
 def test_drive_samples_equal_params_at(R, c, v, phi, amplitude, theta, total_time, fractions):
-    # Both equal the drive's closed form in Python floats, bit for bit.
+    # The constant R and v, the phase factors of samples and params_at all
+    # equal the drive's closed form in Python floats, bit for bit.
     base = ModelParams(R, c, v, phi)
     if v + amplitude * math.sin(theta) < 0.0:
         with pytest.raises(ValueError, match="coupling negative"):
@@ -276,14 +277,14 @@ def test_drive_samples_equal_params_at(R, c, v, phi, amplitude, theta, total_tim
         return
     drive = circular_drive(base, amplitude, theta, total_time)
     times = [f * total_time for f in fractions]
-    samples = drive.samples(np.array(times))
-    assert all(x.shape == (len(times),) for x in samples)
-    for t, r, vv, e in zip(times, *(x.tolist() for x in samples)):
-        R_ref, v_ref, e_ref = _drive_reference(base, amplitude, theta, total_time, t)
-        got = [x.hex() for x in (r, vv, e.real, e.imag)]
+    phases = drive.samples(np.array(times))
+    assert phases.shape == (len(times),)
+    for t, e in zip(times, phases.tolist()):
+        R_ref, v_ref, e_ref = _drive_reference(drive, t)
+        got = [x.hex() for x in (drive.R, drive.v, e.real, e.imag)]
         assert got == [x.hex() for x in (R_ref, v_ref, e_ref.real, e_ref.imag)]
         p = drive.params_at(t)
-        assert (p.R, p.v, cmath.exp(1j * p.phi)) == (r, vv, e)
+        assert (p.R, p.c, p.v, cmath.exp(1j * p.phi)) == (drive.R, c, drive.v, e)
 
 
 def test_drive_phase_that_rounds_to_two_pi_is_stored_as_zero():
@@ -291,7 +292,7 @@ def test_drive_phase_that_rounds_to_two_pi_is_stored_as_zero():
     # 2*pi - 1.7e-16, which rounds to 2*pi: stored as 0, as ModelParams does.
     drive = circular_drive(ModelParams(R=0.0, c=1.0, v=1.0), 1.0, 1.0, TWO_PI)
     assert drive.params_at(-1e-5).phi == 0.0
-    assert drive.samples(np.array([-1e-5]))[2].tolist() == [1.0 + 0.0j]
+    assert drive.samples(np.array([-1e-5])).tolist() == [1.0 + 0.0j]
 
 
 @pytest.mark.parametrize(
@@ -300,8 +301,9 @@ def test_drive_phase_that_rounds_to_two_pi_is_stored_as_zero():
     ids=["offset-in-R-and-v", "coupling-turns-negative"],
 )
 def test_drive_samples_of_constant_and_custom_offsets(amplitude, theta, rejected):
-    # The offsets dR = A cos(theta), dv = A sin(theta) stand for every time.
-    # One that turns the coupling negative (v = 0.5 - 2) is rejected when the
+    # The offsets dR = A cos(theta), dv = A sin(theta) are the drive's
+    # constant R and v; samples gives the winding phase alone.  An offset
+    # that turns the coupling negative (v = 0.5 - 2) is rejected when the
     # drive is built, before any sample is taken.
     base, T = ModelParams(R=0.1, c=0.4, v=0.5), 2.0
     if rejected:
@@ -309,10 +311,11 @@ def test_drive_samples_of_constant_and_custom_offsets(amplitude, theta, rejected
             DriveSchedule(base, amplitude, theta, T)
         return
     times = [0.0, 0.1, 0.3, 0.7, 1.9, 2.0]
-    R, v, phase = DriveSchedule(base, amplitude, theta, T).samples(np.array(times))
-    assert R.tolist() == [base.R + amplitude * math.cos(theta)] * len(times)
-    assert v.tolist() == [base.v + amplitude * math.sin(theta)] * len(times)
-    assert phase.tolist() == [_drive_reference(base, amplitude, theta, T, t)[2] for t in times]
+    drive = DriveSchedule(base, amplitude, theta, T)
+    assert drive.R == base.R + amplitude * math.cos(theta)
+    assert drive.v == base.v + amplitude * math.sin(theta)
+    phases = [_drive_reference(drive, t)[2] for t in times]
+    assert drive.samples(np.array(times)).tolist() == phases
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +409,7 @@ def test_step_size_error_names_the_first_time_the_drift_adds_up_past_the_limit()
 
 
 def _rk4_reference(initial, drive, dt):
-    """The RK4 integrator with one params_at call per stage time, as a reference."""
+    """The RK4 integrator with the drive's closed form at each stage time, as a reference."""
     T = drive.total_time
     n_steps = max(1, round(T / dt))
     h = T / n_steps
@@ -417,8 +420,8 @@ def _rk4_reference(initial, drive, dt):
     for k in range(n_steps):
         t = k * h
         s0, s1, s2 = (
-            (p.R, p.c, p.v, cmath.exp(1j * p.phi))
-            for p in (drive.params_at(t), drive.params_at(t + 0.5 * h), drive.params_at(t + h))
+            (R, drive.base.c, v, phase)
+            for R, v, phase in (_drive_reference(drive, s) for s in (t, t + 0.5 * h, t + h))
         )
         f1, f2 = _apply(*s0, a1, a2)
         k1a, k1b = -1j * f1, -1j * f2
@@ -586,10 +589,10 @@ def _two_flow_echo(initial, drive, times):
 
     def rhs(schedule):
         def f(t, psi):
-            p = schedule.params_at(t)
+            R, v, phase = _drive_reference(schedule, t)
             m = abs(psi[1]) ** 2 - abs(psi[0]) ** 2
-            diag = 0.5 * (p.R + p.c * m)
-            coup = 0.5 * p.v * cmath.exp(1j * p.phi)
+            diag = 0.5 * (R + schedule.base.c * m)
+            coup = 0.5 * v * phase
             return -1j * np.array(
                 [diag * psi[0] + coup * psi[1], coup.conjugate() * psi[0] - diag * psi[1]]
             )
