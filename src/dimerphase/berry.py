@@ -34,6 +34,7 @@ from .model import (
     _check_overlap,
     _check_theta,
     _overlap_parts,
+    _reduce_phase,
 )
 
 # Lower bound on 1 - sin(theta)*s (general quadrature) and 1 - sin(theta)
@@ -43,8 +44,7 @@ SINGULARITY_GUARD = 1e-6
 
 def _wrap(x):
     """x reduced to [0, 2*pi) elementwise, within 1e-12 of 2*pi to 0; a scalar to a float."""
-    y = np.fmod(x, TWO_PI)
-    y = np.where(y < 0.0, y + TWO_PI, y)
+    y = _reduce_phase(x)
     y = np.where(TWO_PI - y < 1e-12, 0.0, y)
     return float(y) if y.ndim == 0 else y
 
@@ -113,22 +113,29 @@ def solid_angle(loop: FrameLoop) -> float:
     return _loop_integral(loop, 1.0 - np.cos(loop.thetas))
 
 
-def berry_phase_perturbative(loop: FrameLoop) -> PhasePair:
-    """Geometric phase pair from the full loop quadrature.
+def _frame_phases(loop: FrameLoop, s: float, error: type, message: str) -> PhasePair:
+    """The loop quadrature at overlap s:
 
     gamma_n   = 1/2 int (1 - cos theta + s sin theta) / (1 + s sin theta) dphi
     gamma_n+1 = 1/2 int (1 + cos theta - s sin theta) / (1 - s sin theta) dphi
+
+    raising error(message) where 1 - s sin theta falls below the guard.
     """
-    s_sin = loop.overlap * np.sin(loop.thetas)
+    s_sin = s * np.sin(loop.thetas)
     if np.min(1.0 - s_sin) < SINGULARITY_GUARD:
-        raise NearSingularLoopError(
-            "1 - sin(theta)*s fell below the quadrature guard; "
-            "use the unit-overlap limit instead"
-        )
+        raise error(message)
     cos = np.cos(loop.thetas)
     g_n = 0.5 * _loop_integral(loop, (1.0 - cos + s_sin) / (1.0 + s_sin))
     g_n1 = 0.5 * _loop_integral(loop, (1.0 + cos - s_sin) / (1.0 - s_sin))
     return PhasePair(_wrap(g_n), _wrap(g_n1))
+
+
+def berry_phase_perturbative(loop: FrameLoop) -> PhasePair:
+    """Geometric phase pair from the full loop quadrature at the loop's overlap."""
+    message = (
+        "1 - sin(theta)*s fell below the quadrature guard; use the unit-overlap limit instead"
+    )
+    return _frame_phases(loop, loop.overlap, NearSingularLoopError, message)
 
 
 def berry_phase_constant_theta(theta: float, overlap: float) -> PhasePair:
@@ -164,21 +171,13 @@ def _companion_solid_angle(loop: FrameLoop) -> float:
 
 
 def berry_phase_unit_overlap(loop: FrameLoop) -> PhasePair:
-    """Limit s -> 1 of the loop quadrature.
-
-    gamma_n   = 1/2 int [1 - cos theta / (1 + sin theta)] dphi
-    gamma_n+1 = 1/2 int [1 + cos theta / (1 - sin theta)] dphi
-
-    The sign pairing is fixed by matching the s -> 1 limit of the exact
-    constant-theta expressions: level n takes the -cos/(1+sin) branch.
-    Loops touching sin(theta) = 1 make the n+1 integrand blow up.
+    """Limit s -> 1 of the loop quadrature: the quadrature at s = 1, whatever
+    the loop's overlap.  Loops touching sin(theta) = 1 make the n+1 integrand
+    blow up.
     """
-    sin, cos = np.sin(loop.thetas), np.cos(loop.thetas)
-    if np.min(1.0 - sin) < SINGULARITY_GUARD:
-        raise SingularLimitError("unit-overlap integrand singular at sin(theta) = 1")
-    g_n = 0.5 * _loop_integral(loop, 1.0 - cos / (1.0 + sin))
-    g_n1 = 0.5 * _loop_integral(loop, 1.0 + cos / (1.0 - sin))
-    return PhasePair(_wrap(g_n), _wrap(g_n1))
+    return _frame_phases(
+        loop, 1.0, SingularLimitError, "unit-overlap integrand singular at sin(theta) = 1"
+    )
 
 
 def _loop_phase(v, energy, imbalance):

@@ -75,42 +75,22 @@ def _parse_float(text: str, name: str) -> float:
     return value
 
 
-def _in_range(parse, ok, rule: str):
-    """parse, then reject a value, or an axis with a point, that fails ok."""
-
-    def parse_in_range(text: str, name: str):
-        value = parse(text, name)
-        if not np.all(ok(value)):
-            raise UsageError(f"--{name}: must be {rule}")
-        return value
-
-    return parse_in_range
-
-
-# Every run setting: key -> (default, parser with its range check, help).
+# Every run setting: key -> (default, parser, range, help).  A range, or None,
+# is a test that a value, or every point of an axis, must pass, and its rule.
 # Each key is a --flag, a config-file key and a ScanConfig field.
 _KEYS = {
-    "R": ("0", _parse_axis, "bias: value or start:stop:count axis"),
-    "v": ("1", _in_range(_parse_axis, lambda x: x >= 0.0, ">= 0"), "coupling: value or axis"),
-    "c": ("1", _in_range(_parse_float, lambda x: x >= 0.0, ">= 0"), "nonlinearity strength"),
-    "dt": ("0.002", _in_range(_parse_float, lambda x: x > 0.0, "> 0"), "integrator time step"),
-    "T": ("20", _in_range(_parse_float, lambda x: x > 0.0, "> 0"), "drive duration"),
+    "R": ("0", _parse_axis, None, "bias: value or start:stop:count axis"),
+    "v": ("1", _parse_axis, (lambda x: x >= 0.0, ">= 0"), "coupling: value or axis"),
+    "c": ("1", _parse_float, (lambda x: x >= 0.0, ">= 0"), "nonlinearity strength"),
+    "dt": ("0.002", _parse_float, (lambda x: x > 0.0, "> 0"), "integrator time step"),
+    "T": ("20", _parse_float, (lambda x: x > 0.0, "> 0"), "drive duration"),
     "theta": (
         repr(0.5 * math.pi),
-        _in_range(_parse_float, lambda x: 0.0 <= x <= math.pi, "in [0, pi]"),
+        _parse_float,
+        (lambda x: 0.0 <= x <= math.pi, "in [0, pi]"),
         "drive polar angle",
     ),
-    "amp": ("1", _in_range(_parse_float, lambda x: x >= 0.0, ">= 0"), "drive amplitude"),
-}
-
-# The settings each mode reads; only these are flags, config keys and hashed.
-_GRID_KEYS = ("R", "v", "c")
-_MODE_KEYS = {
-    "spectrum": _GRID_KEYS,
-    "berry": _GRID_KEYS,
-    "witness": _GRID_KEYS,
-    "echo": tuple(_KEYS),
-    "triple": (),
+    "amp": ("1", _parse_float, (lambda x: x >= 0.0, ">= 0"), "drive amplitude"),
 }
 
 # R and v hold a float or a 1-D ndarray axis, a setting the mode does not
@@ -148,13 +128,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Scans over a nonlinear two-mode model: spectra, phases, witnesses, echoes.",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode, keys in _MODE_KEYS.items():
+    for mode, (keys, _) in _MODES.items():
         # No abbreviations: triple's --c would otherwise read as --config.
         sp = sub.add_parser(mode, help=f"run a {mode} scan", allow_abbrev=False)
         sp.add_argument("--out", help="output CSV path (default: stdout)")
         sp.add_argument("--config", help="flat key = value config file")
         for key in keys:
-            sp.add_argument(f"--{key}", help=_KEYS[key][2])
+            sp.add_argument(f"--{key}", help=_KEYS[key][3])
     return parser
 
 
@@ -181,12 +161,12 @@ def load_config_file(path: str, keys: set[str]) -> dict[str, str]:
 
 
 def resolve_config(args: argparse.Namespace) -> ScanConfig:
-    keys = _MODE_KEYS[args.mode]
+    keys = _MODES[args.mode][0]
     file_values = load_config_file(args.config, {*keys, "out"}) if args.config else {}
     # Flags win over the config file, and the file over the defaults.
     given = {**file_values, **{k: x for k, x in vars(args).items() if x is not None}}
     raw = {key: given.get(key, _KEYS[key][0]) for key in keys}
-    val = {key: _KEYS[key][1](raw[key], key) for key in keys}
+    val = {key: _parse(key, raw[key]) for key in keys}
     if args.mode == "echo":
         for name in ("R", "v"):
             if isinstance(val[name], np.ndarray):
@@ -197,6 +177,15 @@ def resolve_config(args: argparse.Namespace) -> ScanConfig:
     summary = " ".join(f"{k}={raw[k]}" for k in sorted(raw))
     settings = {**dict.fromkeys(_KEYS), **val, "out": given.get("out")}
     return ScanConfig(mode=args.mode, **settings, config_hash=digest, summary=summary)
+
+
+def _parse(key: str, text: str):
+    """A setting's value from its text, checked against its range."""
+    _, parse, in_range, _ = _KEYS[key]
+    value = parse(text, key)
+    if in_range and not np.all(in_range[0](value)):
+        raise UsageError(f"--{key}: must be {in_range[1]}")
+    return value
 
 
 def _canonical(value) -> str:
@@ -314,8 +303,13 @@ def _render(cfg: ScanConfig, header, comments, columns) -> str:
     return "\n".join(lines) + "\n"
 
 
-_RUNNERS = {**dict.fromkeys(_GRID_COLUMNS, run_grid_scan), "echo": run_echo}
-_RUNNERS["triple"] = run_triple_table
+# Each mode's settings, which alone are its flags, config keys and hash
+# inputs, and its runner.
+_MODES = {
+    **dict.fromkeys(_GRID_COLUMNS, (("R", "v", "c"), run_grid_scan)),
+    "echo": (tuple(_KEYS), run_echo),
+    "triple": ((), run_triple_table),
+}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -328,7 +322,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
     try:
-        header, comments, columns = _RUNNERS[cfg.mode](cfg)
+        header, comments, columns = _MODES[cfg.mode][1](cfg)
         text = _render(cfg, header, comments, columns)
         if cfg.out:
             with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:

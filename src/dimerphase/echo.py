@@ -43,6 +43,7 @@ from .model import (
     _is_stationary,
     _overlap_parts,
     _phase_factor,
+    _reduce_phase,
     _residual,
     stationary_states,
 )
@@ -91,8 +92,7 @@ class DriveSchedule:
 
     def __post_init__(self):
         A, theta, T = self.amplitude, self.polar_angle, float(self.total_time)
-        if not 0.0 <= theta <= math.pi:
-            raise ValueError("polar angle must lie in [0, pi] so the coupling stays >= 0")
+        _check_theta(theta)
         if not math.isfinite(A):
             raise ValueError("amplitude must be finite")
         if not 0.0 < T < math.inf:
@@ -110,9 +110,7 @@ class DriveSchedule:
         t = np.asarray(t, dtype=float)
         u = t / self.total_time
         dphi = TWO_PI * u - np.sin(TWO_PI * u) if self.amplitude else np.zeros(t.shape)
-        phi = np.mod(self.base.phi + dphi, TWO_PI)
-        # A tiny negative phi reduces to 2*pi, stored as 0.
-        return np.where(phi == TWO_PI, 0.0, phi)
+        return _reduce_phase(self.base.phi + dphi)
 
     # Kept only for the benchmark, which traces it by name; R, v and samples give the same.
     def params_at(self, t: float) -> ModelParams:

@@ -43,6 +43,13 @@ def _check_finite(**values: float) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _reduce_phase(phi):
+    """Angles reduced to [0, 2*pi) elementwise, as np.remainder and Python's float %
+    round alike; 2*pi, which a tiny negative angle rounds to, is stored as 0."""
+    phi = np.remainder(phi, TWO_PI)
+    return np.where(phi == TWO_PI, 0.0, phi)
+
+
 def _check_theta(theta) -> None:
     """Polar angles, a scalar or an array, must lie in [0, pi]."""
     if not np.all((0.0 <= theta) & (theta <= math.pi)):
@@ -74,9 +81,7 @@ class ModelParams:
             raise ValueError("coupling magnitude v must be >= 0 (move signs into phi)")
         if self.c < 0.0:
             raise ValueError("nonlinearity c must be >= 0")
-        phi = self.phi % TWO_PI
-        # A tiny negative phi reduces to 2*pi - tiny, which rounds to 2*pi itself.
-        object.__setattr__(self, "phi", 0.0 if phi == TWO_PI else phi)
+        object.__setattr__(self, "phi", float(_reduce_phase(self.phi)))
 
 
 @dataclass(frozen=True)
@@ -456,9 +461,8 @@ def phi_loop(params: ModelParams, n_points: int) -> ParamPath:
     if n_points < 2:
         raise ValueError("need at least two segments")
     n = n_points + 1
-    # params.phi >= 0, so np.remainder, which rounds as Python's float %, lands
-    # in [0, 2*pi): each phi is what ModelParams(phi=...) would store.
-    phi = np.remainder(params.phi + TWO_PI * np.arange(n) / n_points, TWO_PI)
+    # Each phi is what ModelParams(phi=...) would store.
+    phi = _reduce_phase(params.phi + TWO_PI * np.arange(n) / n_points)
     return ParamPath(np.full(n, params.R), np.full(n, params.c), np.full(n, params.v), phi)
 
 

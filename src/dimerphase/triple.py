@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AtDegeneracyError
-from .model import TWO_PI, _check_finite
+from .model import TWO_PI, _check_finite, _reduce_phase
 
 # Map a level offset relative to n onto its row in the eigensystem tables.
 _LEVEL_ROW = {-1: 0, 0: 1, +1: 2}
@@ -61,7 +61,7 @@ def triple_frame(d: float, p: float, q: float) -> TripleFrame:
         raise AtDegeneracyError("(d, p, q) = 0: no splitting, no frame")
     omega = math.sqrt(omega2)
     theta = math.atan2(2.0 * math.hypot(p, q), d)
-    phi_angle = math.atan2(q, p) % TWO_PI if (p, q) != (0.0, 0.0) else 0.0
+    phi_angle = float(_reduce_phase(math.atan2(q, p))) if (p, q) != (0.0, 0.0) else 0.0
     return TripleFrame(d, p, q, omega, theta, phi_angle)
 
 

@@ -43,6 +43,11 @@ def test_frame_mixed():
     assert f.phi_angle == pytest.approx(math.pi / 4.0)
 
 
+def test_frame_azimuth_just_below_zero_is_stored_as_zero():
+    # atan2 gives -1e-300, which reduces to 2*pi - 1e-300 and rounds to 2*pi.
+    assert triple_frame(0.5, 1.0, -1e-300).phi_angle == 0.0
+
+
 def test_frame_rejects_degeneracy():
     with pytest.raises(AtDegeneracyError):
         triple_frame(0.0, 0.0, 0.0)
