@@ -132,9 +132,7 @@ def _frame_phases(loop: FrameLoop, s: float, error: type, message: str) -> Phase
 
 def berry_phase_perturbative(loop: FrameLoop) -> PhasePair:
     """Geometric phase pair from the full loop quadrature at the loop's overlap."""
-    message = (
-        "1 - sin(theta)*s fell below the quadrature guard; use the unit-overlap limit instead"
-    )
+    message = "1 - sin(theta)*s fell below the quadrature guard"
     return _frame_phases(loop, loop.overlap, NearSingularLoopError, message)
 
 
@@ -182,18 +180,20 @@ def berry_phase_unit_overlap(loop: FrameLoop) -> PhasePair:
 
 def _loop_phase(v, energy, imbalance):
     """berry_phase_closed_form elementwise, for v >= 0: NaN where it raises
-    InvalidStateError, and where E is NaN, as in a grid row with no state.
-    4 E^2 = 0, as at E = 0 or where it underflows, leaves no quotient: NaN."""
+    InvalidStateError, and where E is NaN, as in a grid row with no state."""
     v, energy, imbalance = (np.asarray(x, dtype=float) for x in (v, energy, imbalance))
+    # v and E scaled by one power of two, which is exact, so that the larger
+    # lies in [1/2, 1) and their squares neither over- nor underflow.
+    k = -np.frexp(np.fmax(np.abs(v), np.abs(energy)))[1]
+    v, energy = np.ldexp(v, k), np.ldexp(energy, k)
     with np.errstate(all="ignore"):
         e2 = 4.0 * energy * energy
-        # fmax, as max(0.0, x) would, reads a NaN quotient (inf / inf) as 0.
+        # Inside the 1e-12 margin below, the radicand may round below 0.
         radicand = np.fmax(0.0, 1.0 - (v * v) / e2)
         gamma = _wrap(math.pi * (1.0 + np.copysign(np.sqrt(radicand), imbalance)))
         # Written as not (4 E^2 < ...), so that a NaN energy fails it, v = 0 included.
-        zero = v == 0.0
-        valid = (e2 >= v * v * (1.0 - 1e-12)) & (zero | (e2 != 0.0))
-    return np.where(valid, np.where(zero, 0.0, gamma), np.nan)
+        valid = e2 >= v * v * (1.0 - 1e-12)
+    return np.where(valid, np.where(v == 0.0, 0.0, gamma), np.nan)
 
 
 def berry_phase_closed_form(v: float, energy: float, imbalance: float) -> float:

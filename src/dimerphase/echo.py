@@ -56,7 +56,7 @@ _DRIFT_LIMIT = 1e-6
 # Integrator steps whose drive samples are taken at once: enough to spread
 # numpy's per-call cost, few enough that the samples stay small.  Sampling
 # all 10,000 steps of a T = 20, dt = 0.002 run at once raised its peak
-# memory by 10 %.
+# memory from 36.9 to 39.9 MiB (+8 %; measured as for cli._BLOCK).
 _BLOCK = 1024
 
 

@@ -4,9 +4,10 @@ import cmath
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dimerphase import (
     Eigenstate,
@@ -274,6 +275,24 @@ def test_unit_overlap_singular_on_equator():
         berry_phase_unit_overlap(frame_loop(math.pi / 2.0 - 1e-9, 1.0))
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    # Within 3e-3 of the equator, where 1 - sin(theta) crosses the 1e-6 guard.
+    thetas=st.lists(st.floats(-3e-3, 3e-3).map(lambda d: 0.5 * math.pi + d), min_size=3),
+    s=st.one_of(st.just(1.0), st.floats(1.0 - 1e-5, 1.0), st.floats(0.0, 1.0)),
+)
+@example(thetas=[0.5 * math.pi] * 4, s=1.0)
+def test_loop_tripping_the_quadrature_guard_trips_the_unit_overlap_guard(thetas, s):
+    # 1 - s sin(theta) >= 1 - sin(theta) for s <= 1, so the unit-overlap
+    # limit is no way around the quadrature's guard.
+    loop = FrameLoop(np.array(thetas), np.linspace(0.0, TWO_PI, len(thetas)), s)
+    try:
+        berry_phase_perturbative(loop)
+    except NearSingularLoopError:
+        with pytest.raises(SingularLimitError):
+            berry_phase_unit_overlap(loop)
+
+
 # ---------------------------------------------------------------------------
 # dimer closed form
 
@@ -321,11 +340,14 @@ def test_closed_form_rejects_non_finite(v, energy, imbalance, name):
 
 
 def _closed_form_reference(v, energy, imbalance):
-    """The loop phase of one finite point in Python floats; None where it is no
-    stationary state, or where 4 E^2 rounds to 0 and cannot divide."""
+    """The loop phase of one finite point in Python floats, with v and E scaled
+    by one power of two so that their squares neither over- nor underflow;
+    None where it is no stationary state."""
     if v == 0.0:
         return 0.0
-    if 4.0 * energy * energy == 0.0 or 4.0 * energy * energy < v * v * (1.0 - 1e-12):
+    k = -math.frexp(max(abs(v), abs(energy)))[1]
+    v, energy = math.ldexp(v, k), math.ldexp(energy, k)
+    if 4.0 * energy * energy < v * v * (1.0 - 1e-12):
         return None
     radicand = max(0.0, 1.0 - (v * v) / (4.0 * energy * energy))
     y = math.fmod(math.pi * (1.0 + math.copysign(math.sqrt(radicand), imbalance)), TWO_PI)
@@ -377,6 +399,20 @@ def test_loop_phase_on_arrays_equals_closed_form_by_point(points):
 def test_loop_phase_is_nan_exactly_where_closed_form_raises(points):
     got = _loop_phase(*map(np.array, zip(*points)))
     assert np.isnan(got).tolist() == [_closed_form_or_none(*p) is None for p in points]
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e-150, 1.0, 1e150, 1e160, 1e300])
+@pytest.mark.parametrize("imbalance", [0.6, -0.6])
+def test_loop_phase_matches_mpmath_at_any_scale(scale, imbalance):
+    # v^2 / 4 E^2 = 0.64, so |m| = 0.6; the squares under- or overflow at the
+    # outer scales, the quotient does not.
+    v, energy = 0.8 * scale, -0.5 * scale
+    with mpmath.workdps(40):
+        ratio = mpmath.mpf(v) / (2 * mpmath.mpf(energy))
+        want = mpmath.pi * (1 + mpmath.sqrt(1 - ratio**2) * mpmath.sign(imbalance))
+        assert berry_phase_closed_form(v, energy, imbalance) == pytest.approx(
+            float(want), rel=1e-15
+        )
 
 
 def test_loop_phase_of_a_row_with_no_state_is_nan():

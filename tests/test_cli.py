@@ -175,6 +175,20 @@ def test_berry_vanishing_coupling():
     assert float(rows[0][2]) == 0.0
 
 
+@pytest.mark.parametrize("k", [-560, -540, 500, 530])
+def test_berry_grid_is_scale_free(k, capsys):
+    # Scaling R, v and c by 2^k scales every energy by it, and the loop phase
+    # reads v / E and the sign of m only: every cell is the scale-1 cell, also
+    # where v^2 and 4 E^2 would underflow (k = -560, -540) or overflow (530).
+    def cells(scale):
+        R0, R1, v1, c = (repr(math.ldexp(x, scale)) for x in (-2.0, 2.0, 2.0, 1.0))
+        assert cli.main(["berry", f"--R={R0}:{R1}:41", "--v", f"0:{v1}:41", "--c", c]) == 0
+        header, _, rows = parse_csv(capsys.readouterr().out)
+        return [h for h in header if h.startswith("# skipped")], [row[2] for row in rows]
+
+    assert cells(k) == cells(0)
+
+
 # ---------------------------------------------------------------------------
 # witness
 
@@ -491,6 +505,16 @@ def test_unwritable_output_path_fails_cleanly(tmp_path):
     target = str(tmp_path / "no-such-dir" / "x.csv")
     proc = run_cli("triple", "--out", target, expect=1)
     assert target in proc.stderr
+
+
+@pytest.mark.parametrize("flag, count", [("R", 10**15), ("v", 10**20)])
+def test_axis_too_long_to_store_is_usage_error(flag, count, capsys):
+    # 10**15 points would take 7.1 PiB, so their allocation fails at once;
+    # numpy refuses 10**20 before it allocates.
+    assert cli.main(["spectrum", f"--{flag}", f"0:1:{count}"]) == 2
+    assert capsys.readouterr().err == (
+        f"dimerphase: --{flag}: an axis of {count} points is too long to store\n"
+    )
 
 
 def test_axis_with_points_that_overflow_is_usage_error():
