@@ -58,12 +58,12 @@ def _parse_axis(text: str, name: str):
     if count < 2:
         raise UsageError(f"--{name}: an axis needs at least 2 points")
     start, stop = _parse_float(parts[0], name), _parse_float(parts[1], name)
-    try:
-        with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
+        try:
             axis = np.linspace(start, stop, count)
-    # ValueError is numpy's answer to a count past its largest array size.
-    except (MemoryError, ValueError):
-        raise UsageError(f"--{name}: an axis of {count} points is too long to store") from None
+        # ValueError is numpy's answer to a count past its largest array size.
+        except (MemoryError, ValueError):
+            raise UsageError(f"--{name}: an axis of {count} points is too long to store") from None
     if not np.isfinite(axis).all():
         raise UsageError(f"--{name}: axis {text!r} has points that are not finite")
     return axis
