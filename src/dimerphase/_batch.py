@@ -63,14 +63,16 @@ def _far_root(A, B, cusp):
     root is taken if more than twice as far, so near a cluster the convex
     side's simple root is divided out; at the cusp only that side is searched.
     """
-    # Each side's roots lie within |t| <= X, where |t|^4 -+ |A| |t|^3 - |B| |t| - 1 > 0.
-    big, side = np.maximum(1.0, np.cbrt(np.abs(B) + 1.0)), np.where(A >= 0.0, 1.0, -1.0)
+    # Each side's roots lie within |t| <= X, where |t|^4 -+ |A| |t|^3 - |B| |t| - 1 > 0.  big =
+    # 2^ceil(e/3) >= cbrt(|B| + 1), as |B| + 1 < 2^e; numpy's cbrt would round by CPU path.
+    big, side = np.ldexp(1.0, -(-np.frexp(np.abs(B) + 1.0)[1] // 3)), np.where(A >= 0.0, 1.0, -1.0)
     near = np.minimum(big, np.maximum(1.0, np.sqrt((np.abs(B) + 1.0) / np.abs(A))))
     X = np.stack([side * near, np.where(cusp, side * near, -side * (np.abs(A) + big))])
     # Newton in s = t / X, on p(X s) / X^4, where no power of a far root overflows.
-    p = np.stack([np.ones_like(X), A / X, 0.0 * X, B / X / X / X, -1.0 / X**4], axis=2)
+    p = np.stack([np.ones_like(X), A / X, 0.0 * X, B / X / X / X, -1.0 / ((X * X) * (X * X))], 2)
     s = _polish(p.reshape(-1, 5), np.ones(X.size)).reshape(X.shape)
-    terms = p * s[:, :, None] ** np.arange(4.0, -1.0, -1.0)
+    # Powers as products, as X^4 above: np.power rounds by the CPU path.
+    terms = p * np.stack([(s * s) * (s * s), (s * s) * s, s * s, s, np.ones_like(s)], axis=2)
     is_root = np.abs(terms.sum(axis=2)) <= 16.0 * np.finfo(float).eps * np.abs(terms).sum(axis=2)
     convex, other = X * s
     return np.where(is_root[1] & (np.abs(other) > 2.0 * np.abs(convex)), other, convex)

@@ -193,11 +193,11 @@ def _parse(key: str, text: str):
 
 
 def _canonical(value) -> str:
-    """A parsed setting as hashed, so that "1", "1.0" and "1e0" hash alike:
-    repr of a value, start:stop:count of an axis."""
+    """A parsed setting as hashed, plus 0.0 as in _cells, so that "1", "1.0" and "1e0",
+    and "-0" and "0", hash alike: repr of a value, start:stop:count of an axis."""
     if isinstance(value, np.ndarray):
-        return f"{value[0].item()!r}:{value[-1].item()!r}:{len(value)}"
-    return repr(value)
+        return f"{value[0].item() + 0.0!r}:{value[-1].item() + 0.0!r}:{len(value)}"
+    return repr(value + 0.0)
 
 
 def _cells(column):

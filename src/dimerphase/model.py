@@ -288,46 +288,42 @@ def solve_quartic_real_roots(point: Sequence[float]) -> list[tuple[float, int]]:
     return [(t, m) for t, m in zip(roots[0].tolist(), mult[0].tolist()) if m]
 
 
-def _amplitudes(t, tsq, u, at_zero, at_inf, rot):
-    """amp1 and amp2 of the states at roots t, with tsq = t^2, u = 1/t and rot = e^{-i phi}.
+def _amplitudes(t, rot):
+    """amp1 and amp2 of the states at roots t, with rot = e^{-i phi}; amp2 = 1 at t = 0.
 
-    Where t is finite but t^2 overflows, the moduli are built from u instead,
-    as 1/sqrt(1 + u^2) and |u|/sqrt(1 + u^2).
+    The moduli |t| / sqrt(1 + t^2) and 1 / sqrt(1 + t^2) are built from
+    w = min(|t|, 1/|t|) <= 1, whose square neither over- nor underflows, as
+    w big, on amp1 where |t| <= 1, and big = sqrt(1 / (1 + w^2)).  Only +, -,
+    *, / and sqrt, which round alike on every CPU path: numpy's hypot does not.
     """
-    far = np.isinf(tsq) & ~at_inf
-    root = np.sqrt(1.0 + u * u)
-    a1 = np.where(far, 1.0 / root, np.sqrt(tsq / (1.0 + tsq)))
-    s = np.where(far, np.abs(u) / root, np.sqrt(1.0 / (1.0 + tsq)))
+    w = np.minimum(np.abs(t), np.abs(1.0 / t))
+    big, inner = np.sqrt(1.0 / (1.0 + w * w)), np.abs(t) <= 1.0
+    a1, s = np.where(inner, w * big, big), np.where(inner, big, w * big)
     a2 = np.where(t < 0.0, s, -s) * rot
-    amp1 = np.where(at_zero, 0.0, np.where(at_inf, 1.0, a1)).astype(complex)
-    amp2 = np.where(at_zero, 1.0 + 0.0j, np.where(at_inf, 0.0j, a2))
-    return amp1, amp2
+    return a1.astype(complex), np.where(t == 0.0, 1.0 + 0.0j, a2)
 
 
 def _states_at_roots(R, c, v, phi, t) -> StationaryArrays:
     """The states at candidate roots t (n, 4) of the points (R, c, v, phi).
 
-    Amplitudes (|t|, -sign(t) e^{-i phi}) / sqrt(1 + t^2), with amp2 = 1 at
-    t = 0 and psi = (1, 0) at t = inf; energy E = -v (1 + t^2) / (4 t), whose
-    limits are -(R + c)/2 at t = 0 and (R - c)/2 at t = inf.  The far root of
-    a tiny v or a huge |R| is taken through u = 1/t: the amplitudes where t^2
-    overflows, and E = -(v/4)(t + u) where v (1 + t^2) does.  A state is kept
-    when its residual |H(psi) psi - E psi| passes _is_stationary.
+    Amplitudes (|t|, -sign(t) e^{-i phi}) / sqrt(1 + t^2), built by
+    _amplitudes from min(|t|, 1/|t|), with amp2 = 1 at t = 0 and psi = (1, 0)
+    at t = inf; energy E = -(v/4)(t + 1/t), with no square of t to over- or
+    underflow, whose v = 0 limits are -(R + c)/2 at t = 0 and (R - c)/2 at
+    t = inf.  A state is kept when its residual |H(psi) psi - E psi| passes
+    _is_stationary.
     Energies equal to within 1e-12 (relative) are one degenerate level: they
     share one value and are ordered by imbalance.  No point is marked failed
     here: that takes the astroid's count, which stationary_arrays compares.
     """
     R, c, v = (x[:, None] for x in (R, c, v))
-    at_zero, at_inf = t == 0.0, np.isinf(t)
     phase = _phase_factor(phi)[:, None]
     # The np.where branches not taken divide by t = 0 or multiply inf by 0,
     # and states that overflow fail the residual test: neither warns.
     with np.errstate(all="ignore"):
-        tsq, u = t * t, 1.0 / t
-        amp1, amp2 = _amplitudes(t, tsq, u, at_zero, at_inf, phase.conjugate())
-        lift = -v * (1.0 + tsq)
-        energy = np.where(np.isinf(lift) & ~at_inf, -(v / 4.0) * (t + u), lift / (4.0 * t))
-        energy = np.where(at_zero, -0.5 * (R + c), np.where(at_inf, 0.5 * (R - c), energy))
+        amp1, amp2 = _amplitudes(t, phase.conjugate())
+        energy = -(v / 4.0) * (t + 1.0 / t)
+        energy = np.where(t == 0.0, -0.5 * (R + c), np.where(np.isinf(t), 0.5 * (R - c), energy))
         imbalance = (amp2.real * amp2.real + amp2.imag * amp2.imag) - (
             amp1.real * amp1.real + amp1.imag * amp1.imag
         )

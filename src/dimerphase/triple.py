@@ -53,13 +53,13 @@ class TripleEigensystem:
 
 
 def triple_frame(d: float, p: float, q: float) -> TripleFrame:
-    """Frame for a Lambda-coupled triple; errors exactly at the degeneracy."""
+    """Frame for a Lambda-coupled triple; errors exactly at the degeneracy, where
+    Omega = hypot(d, 2p, 2q) is 0: it squares nothing to under- or overflow."""
     d, p, q = float(d), float(p), float(q)
     _check_finite(d=d, p=p, q=q)
-    omega2 = d * d + 4.0 * p * p + 4.0 * q * q
-    if omega2 == 0.0:
+    omega = math.hypot(d, 2.0 * p, 2.0 * q)
+    if omega == 0.0:
         raise AtDegeneracyError("(d, p, q) = 0: no splitting, no frame")
-    omega = math.sqrt(omega2)
     theta = math.atan2(2.0 * math.hypot(p, q), d)
     phi_angle = float(_reduce_phase(math.atan2(q, p))) if (p, q) != (0.0, 0.0) else 0.0
     return TripleFrame(d, p, q, omega, theta, phi_angle)

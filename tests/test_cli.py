@@ -208,6 +208,13 @@ def test_witness_above_critical_vanishes():
         assert float(row[2]) == pytest.approx(0.0, abs=1e-9)
 
 
+def test_witness_reads_a_tiny_coupling_ratio():
+    # The inner roots t ~ v/2 square below the smallest float: the states are
+    # built from min(|t|, 1/|t|), and the witness keeps every digit of v/c.
+    proc = run_cli("witness", "--R", "0", "--v", "1e-200", "--c", "1")
+    assert proc.stdout.endswith(",1e-200\n")
+
+
 def test_witness_linear_model_blank_ratio():
     proc = run_cli("witness", "--R", "0", "--v", "1", "--c", "0")
     _, _, rows = parse_csv(proc.stdout)
@@ -334,6 +341,13 @@ def test_equal_values_hash_alike_whatever_their_spelling(capsys):
     hashes = {_config_hash("spectrum", "--R", R, "--v", "0.5") for R in ("1", "1.0", "1e0")}
     assert len(hashes) == 1
     assert _config_hash("spectrum", "--R", "0:1:3") == _config_hash("spectrum", "--R", "0.0:1e0:3")
+    # -0 and 0 run alike, so they hash alike, as a scalar and at either end of an axis.
+    for key in ("R", "c", "v"):
+        assert _config_hash("spectrum", f"--{key}=-0") == _config_hash("spectrum", f"--{key}=0")
+    for key in ("theta", "amp"):
+        assert _config_hash("echo", f"--{key}=-0") == _config_hash("echo", f"--{key}=0")
+    assert _config_hash("spectrum", "--R=-0:-0:2") == _config_hash("spectrum", "--R", "0:0:2")
+    assert _config_hash("spectrum", "--R=-0:1:3") == _config_hash("spectrum", "--R", "0:1:3")
     # The `# config:` line keeps the spelling; only the hash reads values.
     assert cli.main(["spectrum", "--R", "1e0", "--v", "0.5"]) == 0
     header, _, _ = parse_csv(capsys.readouterr().out)

@@ -78,6 +78,20 @@ def test_witness_reads_coupling_ratio(v):
     assert rep.witness == pytest.approx(v, abs=1e-9)
 
 
+@pytest.mark.parametrize("v", [1e-155, 1e-160, 1e-200, 1e-300])
+def test_witness_reads_a_tiny_coupling_ratio(v):
+    # The inner roots t ~ v/2 square below the smallest float; built from
+    # min(|t|, 1/|t|), their small amplitudes keep every digit.
+    rep = nonlinearity_witness(ModelParams(R=0.0, c=1.0, v=v))
+    assert abs(rep.witness / v - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("v", [1e-200, 1e-300])
+def test_witness_linear_model_is_zero_at_a_tiny_coupling(v):
+    # Linear states are orthogonal: the small amplitude of each must not round to 0.
+    assert nonlinearity_witness(ModelParams(R=1.0, c=0.0, v=v)).witness == 0.0
+
+
 def test_witness_biased_point_is_bounded():
     rep = nonlinearity_witness(ModelParams(R=2.0, c=1.0, v=3.0))
     assert 0.0 <= rep.witness <= 1.0

@@ -3,8 +3,12 @@
 import cmath
 import dataclasses
 import math
+import os
 import struct
+import subprocess
+import sys
 import unittest.mock
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from dimerphase.model import (
     TWO_PI,
     Branch,
     _apply,
+    _amplitudes,
     _apply_half,
     _expected_count,
     _has_states,
@@ -1100,3 +1105,57 @@ def test_kernel_keeps_apart_two_levels_whose_difference_overflows():
     assert states.count.tolist() == [2]
     level = math.hypot(4.25e307, 0.85e308)
     assert states.energy[0, :2].tolist() == pytest.approx([-level, level], rel=1e-12)
+
+
+def test_amplitude_moduli_match_mpmath_from_tiny_to_huge_roots():
+    # Built from w = min(|t|, 1/|t|), whose square neither over- nor underflows,
+    # both moduli keep full precision at roots far below and above 1.
+    mpmath = pytest.importorskip("mpmath")
+    t = 10.0 ** np.linspace(-320.0, 300.0, 1241)
+    t = np.concatenate([t, -t])
+    with np.errstate(over="ignore"):  # 1/t overflows below |t| ~ 5.6e-309.
+        amp1, amp2 = _amplitudes(t, 1.0 + 0.0j)
+    with mpmath.workdps(40):
+        for x, a1, a2 in zip(t.tolist(), np.abs(amp1).tolist(), np.abs(amp2).tolist()):
+            root = mpmath.sqrt(1 + mpmath.mpf(x) ** 2)
+            assert abs(a1 * root / abs(mpmath.mpf(x)) - 1) <= 4e-16
+            assert abs(a2 * root - 1) <= 4e-16
+
+
+# The states of the seed-0 101x101 spectrum grid at two coupling phases, one
+# digest per array.
+_GRID_DIGESTS = """
+import hashlib
+import numpy as np
+from dimerphase.model import stationary_arrays
+R, v = np.meshgrid(np.linspace(-2.0, 2.0, 101), np.linspace(0.0, 2.0, 101), indexing="ij")
+for phi in (0.0, 0.7):
+    states = stationary_arrays(R.ravel(), v.ravel(), phi, 1.0)
+    for name in ("energy", "amp1", "amp2", "imbalance", "residual", "count", "failed"):
+        print(phi, name, hashlib.sha256(getattr(states, name).tobytes()).hexdigest())
+"""
+
+
+def test_state_arrays_do_not_depend_on_the_cpu_path():
+    """The grid's state arrays are bit-identical with every SIMD feature that
+    numpy dispatches to turned off, the feature list built as CI builds it.
+    Where numpy dispatches nothing, both runs take one path and the test
+    checks nothing."""
+    try:
+        from numpy._core import _multiarray_umath as core
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as core
+    features = " ".join(f for f in core.__cpu_dispatch__ if core.__cpu_features__.get(f))
+    env = {**os.environ, "PYTHONPATH": str(Path(model_mod.__file__).parents[1])}
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", _GRID_DIGESTS],
+            env={**env, "NPY_DISABLE_CPU_FEATURES": off} if off else env,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for off in ("", features)
+    ]
+    assert runs[1] == runs[0]

@@ -100,6 +100,17 @@ def test_eigensystem_diagonal_frame():
     np.testing.assert_allclose(sys.vectors[2], [0.0, 0.0, 1.0], atol=1e-15)
 
 
+@pytest.mark.parametrize("d", [1e-200, 1e200])
+def test_eigensystem_far_below_and_above_one(d):
+    # Omega^2 = d^2 under- or overflows here; hypot(d, 2p, 2q) does not.
+    frame = triple_frame(d, 0.0, 0.0)
+    assert frame.omega == d
+    system = triple_eigensystem(frame)
+    assert system.eigenvalues == (0.0, 0.0, d)
+    for lam, vec in zip(system.eigenvalues, system.vectors):
+        assert np.abs(delta_matrix(frame) @ vec - lam * vec).max() < 1e-15 * d
+
+
 def test_eigensystem_middle_level_always_dark():
     rng = np.random.default_rng(43)
     for _ in range(50):
