@@ -293,8 +293,8 @@ def _amplitudes(t, rot):
 
     The moduli |t| / sqrt(1 + t^2) and 1 / sqrt(1 + t^2) are built from
     w = min(|t|, 1/|t|) <= 1, whose square neither over- nor underflows, as
-    w big, on amp1 where |t| <= 1, and big = sqrt(1 / (1 + w^2)).  Only +, -,
-    *, / and sqrt, which round alike on every CPU path: numpy's hypot does not.
+    w * big, on amp1 where |t| <= 1, and big = sqrt(1 / (1 + w^2)).  Only +,
+    -, *, / and sqrt, which round alike on every CPU path: numpy's hypot does not.
     """
     w = np.minimum(np.abs(t), np.abs(1.0 / t))
     big, inner = np.sqrt(1.0 / (1.0 + w * w)), np.abs(t) <= 1.0
