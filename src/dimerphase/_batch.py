@@ -3,9 +3,10 @@
 With g = |R|^(2/3) + v^(2/3) - c^(2/3), p has four simple real roots inside the
 astroid g = 0, two outside it, a double root on it, and the triple root t = 1 at
 its cusp R = 0, c = v (Stoner & Wohlfarth 1948): _expected_count.  At v = 0 the
-roots are 0, sqrt(-(R + c)/(R - c)) and math.inf.  For v > 0 a real root with no
-root over twice as far is divided out, 3x3 companion matrices root the cubic
-left, and in the astroid's band the roots nearest the double root are that root.
+roots are 0, sqrt(-(R + c)/(R - c)) and math.inf.  For v > 0 Newton finds a root
+on each side of 0, and inside the astroid a third; as the roots multiply to -1,
+that gives the fourth, and in the astroid's band the double root.  The roots take only +, -,
+*, /, sqrt and powers of two, which round alike on every CPU path; np.cbrt sets the count.
 """
 
 from __future__ import annotations
@@ -14,13 +15,13 @@ import math
 
 import numpy as np
 
-# The one stationarity tolerance: a root is real when |Im| <= TOL |Re|, and a
-# state when |H(psi) psi - E psi| < TOL max(1, |R|, c, v), the scale of its rounding.
+# The one stationarity tolerance: a state's residual |H(psi) psi - E psi| is below
+# TOL max(1, |R|, c, v), the scale of its rounding (model._is_stationary).
 TOL = 1e-9
 
-# The astroid's band is |g| <= KAPPA v^(2/3).  Outside it the eigenvalues resolve
-# every root, near the cusp too, where they scatter like eps^(1/3).  At small v
-# near R = +-c, the roots keep their relative spacing where g / v^(2/3) does.
+# The astroid's band is |g| <= KAPPA v^(2/3), where the two roots nearest the double
+# root are taken as that root.  Outside it Newton resolves every root, near the cusp
+# too.  At small v near R = +-c, the roots keep their relative spacing where g / v^(2/3) does.
 KAPPA = 1e-9
 
 
@@ -39,7 +40,7 @@ def _expected_count(R, c, v):
 
 def _polish(p, z):
     """Newton on the quartics p (m, 5) from z (m,), each until its step stops shrinking."""
-    p0, p1, *rest = p.T
+    p0, p1, *rest = np.ascontiguousarray(p.T)  # Horner runs 1.5x faster on contiguous columns
     last, active = np.full(z.shape, math.inf), np.ones(z.shape, dtype=bool)
     for _ in range(60):
         value, slope = p0 * z + p1, p0  # Horner's scheme for p, and with it for p'.
@@ -50,44 +51,50 @@ def _polish(p, z):
         active &= size < last
         if not active.any():
             break
-        z, last = np.where(active, z - step, z), np.where(active, size, last)
+        z, last = np.where(active, z - step, z), size  # a stopped element stays stopped
     return z
 
 
-def _far_root(A, B, cusp):
-    """A real root of t^4 + A t^3 + B t - 1 (-1 at t = 0) with no root over twice as far.
+def _side_roots(A, B, outer, inner):
+    """Roots of t^4 + A t^3 + B t - 1 (-1 at t = 0): the one where p is convex, and on the other
+    side of 0 the outermost in rows outer and the innermost in rows inner, else NaN.
 
-    p'' = 6t(2t + A): p is convex where t has the sign of A, so Newton from
-    beyond the roots falls to the outer one there.  On the other side it does
-    when a root lies past -A/2, and else stops at a nearer root or none.  That
-    root is taken if more than twice as far, so near a cluster the convex
-    side's simple root is divided out; at the cusp only that side is searched.
+    p'' = 6t(2t + A): p is convex where t has the sign of A, so that side holds one root, and
+    Newton from beyond it falls to it.  The other side holds one root or three.  Newton from
+    beyond them falls to the outermost when it lies past -A/2, where p is convex too, and Newton
+    from t = 0, whose first step is 1/B, climbs to the innermost short of -A/2, where p is concave.
     """
-    # Each side's roots lie within |t| <= X, where |t|^4 -+ |A| |t|^3 - |B| |t| - 1 > 0.  big =
-    # 2^ceil(e/3) >= cbrt(|B| + 1), as |B| + 1 < 2^e; numpy's cbrt would round by CPU path.
+    # Each side's roots lie within |t| <= X, where |t|^4 -+ |A| |t|^3 - |B| |t| - 1 > 0: past big
+    # = 2^ceil(e/3) >= cbrt(|B| + 1), as |B| + 1 < 2^e (numpy's cbrt rounds by CPU path), on the
+    # convex side past max(low, sqrt(2|B|/|A|)), low >= cbrt(2/|A|) likewise, and past 1/|B| where
+    # B t > 0 there; so Newton starts near its root.  fmax skips A = B = 0's 0/0 (p = t^4 - 1).
     big, side = np.ldexp(1.0, -(-np.frexp(np.abs(B) + 1.0)[1] // 3)), np.where(A >= 0.0, 1.0, -1.0)
-    near = np.minimum(big, np.maximum(1.0, np.sqrt((np.abs(B) + 1.0) / np.abs(A))))
-    X = np.stack([side * near, np.where(cusp, side * near, -side * (np.abs(A) + big))])
-    # Newton in s = t / X, on p(X s) / X^4, where no power of a far root overflows.
-    p = np.stack([np.ones_like(X), A / X, 0.0 * X, B / X / X / X, -1.0 / ((X * X) * (X * X))], 2)
-    s = _polish(p.reshape(-1, 5), np.ones(X.size)).reshape(X.shape)
-    # Powers as products, as X^4 above: np.power rounds by the CPU path.
-    terms = p * np.stack([(s * s) * (s * s), (s * s) * s, s * s, s, np.ones_like(s)], axis=2)
-    is_root = np.abs(terms.sum(axis=2)) <= 16.0 * np.finfo(float).eps * np.abs(terms).sum(axis=2)
-    convex, other = X * s
-    return np.where(is_root[1] & (np.abs(other) > 2.0 * np.abs(convex)), other, convex)
+    low = np.ldexp(1.0, -((np.frexp(np.abs(A))[1] - 2) // 3))
+    near = np.minimum(big, np.fmax(low, np.sqrt(2.0 * (np.abs(B) / np.abs(A)))))
+    near = np.fmin(near, np.where(B * side > 0.0, 1.0 / np.abs(B), np.nan))
+    X = np.stack([side * near, -side * (np.abs(A) + big), 1.0 / B])
+    X[1:] = np.where([outer, inner], X[1:], np.nan)
+    # Newton in s = t / X from s = 1, on p(X s) / X^4 where |X| >= 1 and on p(X s) where not: no
+    # coefficient exceeds max(1, |A|, |B|), which a power of two then brings below 1.
+    ones, zero, X4 = np.ones_like(X), 0.0 * X, (X * X) * (X * X)
+    small = np.array([X4, A * X * X * X, zero, B * X, -ones])
+    p = np.where(np.abs(X) < 1.0, small, [ones, A / X, zero, B / X / X / X, -ones / X4])
+    p = np.ldexp(p, -np.frexp(np.fmax(np.fmax(np.abs(A), np.abs(B)), 1.0))[1])
+    return X * _polish(p.reshape(5, -1).T, ones.ravel()).reshape(X.shape)
 
 
-def real_roots(R, c, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def real_roots(R, c, v) -> tuple[np.ndarray, ...]:
     """Real roots of the t-quartics at the points (R, c, v), 1-D arrays, and their multiplicities.
 
     Returns roots and mult (k, 4): each row's distinct real roots ascending,
     then NaN with mult 0.  At v = 0 of the roots -t and t, one state, only t
     is given.  Also returns which rows could be solved: one where 2 (R -+ c)
-    or its ratio to v > 0 overflows gets no roots.
+    or its ratio to v > 0 overflows gets no roots; and the astroid's count
+    and band, _expected_count, which hold where v > 0.
     """
     roots, mult = np.full((len(R), 4), np.nan), np.ones((len(R), 4), dtype=int)
     with np.errstate(all="ignore"):
+        expected, band = _expected_count(R, c, v)
         a2, b2 = 2.0 * (R - c), 2.0 * (R + c)
         A, B = a2 / v, b2 / v
         solvable = np.isfinite(np.where(v == 0.0, a2, A)) & np.isfinite(np.where(v == 0.0, b2, B))
@@ -99,28 +106,23 @@ def real_roots(R, c, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             mult[flat, 3] = 1 + 2 * (a2[flat] == 0.0)
 
         rows = np.flatnonzero((v > 0.0) & solvable)
-        A, B, ones = A[rows], B[rows], np.ones(len(rows))
-        expected, band = _expected_count(R[rows], c[rows], v[rows])
-        far = _far_root(A, B, band & (expected == 2))
-        w = 1.0 / far
-        # Divide u^4 p(1/u) by u - w from its leading coefficient down; reverse the cubic.
-        e1 = w * (B - w)
-        companion = np.zeros((len(rows), 3, 3))
-        companion[:, 0, :] = np.stack([-e1, w - B, ones], axis=1) / (A + w * e1)[:, None]
-        companion[:, 1, 0] = companion[:, 2, 1] = 1.0
-        z = np.concatenate([far[:, None], np.linalg.eigvals(companion)], axis=1)
-
-        # In the band, the fold roots nearest the double root, at cos beta = -(R/c)^(1/3)
-        # and sin beta = (v/c)^(1/3), are that root: mu = fold for one, 0 for the others.
-        b, mu = np.flatnonzero(band), np.ones(z.shape, dtype=int)
-        if b.size:
-            R_, c_, v_ = R[rows[b]], c[rows[b]], v[rows[b]]
-            double = np.tan(0.5 * np.arctan2(np.cbrt(v_ / c_), -np.cbrt(R_ / c_)))[:, None]
-            rank = np.argsort(np.argsort(np.abs(z[b] - double), axis=1), axis=1)
-            fold = np.where(expected[b] == 2, 3, 2)[:, None]
-            z[b], mu[b] = np.where(rank == 0, double, z[b]), np.where(rank == 0, fold, rank >= fold)
-        r, g = np.nonzero((mu > 0) & (np.abs(z.imag) <= TOL * np.abs(z.real)))
-        t, inverted = z.real[r, g], np.abs(z.real[r, g]) > 1.0
+        A, B, count, in_band, R_ = A[rows], B[rows], expected[rows], band[rows], R[rows]
+        # The side of 0 away from A holds three roots inside the astroid, one outside it: past -A/2
+        # where p(-A/2) = -A^2 (A^2/16 + B/(2A) + 1/A^2) <= 0 (NaN at A = B = 0), else short of
+        # it.  In the band, where A < 0, it holds the double root d and a simple root, which lies
+        # past -A/2 where d does not: on the astroid p''(d) has the sign of R.  At the cusp only d.
+        past = ~(A * A / 16.0 + B / (2.0 * A) + 1.0 / (A * A) < 0.0)
+        outer = np.where(in_band, (R_ < 0.0) & (count == 3), (count == 4) | past)
+        inner = np.where(in_band, (R_ > 0.0) & (count == 3), (count == 4) | ~past)
+        lone, far, near = _side_roots(A, B, outer, inner)
+        # The roots multiply to -1: inside the astroid that gives the fourth, and in the band the
+        # double root (fmax takes the simple root searched), or at the cusp the sum, -A, does.
+        double = np.where(count == 2, (-A - lone) / 3.0, np.sqrt(-1.0 / lone / np.fmax(far, near)))
+        z = np.stack([lone, far, near, np.where(in_band, double, -1.0 / lone / far / near)], 1)
+        mu = np.ones(z.shape, dtype=int)
+        mu[:, 3] = np.where(in_band, np.where(count == 2, 3, 2), 1)
+        r, g = np.nonzero(np.isfinite(z))
+        t, inverted = z[r, g], np.abs(z[r, g]) > 1.0
         p = np.stack([v, a2, 0.0 * v, b2, -v], axis=1)[rows[r]]
         p[inverted] = p[inverted, ::-1]
         for deeper in (mu[r, g] > 1, mu[r, g] > 2):
@@ -130,4 +132,5 @@ def real_roots(R, c, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     mult[np.isnan(roots)] = 0
     order = np.argsort(roots, axis=1, kind="stable")
-    return np.take_along_axis(roots, order, 1), np.take_along_axis(mult, order, 1), solvable
+    roots, mult = np.take_along_axis(roots, order, 1), np.take_along_axis(mult, order, 1)
+    return roots, mult, solvable, expected, band

@@ -15,11 +15,11 @@ energy; a root is kept when the rebuilt state's stationarity residual is small.
 stationary_arrays is the one solver: it takes arrays of parameter points and
 returns their states as arrays.  The quartic ignores phi, so each distinct
 (R, c, v) is solved once, and all of them go through one batch root finder
-for this one family, _batch.real_roots.  Its root count has a closed form,
-_expected_count: four states inside the astroid |R|^(2/3) + v^(2/3) = c^(2/3)
-and two outside it, so a point whose count differs is marked failed.
-solve_quartic_real_roots is that root finder for one point, and
-stationary_states the solver for one point.
+for this one family, _batch.real_roots, with only +, -, *, / and sqrt.  It
+also returns the count in closed form, _expected_count: four states inside the
+astroid |R|^(2/3) + v^(2/3) = c^(2/3), two outside, and a point whose count
+differs is marked failed.  solve_quartic_real_roots is that root finder for
+one point, and stationary_states the solver for one point.
 """
 
 from __future__ import annotations
@@ -282,7 +282,7 @@ def solve_quartic_real_roots(point: Sequence[float]) -> list[tuple[float, int]]:
     """
     if len(point) != 3:
         raise ValueError("expected one point (R, c, v)")
-    roots, mult, solvable = real_roots(*(np.array([x], dtype=float) for x in point))
+    roots, mult, solvable, _, _ = real_roots(*(np.array([x], dtype=float) for x in point))
     if not solvable[0]:
         raise ArithmeticError(f"the t-quartic at {tuple(point)} overflows")
     return [(t, m) for t, m in zip(roots[0].tolist(), mult[0].tolist()) if m]
@@ -380,8 +380,7 @@ def stationary_arrays(R, v, phi, c) -> StationaryArrays:
     order = np.lexsort((v, c, R))
     key = np.stack([R, c, v])[:, order]
     first = np.r_[True, (key[:, 1:] != key[:, :-1]).any(axis=0)]
-    roots, _, solvable = real_roots(*key[:, first])
-    expected, band = _expected_count(*key[:, first])
+    roots, _, solvable, expected, band = real_roots(*key[:, first])
     rows = (np.cumsum(first) - 1)[np.argsort(order)]
     roots = roots[rows]
     roots[~_has_states(R, v)] = np.nan

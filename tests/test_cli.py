@@ -401,7 +401,7 @@ def test_column_writer_matches_per_cell_writer():
     rows = list(zip(_ODD_FLOATS, texts, [math.nan] * n))
     columns = [np.array(_ODD_FLOATS), texts, np.full(n, np.nan)]
     expected = _render_per_cell(cfg, ("a", "b", "c"), ["skipped: 1"], rows)
-    assert cli._render(cfg, ("a", "b", "c"), ["skipped: 1"], columns) == expected
+    assert "".join(cli._render(cfg, ("a", "b", "c"), ["skipped: 1"], columns)) == expected
 
 
 @settings(derandomize=True, database=None, max_examples=200)
@@ -416,8 +416,21 @@ def test_column_writer_matches_per_cell_writer_on_any_floats(rows):
     cfg = cli.resolve_config(cli.build_parser().parse_args(["echo"]))
     numbers, others, texts = zip(*rows)
     columns = [np.array(numbers), np.array(others), list(texts)]
-    text = cli._render(cfg, ("t", "x", "y"), [], columns)
+    text = "".join(cli._render(cfg, ("t", "x", "y"), [], columns))
     assert text == _render_per_cell(cfg, ("t", "x", "y"), [], rows)
+
+
+@pytest.mark.parametrize("n", [1023, 1024, 1025, 2049])
+def test_column_writer_matches_per_cell_writer_across_row_blocks(n):
+    # _render writes cli._BLOCK = 1024 rows per chunk: one row short of a
+    # block, a whole block, one row past it, and two blocks and a row.
+    cfg = cli.resolve_config(cli.build_parser().parse_args(["spectrum"]))
+    numbers = np.array((_ODD_FLOATS * (n // len(_ODD_FLOATS) + 1))[:n])
+    blanks = np.where(np.arange(n) % 7 == 3, np.nan, np.arange(n) / 3.0)
+    texts = (_TEXTS * n)[:n]
+    rows = list(zip(numbers.tolist(), blanks.tolist(), texts))
+    text = "".join(cli._render(cfg, ("a", "b", "c"), ["skipped: 2"], [numbers, blanks, texts]))
+    assert text == _render_per_cell(cfg, ("a", "b", "c"), ["skipped: 2"], rows)
 
 
 # ---------------------------------------------------------------------------

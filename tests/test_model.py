@@ -880,6 +880,59 @@ def test_roots_agree_with_mpmath_near_the_astroid_and_at_its_cusp(
             assert abs(mpmath.mpf(t) - r) <= 64 * np.finfo(float).eps * size / slope
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    f=st.floats(0.0, 1.0, exclude_max=True),
+    c=st.floats(0.5, 2.0),
+    v=st.floats(-3.0, 0.3).map(lambda e: 10.0**e),
+)
+@example(f=0.5, c=1.0, v=0.7)
+@example(f=0.96, c=1.0, v=0.02)
+@example(f=0.04, c=1.0, v=1.0)
+def test_root_short_of_the_inflection_agrees_with_mpmath(f, c, v):
+    # Outside the astroid with 0 <= R < c, where p(-A/2) > 0 (A = 2 (R - c)/v), the
+    # one positive root lies short of p's inflection at -A/2 > 0.  Newton from
+    # beyond the roots need not reach it there; the kernel climbs to it from
+    # t = 0.  The loop point (0.5, 1, 0.7) and the seed-0 grid's rows at R = 0.04
+    # to 0.96 are such points.  Both roots are simple and within rounding of the
+    # 40-digit ones, as in the test above.
+    mpmath = pytest.importorskip("mpmath")
+    R, v = f * c, v * c
+    A, B = 2.0 * (R - c) / v, 2.0 * (R + c) / v
+    assume(_astroid_side(R, c, v) > 0 and A * A / 16.0 + B / (2.0 * A) + 1.0 / (A * A) < 0.0)
+    roots = solve_quartic_real_roots((R, c, v))
+    with mpmath.workdps(40):
+        coeffs = _mp_quartic(mpmath, R, c, v)
+        ref = mpmath.polyroots(coeffs, maxsteps=500, cleanup=False, extraprec=200)
+        ref = sorted(z.real for z in ref if abs(z.imag) <= mpmath.mpf(10) ** -20 * abs(z))
+        assert [m for _, m in roots] == [1, 1] and len(ref) == 2
+        for (t, _), r in zip(roots, ref):
+            size = mpmath.polyval([abs(a) for a in coeffs], abs(r))
+            slope = abs(mpmath.polyval(_mp_derivative(coeffs), r))
+            assert abs(mpmath.mpf(t) - r) <= 64 * np.finfo(float).eps * size / slope
+
+
+# The benchmark's twelve loop points (R, c, v), the two cusps (0, 0.5, 0.5) and
+# (0, 2, 2) among them.
+_LOOP_POINTS = [(0.0, c, v) for c in (0.0, 0.5, 2.0) for v in (0.5, 1.0, 2.0)]
+_LOOP_POINTS += [(0.5, 1.0, 0.7), (-0.8, 1.5, 0.6), (0.3, 2.0, 0.5)]
+
+
+def test_kernel_needs_no_eigenvalue_solver(monkeypatch):
+    # The t-quartic is rooted with +, -, *, / and sqrt: no companion matrix.
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.eigvals called")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    R, v = np.repeat(np.linspace(-2.0, 2.0, 101), 101), np.tile(np.linspace(0.0, 2.0, 101), 101)
+    states = stationary_arrays(R, v, 0.0, 1.0)
+    assert not states.failed.any()
+    assert (states.count[v > 0.0] >= 2).all()
+    for R, c, v in _LOOP_POINTS:
+        states = stationary_arrays(R, v, 0.0, c)
+        assert not states.failed[0] and states.count[0] >= 2
+
+
 def test_uncoupled_bias_beyond_nonlinearity_is_fully_polarized():
     fam = stationary_states(ModelParams(R=-1.8, c=1.0, v=0.0))
     assert fam.energies == pytest.approx([-1.4, 0.4], abs=1e-15)
@@ -1055,7 +1108,7 @@ _decades = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
 _signs = st.sampled_from([-1.0, 1.0])
 # (R, c, v) over 600 decades, R of either sign, and couplings down to 1e-300 at
 # |R|, c = O(1), where the far root t ~ 2 max(|R|, c) / v squares past the
-# largest float.  The companion matrix holds 2 max(|R|, c) / v, which must stay finite.
+# largest float.  The kernel's A and B are 2 (R -+ c) / v, which must stay finite.
 scaled_points = st.one_of(
     st.tuples(st.builds(lambda sign, x: sign * x, _signs, _decades), _decades, _decades),
     st.tuples(
@@ -1084,8 +1137,8 @@ def test_kernel_keeps_every_state_at_any_scale(points):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_kernel_marks_overflowing_points_failed_and_solves_the_rest():
-    # 2 (R - c) overflows at R = 1e308; 2 R / v overflows the companion
-    # matrix at v = 1e-300 and R = 1e10, and at v = 5e-324 and R = 2.  None
+    # 2 (R - c) overflows at R = 1e308; the quartic's 2 R / v overflows at
+    # v = 1e-300 and R = 1e10, and at v = 5e-324 and R = 2.  None
     # may warn or stop the other points of the batch.  At v = 1.7e308 the
     # polish's slope coefficients and v (1 + t^2) overflow, yet both states
     # are found, at E = -+v/2.
@@ -1122,14 +1175,20 @@ def test_amplitude_moduli_match_mpmath_from_tiny_to_huge_roots():
             assert abs(a2 * root - 1) <= 4e-16
 
 
-# The states of the seed-0 101x101 spectrum grid at two coupling phases, one
-# digest per array.
+# The states of the seed-0 101x101 spectrum grid at two coupling phases, and
+# of points around the astroid, one digest per array.
 _GRID_DIGESTS = """
 import hashlib
 import numpy as np
 from dimerphase.model import stationary_arrays
 R, v = np.meshgrid(np.linspace(-2.0, 2.0, 101), np.linspace(0.0, 2.0, 101), indexing="ij")
-for phi in (0.0, 0.7):
+# 40,000 points a relative 1e-12 to 1e-6 off the astroid |R|^(2/3) + v^(2/3) = 1,
+# 19,012 of them in its band, built with exact operations only.
+u = np.linspace(0.0005, 0.9995, 20000)
+rel = np.array([(-1.0) ** k * 10.0 ** (-6.0 - 6.0 * k / 20000) for k in range(20000)])
+bias, coupling = u * np.sqrt(u) * (1.0 + rel), (1.0 - u) * np.sqrt(1.0 - u) * (1.0 + rel)
+near = np.r_[bias, -bias], np.r_[coupling, coupling]
+for phi, (R, v) in ((0.0, (R, v)), (0.7, (R, v)), (0.0, near)):
     states = stationary_arrays(R.ravel(), v.ravel(), phi, 1.0)
     for name in ("energy", "amp1", "amp2", "imbalance", "residual", "count", "failed"):
         print(phi, name, hashlib.sha256(getattr(states, name).tobytes()).hexdigest())
@@ -1137,8 +1196,9 @@ for phi in (0.0, 0.7):
 
 
 def test_state_arrays_do_not_depend_on_the_cpu_path():
-    """The grid's state arrays are bit-identical with every SIMD feature that
-    numpy dispatches to turned off, the feature list built as CI builds it.
+    """The grid's state arrays, and those of points around the astroid, are
+    bit-identical with every SIMD feature that numpy dispatches to turned off,
+    the feature list built as CI builds it.
     Where numpy dispatches nothing, both runs take one path and the test
     checks nothing."""
     try:
