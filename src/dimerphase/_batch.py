@@ -15,10 +15,6 @@ import math
 
 import numpy as np
 
-# The one stationarity tolerance: a state's residual |H(psi) psi - E psi| is below
-# TOL max(1, |R|, c, v), the scale of its rounding (model._is_stationary).
-TOL = 1e-9
-
 # The astroid's band is |g| <= KAPPA v^(2/3), where the two roots nearest the double
 # root are taken as that root.  Outside it Newton resolves every root, near the cusp
 # too.  At small v near R = +-c, the roots keep their relative spacing where g / v^(2/3) does.

@@ -25,8 +25,8 @@ import numpy as np
 from . import __version__
 from .berry import _loop_phase
 from .echo import (
+    DriveSchedule,
     _pair_witness,
-    circular_drive,
     loschmidt_adiabatic,
     loschmidt_dynamical,
     trace_mean,
@@ -281,7 +281,7 @@ def run_echo(cfg: ScanConfig):
     else:
         # Fully degenerate base: the first basis state is stationary at -c/2.
         initial = Eigenstate(1.0 + 0.0j, 0.0j, -0.5 * base.c, -1.0, 0.0)
-    drive = circular_drive(base, cfg.amp, cfg.theta, cfg.T)
+    drive = DriveSchedule(base, cfg.amp, cfg.theta, cfg.T)
     trace = loschmidt_dynamical(initial, drive, cfg.dt)
     summary = np.array([cfg.theta, s, loschmidt_adiabatic(cfg.theta, s), trace_mean(trace)])
     comments = ["summary: theta=%s s=%s L_adiabatic=%s L_mean=%s" % tuple(_cells(summary))]
@@ -336,7 +336,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             sys.stdout.writelines(chunks)
     except OSError as exc:
-        print(f"dimerphase: cannot write {cfg.out}: {exc}", file=sys.stderr)
+        print(f"dimerphase: cannot write {cfg.out or 'stdout'}: {exc}", file=sys.stderr)
         return 1
     except _COMPUTE_ERRORS as exc:
         print(f"dimerphase: {exc}", file=sys.stderr)

@@ -133,17 +133,6 @@ class EchoTrace:
     values: np.ndarray
 
 
-def zero_drive(base: ModelParams, total_time: float) -> DriveSchedule:
-    return DriveSchedule(base, 0.0, 0.0, total_time)
-
-
-def circular_drive(
-    base: ModelParams, amplitude: float, polar_angle: float, total_time: float
-) -> DriveSchedule:
-    """One loop of the given amplitude and polar angle around base; see DriveSchedule."""
-    return DriveSchedule(base, amplitude, polar_angle, total_time)
-
-
 def nonlinearity_witness(params: ModelParams) -> WitnessReport:
     """Overlap modulus of the two lowest-energy stationary states.
 

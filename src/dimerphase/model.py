@@ -13,13 +13,15 @@ t = tan(beta/2) of one quartic, with imbalance m = cos beta and a closed-form
 energy; a root is kept when the rebuilt state's stationarity residual is small.
 
 stationary_arrays is the one solver: it takes arrays of parameter points and
-returns their states as arrays.  The quartic ignores phi, so each distinct
-(R, c, v) is solved once, and all of them go through one batch root finder
-for this one family, _batch.real_roots, with only +, -, *, / and sqrt.  It
-also returns the count in closed form, _expected_count: four states inside the
-astroid |R|^(2/3) + v^(2/3) = c^(2/3), two outside, and a point whose count
-differs is marked failed.  solve_quartic_real_roots is that root finder for
-one point, and stationary_states the solver for one point.
+returns their states as arrays.  phi is a gauge: U = diag(1, e^{-i phi}) takes
+the states at phi = 0 to those at phi and leaves their energy, imbalance and
+residual as they are.  So each distinct (R, c, v) is rooted, and its states
+built, tested and sorted, once, at phi = 0, and phi is applied once, as the
+turn of amp2 by e^{-i phi}.  All the distinct points go through one batch root
+finder for this one family, _batch.real_roots, with only +, -, *, / and sqrt.
+It also returns the count in closed form, _expected_count: four states inside
+the astroid |R|^(2/3) + v^(2/3) = c^(2/3), two outside, and a point whose count
+differs is marked failed.  stationary_states is the solver for one point.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._batch import TOL, _expected_count, real_roots
+from ._batch import _expected_count, real_roots
 from .errors import BranchLostError, InvalidStateError
 
 TWO_PI = 2.0 * math.pi
@@ -89,8 +91,8 @@ class Eigenstate:
     """One stationary state: amplitudes, energy, imbalance, and how stationary it is.
 
     The gauge is fixed: amp1 is real and >= 0, and if amp1 vanishes then amp2
-    is real and >= 0.  imbalance is recomputed from the stored amplitudes, so
-    it always equals |amp2|^2 - |amp1|^2 to rounding.
+    is real and >= 0.  imbalance is computed from the amplitudes at phi = 0,
+    so it equals |amp2|^2 - |amp1|^2 to rounding at every phi.
     """
 
     amp1: complex
@@ -251,6 +253,11 @@ def _residual(R, c, v, phase, a1, a2, energy):
     return np.hypot(d1, np.hypot(f2r - energy * x2, f2i - energy * y2))
 
 
+# The one stationarity tolerance: a state's residual |H(psi) psi - E psi| is below
+# TOL max(1, |R|, c, v), the scale of its rounding.
+TOL = 1e-9
+
+
 def _is_stationary(residual, R, c, v):
     """The one stationarity test, elementwise: residual < TOL max(1, |R|, c, v)."""
     return residual < TOL * np.maximum(np.maximum(1.0, np.abs(R)), np.maximum(c, v))
@@ -288,8 +295,8 @@ def solve_quartic_real_roots(point: Sequence[float]) -> list[tuple[float, int]]:
     return [(t, m) for t, m in zip(roots[0].tolist(), mult[0].tolist()) if m]
 
 
-def _amplitudes(t, rot):
-    """amp1 and amp2 of the states at roots t, with rot = e^{-i phi}; amp2 = 1 at t = 0.
+def _amplitudes(t):
+    """amp1 and amp2 of the states at roots t at phi = 0, real; amp2 = 1 at t = 0.
 
     The moduli |t| / sqrt(1 + t^2) and 1 / sqrt(1 + t^2) are built from
     w = min(|t|, 1/|t|) <= 1, whose square neither over- nor underflows, as
@@ -299,35 +306,37 @@ def _amplitudes(t, rot):
     w = np.minimum(np.abs(t), np.abs(1.0 / t))
     big, inner = np.sqrt(1.0 / (1.0 + w * w)), np.abs(t) <= 1.0
     a1, s = np.where(inner, w * big, big), np.where(inner, big, w * big)
-    a2 = np.where(t < 0.0, s, -s) * rot
-    return a1.astype(complex), np.where(t == 0.0, 1.0 + 0.0j, a2)
+    return a1, np.where(t == 0.0, 1.0, np.where(t < 0.0, s, -s))
 
 
-def _states_at_roots(R, c, v, phi, t) -> StationaryArrays:
-    """The states at candidate roots t (n, 4) of the points (R, c, v, phi).
+def _states_at_roots(R, c, v, t, at, phi) -> StationaryArrays:
+    """The states of the points (R[at], c[at], v[at]) at phases phi, from
+    candidate roots t (k, 4) of the k distinct points (R, c, v).
 
-    Amplitudes (|t|, -sign(t) e^{-i phi}) / sqrt(1 + t^2), built by
+    Each distinct point's states are built, tested, merged and sorted once,
+    at phi = 0.  Amplitudes (|t|, -sign(t)) / sqrt(1 + t^2), built by
     _amplitudes from min(|t|, 1/|t|), with amp2 = 1 at t = 0 and psi = (1, 0)
     at t = inf; energy E = -(v/4)(t + 1/t), with no square of t to over- or
     underflow, whose v = 0 limits are -(R + c)/2 at t = 0 and (R - c)/2 at
     t = inf.  A state is kept when its residual |H(psi) psi - E psi| passes
     _is_stationary.
     Energies equal to within 1e-12 (relative) are one degenerate level: they
-    share one value and are ordered by imbalance.  No point is marked failed
-    here: that takes the astroid's count, which stationary_arrays compares.
+    share one value and are ordered by imbalance.  phi is a gauge, U =
+    diag(1, e^{-i phi}), which keeps energy, imbalance and residual: it
+    enters once, as the turn of each output row's amp2 by e^{-i phi} where
+    amp1 > 0; amp1 = 0 only at t = 0, where the gauge keeps amp2 = 1.  No
+    point is marked failed here: that takes the astroid's count, which
+    stationary_arrays compares.
     """
     R, c, v = (x[:, None] for x in (R, c, v))
-    phase = _phase_factor(phi)[:, None]
     # The np.where branches not taken divide by t = 0 or multiply inf by 0,
     # and states that overflow fail the residual test: neither warns.
     with np.errstate(all="ignore"):
-        amp1, amp2 = _amplitudes(t, phase.conjugate())
+        amp1, amp2 = _amplitudes(t)
         energy = -(v / 4.0) * (t + 1.0 / t)
         energy = np.where(t == 0.0, -0.5 * (R + c), np.where(np.isinf(t), 0.5 * (R - c), energy))
-        imbalance = (amp2.real * amp2.real + amp2.imag * amp2.imag) - (
-            amp1.real * amp1.real + amp1.imag * amp1.imag
-        )
-        residual = _residual(R, c, v, phase, amp1, amp2, energy)
+        imbalance = amp2 * amp2 - amp1 * amp1
+        residual = _residual(R, c, v, 1.0, amp1, amp2, energy)
     energy = np.where(_is_stationary(residual, R, c, v), energy, np.nan)
 
     # Sort by energy (rejected states, NaN, go last), merge, then sort by
@@ -343,28 +352,35 @@ def _states_at_roots(R, c, v, phi, t) -> StationaryArrays:
             merge = high - low <= 1e-12 * np.maximum(np.abs(low), np.abs(high))
             energy[:, k] = np.where(merge, low, high)
     resort = np.lexsort((imbalance[rows, order], energy), axis=1)
+    # Each column is gathered into the output rows with one index.
+    rows, resort = at[:, None], resort[at]
     energy, order = energy[rows, resort], order[rows, resort]
     kept = ~np.isnan(energy)
 
     def pick(a):
         return np.where(kept, a[rows, order], np.nan)
 
+    amp1, amp2 = pick(amp1), pick(amp2)
+    # amp1 > 0 leaves out amp1 = 0 and the NaN after the states, which stay nan + 0j.
+    amp2 = np.where(amp1 > 0.0, amp2 * _phase_factor(phi)[:, None].conjugate(), amp2)
     count = kept.sum(axis=1)
-    failed = np.zeros(len(t), dtype=bool)
+    failed = np.zeros(len(at), dtype=bool)
     return StationaryArrays(
-        energy, pick(amp1), pick(amp2), pick(imbalance), pick(residual), count, failed
+        energy, amp1.astype(complex), amp2, pick(imbalance), pick(residual), count, failed
     )
 
 
 def stationary_arrays(R, v, phi, c) -> StationaryArrays:
     """All stationary states at many parameter points, as (n, 4) arrays.
 
-    R, v, phi and c are scalars or 1-D arrays that broadcast to n points;
+    R, v, phi and c are scalars or 1-D arrays that broadcast to n >= 0 points;
     phi is used as given (ModelParams stores it reduced to [0, 2*pi)).  Each
     point gets exactly what stationary_states gives it, whatever the other
     points of the call: the astroid's count of states whenever v > 0, and at
     v = 0 the roots +t and -t as one state, reported once, since the
     relative phase is free there.  A point that fails marks only its own row.
+    Each distinct (R, c, v) is rooted and its states built once, at phi = 0;
+    phi, a gauge, only turns amp2 of each point's own row (_states_at_roots).
     """
     R, v, phi, c = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(x, dtype=float)) for x in (R, v, phi, c))
@@ -379,15 +395,15 @@ def stationary_arrays(R, v, phi, c) -> StationaryArrays:
     # Each distinct (R, c, v) is solved once, found by lexsort: np.unique(axis=0) is 4-8x slower.
     order = np.lexsort((v, c, R))
     key = np.stack([R, c, v])[:, order]
-    first = np.r_[True, (key[:, 1:] != key[:, :-1]).any(axis=0)]
-    roots, _, solvable, expected, band = real_roots(*key[:, first])
-    rows = (np.cumsum(first) - 1)[np.argsort(order)]
-    roots = roots[rows]
-    roots[~_has_states(R, v)] = np.nan
-    states = _states_at_roots(R, c, v, phi, roots)
-    count, band = states.count, band[rows]
-    wrong = np.where(band, (count < 2) | (count > 4), count != expected[rows])
-    states.failed[:] = ((v > 0.0) & wrong) | ~solvable[rows]
+    first = np.r_[True, (key[:, 1:] != key[:, :-1]).any(axis=0)][: len(R)]
+    points = key[:, first]
+    roots, _, solvable, expected, band = real_roots(*points)
+    roots[~_has_states(points[0], points[2])] = np.nan
+    at = (np.cumsum(first) - 1)[np.argsort(order)]
+    states = _states_at_roots(*points, roots, at, phi)
+    count, band = states.count, band[at]
+    wrong = np.where(band, (count < 2) | (count > 4), count != expected[at])
+    states.failed[:] = ((v > 0.0) & wrong) | ~solvable[at]
     return states
 
 
@@ -408,8 +424,9 @@ def reconstruct_states(params: ModelParams, root: float) -> list[Eigenstate]:
     Built as stationary_arrays builds it, and kept when its stationarity
     residual passes the same scaled test.
     """
-    point = (np.array([x]) for x in (params.R, params.c, params.v, params.phi))
-    states = _states_at_roots(*point, np.array([[root, np.nan, np.nan, np.nan]]))
+    point = (np.array([x]) for x in (params.R, params.c, params.v))
+    roots = np.array([[root, np.nan, np.nan, np.nan]])
+    states = _states_at_roots(*point, roots, np.array([0]), np.array([params.phi]))
     return states.take([0] * states.count[0], [0] * states.count[0])
 
 

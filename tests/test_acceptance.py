@@ -14,6 +14,7 @@ import pytest
 import scipy.linalg
 
 from dimerphase import (
+    DriveSchedule,
     ModelParams,
     berry_phase_closed_form,
     berry_phase_constant_theta,
@@ -21,7 +22,6 @@ from dimerphase import (
     berry_phase_perturbative,
     berry_phase_small_overlap,
     berry_phase_unit_overlap,
-    circular_drive,
     continue_branch,
     eigenvector_rows,
     evolve_nonlinear,
@@ -37,7 +37,6 @@ from dimerphase import (
     transport_sign,
     triple_eigensystem,
     triple_frame,
-    zero_drive,
     delta_matrix,
 )
 from dimerphase.model import Eigenstate
@@ -164,7 +163,7 @@ def test_criterion_07_echo_convergence():
     initial = Eigenstate(1.0 + 0.0j, 0.0j, 0.0, -1.0, 0.0)
 
     def err(T):
-        drive = circular_drive(base, 1.0, 0.5 * math.pi, T)
+        drive = DriveSchedule(base, 1.0, 0.5 * math.pi, T)
         trace = loschmidt_dynamical(initial, drive, 0.002)
         return abs(trace_mean(trace) - 0.5)
 
@@ -211,13 +210,13 @@ def test_criterion_08_triple_transport():
 def test_criterion_09_integrator_quality():
     base = ModelParams(R=0.7, c=0.0, v=1.3, phi=0.9)
     initial = Eigenstate(1.0 + 0.0j, 0.0j, 0.0, -1.0, 0.0)
-    times, traj = evolve_nonlinear(initial, zero_drive(base, 10.0), 1e-3)
+    times, traj = evolve_nonlinear(initial, DriveSchedule(base, 0.0, 0.0, 10.0), 1e-3)
     h = 0.5 * base.v * np.exp(1j * base.phi)
     H = np.array([[0.5 * base.R, h], [np.conj(h), -0.5 * base.R]])
     oracle = scipy.linalg.expm(-1j * H * times[-1]) @ np.array([1.0, 0.0])
     assert np.max(np.abs(traj[-1] - oracle)) < 1e-8
 
-    _, long_traj = evolve_nonlinear(initial, zero_drive(base, 200.0), 0.002)
+    _, long_traj = evolve_nonlinear(initial, DriveSchedule(base, 0.0, 0.0, 200.0), 0.002)
     drift = np.max(np.abs(np.sum(np.abs(long_traj) ** 2, axis=1) - 1.0))
     assert drift < 1e-9
     _verdict(9, f"matrix-exponential match at 1e-8; norm drift {drift:.1e} over T=200")

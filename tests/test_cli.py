@@ -1,6 +1,9 @@
 """End-to-end command-line checks, run through `python -m dimerphase`."""
 
+import contextlib
 import dataclasses
+import errno
+import io
 import math
 import re
 import subprocess
@@ -532,6 +535,19 @@ def test_unwritable_output_path_fails_cleanly(tmp_path):
     target = str(tmp_path / "no-such-dir" / "x.csv")
     proc = run_cli("triple", "--out", target, expect=1)
     assert target in proc.stderr
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone, as behind `| head -3`."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+def test_closed_stdout_fails_cleanly_and_names_stdout(capsys):
+    with contextlib.redirect_stdout(_ClosedPipe()):
+        assert cli.main(["echo", "--T", "1", "--dt", "0.01"]) == 1
+    assert capsys.readouterr().err == "dimerphase: cannot write stdout: [Errno 32] Broken pipe\n"
 
 
 @pytest.mark.parametrize("flag, count", [("R", 10**15), ("v", 10**20)])

@@ -19,7 +19,6 @@ from dimerphase import (
     ModelDegenerateError,
     ModelParams,
     StepSizeError,
-    circular_drive,
     evolve_nonlinear,
     loschmidt_adiabatic,
     loschmidt_adiabatic_limit,
@@ -27,7 +26,6 @@ from dimerphase import (
     nonlinearity_witness,
     stationary_states,
     trace_mean,
-    zero_drive,
 )
 from dimerphase.echo import _pair_witness
 from dimerphase.model import TWO_PI, _apply, _overlap_parts, stationary_arrays
@@ -149,7 +147,7 @@ def test_adiabatic_rejects_non_finite_theta(theta):
 
 @pytest.mark.parametrize("theta", [4.0, -1.0, -1e-300, math.pi + 1e-12])
 def test_adiabatic_rejects_theta_outside_zero_pi(theta):
-    # The rule FrameLoop, circular_drive and the CLI apply to a drive angle.
+    # The rule FrameLoop, DriveSchedule and the CLI apply to a drive angle.
     with pytest.raises(ValueError, match="theta"):
         loschmidt_adiabatic(theta, 0.3)
 
@@ -177,11 +175,11 @@ def test_adiabatic_limit_rejects_nan_ordering():
 def test_circular_drive_validation():
     base = ModelParams(R=0.0, c=0.0, v=1.0)
     with pytest.raises(ValueError):
-        circular_drive(base, 1.0, -0.1, 10.0)
+        DriveSchedule(base, 1.0, -0.1, 10.0)
     with pytest.raises(ValueError):
-        circular_drive(base, 1.0, 3.3, 10.0)
+        DriveSchedule(base, 1.0, 3.3, 10.0)
     with pytest.raises(ValueError):
-        circular_drive(base, 1.0, 1.0, 0.0)
+        DriveSchedule(base, 1.0, 1.0, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -191,7 +189,7 @@ def test_circular_drive_validation():
 def test_circular_drive_rejects_non_finite(amplitude, total_time):
     base = ModelParams(R=0.0, c=1.0, v=1.0)
     with pytest.raises(ValueError):
-        circular_drive(base, amplitude, 1.0, total_time)
+        DriveSchedule(base, amplitude, 1.0, total_time)
 
 
 @pytest.mark.parametrize("total_time", [0.0, -1.0, math.nan, math.inf])
@@ -199,8 +197,8 @@ def test_drives_reject_bad_duration(total_time):
     # One check in DriveSchedule serves every drive, the zero drive included.
     base = ModelParams(R=0.0, c=1.0, v=1.0)
     for build in (
-        lambda: zero_drive(base, total_time),
-        lambda: circular_drive(base, 0.0, 1.0, total_time),
+        lambda: DriveSchedule(base, 0.0, 0.0, total_time),
+        lambda: DriveSchedule(base, 0.0, 1.0, total_time),
         lambda: DriveSchedule(base, 1.0, 1.0, total_time),
     ):
         with pytest.raises(ValueError, match="total_time"):
@@ -212,16 +210,17 @@ def test_circular_drive_zero_amplitude_is_zero_drive():
     base = ModelParams(R=0.2, c=0.5, v=1.0, phi=0.3)
     times = np.array([0.0, 3.7, 10.0])
     for theta in (0.0, 1.0, math.pi):
-        drive = circular_drive(base, 0.0, theta, 10.0)
+        drive = DriveSchedule(base, 0.0, theta, 10.0)
         for t in times:
             assert drive.params_at(t) == base
         assert (drive.R, drive.v) == (base.R, base.v)
-        assert drive.samples(times).tobytes() == zero_drive(base, 10.0).samples(times).tobytes()
+        zero = DriveSchedule(base, 0.0, 0.0, 10.0)
+        assert drive.samples(times).tobytes() == zero.samples(times).tobytes()
 
 
 def test_circular_drive_closes():
     base = ModelParams(R=0.1, c=0.3, v=0.8, phi=0.4)
-    drive = circular_drive(base, 0.5, 1.1, 20.0)
+    drive = DriveSchedule(base, 0.5, 1.1, 20.0)
     start, end = drive.params_at(0.0), drive.params_at(20.0)
     assert end.R == pytest.approx(start.R, abs=1e-12)
     assert end.v == pytest.approx(start.v, abs=1e-12)
@@ -230,7 +229,7 @@ def test_circular_drive_closes():
 
 def test_circular_drive_offsets_follow_polar_angle():
     base = ModelParams(R=0.0, c=0.0, v=1.0)
-    drive = circular_drive(base, 2.0, math.pi / 3.0, 10.0)
+    drive = DriveSchedule(base, 2.0, math.pi / 3.0, 10.0)
     assert drive.R == pytest.approx(2.0 * math.cos(math.pi / 3.0))
     assert drive.v - 1.0 == pytest.approx(2.0 * math.sin(math.pi / 3.0))
 
@@ -240,9 +239,9 @@ def test_drive_rejects_negative_coupling():
     # rounds to 1.2e-16, and v = 0 - 1.2e-16 is negative.
     for v, amplitude, theta in ((0.5, -1.0, RIGHT_ANGLE), (0.5, -0.6, 1.0), (0.0, -1.0, math.pi)):
         with pytest.raises(ValueError, match="drive made the coupling negative"):
-            circular_drive(ModelParams(R=0.0, c=0.0, v=v), amplitude, theta, 1.0)
+            DriveSchedule(ModelParams(R=0.0, c=0.0, v=v), amplitude, theta, 1.0)
     # A coupling driven to exactly 0 is allowed.
-    drive = circular_drive(ModelParams(R=0.0, c=0.0, v=0.5), -0.5, RIGHT_ANGLE, 1.0)
+    drive = DriveSchedule(ModelParams(R=0.0, c=0.0, v=0.5), -0.5, RIGHT_ANGLE, 1.0)
     assert drive.v == 0.0
 
 
@@ -257,7 +256,7 @@ def test_drive_rejects_negative_coupling():
 def test_drive_rejects_parameters_that_overflow_when_built(base, theta, name):
     # 1e308 + 1e308 is inf: the drive is rejected before any sample is taken.
     with pytest.raises(ValueError, match=f"^{name} must be finite, got inf$"):
-        circular_drive(base, 1e308, theta, 1.0)
+        DriveSchedule(base, 1e308, theta, 1.0)
 
 
 def _drive_reference(drive, t):
@@ -287,9 +286,9 @@ def test_drive_samples_equal_params_at(R, c, v, phi, amplitude, theta, total_tim
     base = ModelParams(R, c, v, phi)
     if v + amplitude * math.sin(theta) < 0.0:
         with pytest.raises(ValueError, match="coupling negative"):
-            circular_drive(base, amplitude, theta, total_time)
+            DriveSchedule(base, amplitude, theta, total_time)
         return
-    drive = circular_drive(base, amplitude, theta, total_time)
+    drive = DriveSchedule(base, amplitude, theta, total_time)
     times = [f * total_time for f in fractions]
     phases = drive.samples(np.array(times))
     assert phases.shape == (len(times),)
@@ -304,7 +303,7 @@ def test_drive_samples_equal_params_at(R, c, v, phi, amplitude, theta, total_tim
 def test_drive_phase_that_rounds_to_two_pi_is_stored_as_zero():
     # Just before t = 0 the winding is -1.7e-16, and 0 plus it reduces to
     # 2*pi - 1.7e-16, which rounds to 2*pi: stored as 0, as ModelParams does.
-    drive = circular_drive(ModelParams(R=0.0, c=1.0, v=1.0), 1.0, 1.0, TWO_PI)
+    drive = DriveSchedule(ModelParams(R=0.0, c=1.0, v=1.0), 1.0, 1.0, TWO_PI)
     assert drive.params_at(-1e-5).phi == 0.0
     assert drive.samples(np.array([-1e-5])).tolist() == [1.0 + 0.0j]
 
@@ -339,7 +338,7 @@ def test_drive_samples_of_constant_and_custom_offsets(amplitude, theta, rejected
 def test_evolve_matches_matrix_exponential_when_linear():
     base = ModelParams(R=0.7, c=0.0, v=1.3, phi=0.9)
     T, dt = 10.0, 1e-3
-    times, traj = evolve_nonlinear(_state(1.0, 0.0), zero_drive(base, T), dt)
+    times, traj = evolve_nonlinear(_state(1.0, 0.0), DriveSchedule(base, 0.0, 0.0, T), dt)
     h = 0.5 * base.v * cmath.exp(1j * base.phi)
     H = np.array([[0.5 * base.R, h], [h.conjugate(), -0.5 * base.R]])
     expect = scipy.linalg.expm(-1j * H * T) @ np.array([1.0, 0.0])
@@ -349,7 +348,7 @@ def test_evolve_matches_matrix_exponential_when_linear():
 
 def test_evolve_keeps_populations_without_coupling():
     base = ModelParams(R=0.9, c=1.4, v=0.0)
-    _, traj = evolve_nonlinear(_state(0.6, 0.8), zero_drive(base, 5.0), 1e-3)
+    _, traj = evolve_nonlinear(_state(0.6, 0.8), DriveSchedule(base, 0.0, 0.0, 5.0), 1e-3)
     np.testing.assert_allclose(np.abs(traj[:, 0]), 0.6, atol=1e-10)
     np.testing.assert_allclose(np.abs(traj[:, 1]), 0.8, atol=1e-10)
 
@@ -358,7 +357,7 @@ def test_evolve_keeps_stationary_state():
     params = ModelParams(R=0.4, c=0.9, v=1.1)
     st = stationary_states(params).states[0]
     T = 5.0
-    _, traj = evolve_nonlinear(st, zero_drive(params, T), 1e-3)
+    _, traj = evolve_nonlinear(st, DriveSchedule(params, 0.0, 0.0, T), 1e-3)
     z = st.amp1.conjugate() * traj[-1][0] + st.amp2.conjugate() * traj[-1][1]
     assert abs(z) == pytest.approx(1.0, abs=1e-8)
     # The only motion is the dynamical phase exp(-i E T).
@@ -367,14 +366,14 @@ def test_evolve_keeps_stationary_state():
 
 def test_evolve_stays_normalized():
     base = ModelParams(R=0.3, c=1.2, v=0.9, phi=1.7)
-    _, traj = evolve_nonlinear(_state(0.8, 0.6j), zero_drive(base, 3.0), 1e-3)
+    _, traj = evolve_nonlinear(_state(0.8, 0.6j), DriveSchedule(base, 0.0, 0.0, 3.0), 1e-3)
     np.testing.assert_allclose(np.sum(np.abs(traj) ** 2, axis=1), 1.0, atol=1e-12)
 
 
 def test_evolve_rejects_oversized_step():
     base = ModelParams(R=3.0, c=0.0, v=4.0)
     with pytest.raises(StepSizeError):
-        evolve_nonlinear(_state(1.0, 0.0), zero_drive(base, 10.0), 5.0)
+        evolve_nonlinear(_state(1.0, 0.0), DriveSchedule(base, 0.0, 0.0, 10.0), 5.0)
 
 
 def test_evolve_rejects_non_finite_norm():
@@ -382,18 +381,18 @@ def test_evolve_rejects_non_finite_norm():
     # must fail the drift check instead of filling the trajectory with nan.
     base = ModelParams(R=1e200, c=0.0, v=1e200)
     with pytest.raises(StepSizeError):
-        evolve_nonlinear(_state(0.6, 0.8), zero_drive(base, 1.0), 1.0)
+        evolve_nonlinear(_state(0.6, 0.8), DriveSchedule(base, 0.0, 0.0, 1.0), 1.0)
 
 
 def test_evolve_rejects_bad_dt():
     base = ModelParams(R=0.0, c=0.0, v=1.0)
     with pytest.raises(ValueError):
-        evolve_nonlinear(_state(1.0, 0.0), zero_drive(base, 1.0), 0.0)
+        evolve_nonlinear(_state(1.0, 0.0), DriveSchedule(base, 0.0, 0.0, 1.0), 0.0)
     with pytest.raises(ValueError, match="dt"):
-        evolve_nonlinear(_state(1.0, 0.0), zero_drive(base, 1.0), math.nan)
+        evolve_nonlinear(_state(1.0, 0.0), DriveSchedule(base, 0.0, 0.0, 1.0), math.nan)
     # round(T / inf) is 0 steps: without the check this ran one step of h = T.
     with pytest.raises(ValueError, match="dt"):
-        evolve_nonlinear(_state(1.0, 0.0), zero_drive(base, 1.0), math.inf)
+        evolve_nonlinear(_state(1.0, 0.0), DriveSchedule(base, 0.0, 0.0, 1.0), math.inf)
 
 
 def test_evolve_rejects_a_step_count_too_large_to_store():
@@ -401,14 +400,14 @@ def test_evolve_rejects_a_step_count_too_large_to_store():
     # is allocated.  A count numpy sizes but cannot allocate raises the same.
     base = ModelParams(R=0.0, c=0.0, v=1.0)
     with pytest.raises(ValueError, match=r"dt=1e-300 splits T=1\.0 into 1e\+300 steps"):
-        evolve_nonlinear(_state(1.0, 0.0), zero_drive(base, 1.0), 1e-300)
+        evolve_nonlinear(_state(1.0, 0.0), DriveSchedule(base, 0.0, 0.0, 1.0), 1e-300)
 
 
 def test_step_size_error_names_the_step_end_in_a_later_block():
     # At dt = 0.07 the drift passes the limit at the end of step 1226, in the
     # second 1024-step block; the error names that step's end time.
     base = ModelParams(R=0.0, c=1.0, v=1.0)
-    drive = circular_drive(base, 1.0, RIGHT_ANGLE, 300.0)
+    drive = DriveSchedule(base, 1.0, RIGHT_ANGLE, 300.0)
     with pytest.raises(StepSizeError, match=r"norm drifted by 1\.001e-06 at t=85\.8143$"):
         evolve_nonlinear(stationary_states(base).states[0], drive, 0.07)
 
@@ -417,7 +416,7 @@ def test_step_size_error_names_the_first_time_the_drift_adds_up_past_the_limit()
     # At dt = 0.1 each step drifts the norm by about 7.5e-9, far below the
     # limit; the drift accumulates and passes 1e-6 at t = 13.4 of 20.
     base = ModelParams(R=0.0, c=1.0, v=1.0)
-    drive = circular_drive(base, 1.0, RIGHT_ANGLE, 20.0)
+    drive = DriveSchedule(base, 1.0, RIGHT_ANGLE, 20.0)
     with pytest.raises(StepSizeError, match=r"norm drifted by 1\.0\d\de-06 at t=13\.4$"):
         evolve_nonlinear(stationary_states(base).states[0], drive, 0.1)
 
@@ -457,7 +456,7 @@ def test_evolve_matches_per_step_reference(n_steps):
     base = ModelParams(R=0.3, c=1.0, v=0.8, phi=0.2)
     initial = stationary_states(base).states[0]
     dt = 0.002
-    drive = circular_drive(base, 0.6, 1.1, n_steps * dt)
+    drive = DriveSchedule(base, 0.6, 1.1, n_steps * dt)
     times, traj = evolve_nonlinear(initial, drive, dt)
     ref_times, ref_traj = _rk4_reference(initial, drive, dt)
     assert len(times) == n_steps + 1
@@ -488,7 +487,7 @@ def test_evolve_matches_per_step_reference_everywhere(base, amps, amplitude, the
     assume(math.hypot(*amps) > 1e-3)
     initial = _state(complex(amps[0], amps[1]), complex(amps[2], amps[3]))
     dt = 0.002
-    drive = circular_drive(ModelParams(*base), amplitude, theta, n_steps * dt)
+    drive = DriveSchedule(ModelParams(*base), amplitude, theta, n_steps * dt)
     times, traj = evolve_nonlinear(initial, drive, dt)
     ref_times, ref_traj = _rk4_reference(initial, drive, dt)
     assert times.tobytes() == ref_times.tobytes()
@@ -516,7 +515,7 @@ def test_evolve_matches_per_step_reference_on_signed_zeros(base, amps):
     # A state of subnormals alone does not normalize to norm 1 (its hypot rounds).
     assume(max(map(abs, amps)) == 0.6)
     initial = _state(complex(amps[0], amps[1]), complex(amps[2], amps[3]))
-    drive = zero_drive(ModelParams(*base), 0.03)
+    drive = DriveSchedule(ModelParams(*base), 0.0, 0.0, 0.03)
     _, traj = evolve_nonlinear(initial, drive, 0.01)
     _, ref_traj = _rk4_reference(initial, drive, 0.01)
     got, want = traj.view(float), ref_traj.view(float)
@@ -541,12 +540,12 @@ def test_evolve_rejects_zero_or_non_finite_initial_state(amplitudes):
     # Not a step-size problem: the state is bad before the first step.
     base = ModelParams(R=0.3, c=1.0, v=0.8)
     with pytest.raises(InvalidStateError, match="norm"):
-        evolve_nonlinear(_state(*amplitudes), zero_drive(base, 1.0), 0.01)
+        evolve_nonlinear(_state(*amplitudes), DriveSchedule(base, 0.0, 0.0, 1.0), 0.01)
 
 
 def test_evolve_normalizes_large_initial_state_without_overflow():
     # |1e200|^2 overflows; the hypot norm does not, and the state normalizes to (1, 0).
-    drive = circular_drive(ModelParams(R=0.3, c=1.0, v=0.8), 0.5, 1.0, 1.0)
+    drive = DriveSchedule(ModelParams(R=0.3, c=1.0, v=0.8), 0.5, 1.0, 1.0)
     _, big = evolve_nonlinear(_state(1e200, 0.0), drive, 0.01)
     _, unit = evolve_nonlinear(_state(1.0, 0.0), drive, 0.01)
     assert big.tobytes() == unit.tobytes()
@@ -555,7 +554,7 @@ def test_evolve_normalizes_large_initial_state_without_overflow():
 def test_echo_rejects_zero_initial_state():
     # The zero vector has residual 0 for any energy, so it passes the
     # stationarity check; it must not reach a division by its norm.
-    drive = circular_drive(ModelParams(R=0.0, c=0.0, v=0.0), 1.0, 1.0, 1.0)
+    drive = DriveSchedule(ModelParams(R=0.0, c=0.0, v=0.0), 1.0, 1.0, 1.0)
     with pytest.raises(InvalidStateError, match="norm"):
         loschmidt_dynamical(Eigenstate(0j, 0j, 0.0, 0.0, 0.0), drive, 0.01)
 
@@ -567,7 +566,7 @@ def test_echo_rejects_zero_initial_state():
 def test_echo_zero_drive_is_unity():
     base = ModelParams(R=0.3, c=0.8, v=1.1)
     initial = stationary_states(base).states[0]
-    trace = loschmidt_dynamical(initial, zero_drive(base, 5.0), 1e-2)
+    trace = loschmidt_dynamical(initial, DriveSchedule(base, 0.0, 0.0, 5.0), 1e-2)
     np.testing.assert_allclose(trace.values, 1.0, atol=1e-10)
 
 
@@ -576,7 +575,7 @@ def test_echo_overlap_rounds_as_python_complex_arithmetic():
     # the echo's overlap, taken as Python rounds it, does not depend on the machine.
     base = ModelParams(R=0.0, c=1.0, v=0.5)
     initial = stationary_states(base).states[0]
-    drive = circular_drive(base, 0.3, 1.0, 20.0)
+    drive = DriveSchedule(base, 0.3, 1.0, 20.0)
     trace = loschmidt_dynamical(initial, drive, 0.002)
     _, traj = evolve_nonlinear(initial, drive, 0.002)
     a1, a2 = traj[0].tolist()
@@ -587,14 +586,15 @@ def test_echo_overlap_rounds_as_python_complex_arithmetic():
 def test_echo_rejects_non_stationary_state():
     base = ModelParams(R=0.3, c=0.8, v=1.1)
     with pytest.raises(InvalidStateError):
-        loschmidt_dynamical(_state(1.0, 0.0), zero_drive(base, 5.0), 1e-2)
+        loschmidt_dynamical(_state(1.0, 0.0), DriveSchedule(base, 0.0, 0.0, 5.0), 1e-2)
 
 
 def test_echo_accepts_stationary_state_at_large_bias():
     # At R = 1e8 rounding alone leaves a residual of 7.5e-9 > 1e-9; the
     # stationarity check scales with max(1, |R|, c, v) as the solver's does.
     base = ModelParams(R=1e8, c=1.0, v=1.0)
-    trace = loschmidt_dynamical(stationary_states(base).states[0], zero_drive(base, 1e-9), 1e-11)
+    drive = DriveSchedule(base, 0.0, 0.0, 1e-9)
+    trace = loschmidt_dynamical(stationary_states(base).states[0], drive, 1e-11)
     np.testing.assert_allclose(trace.values, 1.0, atol=1e-10)
 
 
@@ -620,7 +620,7 @@ def _two_flow_echo(initial, drive, times):
         )
         return sol.y
 
-    base = run(zero_drive(drive.base, drive.total_time))
+    base = run(DriveSchedule(drive.base, 0.0, 0.0, drive.total_time))
     pert = run(drive)
     return np.abs(np.sum(np.conj(base) * pert, axis=0)) ** 2
 
@@ -634,7 +634,7 @@ def test_echo_matches_two_flow_reference(R, c, v):
     base = ModelParams(R=R, c=c, v=v)
     initial = stationary_states(base).states[0]
     assert abs(initial.imbalance) > 0.1
-    drive = circular_drive(base, 1.0, 1.0, 2.0)
+    drive = DriveSchedule(base, 1.0, 1.0, 2.0)
     trace = loschmidt_dynamical(initial, drive, 0.002)
     reference = _two_flow_echo(initial, drive, trace.times)
     assert np.max(np.abs(trace.values - reference)) < 1e-9
@@ -653,7 +653,7 @@ def test_golden_echo_matches_two_flow_reference(name, base, initial, bound):
     # errors of RK4 with a renormalization after every step: the scheme
     # without it must be no less accurate.
     initial = initial or stationary_states(base).states[0]
-    drive = circular_drive(base, 1.0, RIGHT_ANGLE, 1.0)
+    drive = DriveSchedule(base, 1.0, RIGHT_ANGLE, 1.0)
     times, values = np.loadtxt(
         Path(__file__).parent / "golden" / f"{name}.csv", delimiter=",", skiprows=1
     ).T
@@ -664,14 +664,14 @@ def test_echo_diagonal_drive_is_unity():
     # A polar drive (theta = 0) only detunes; with no coupling anywhere the
     # started basis state never mixes and the moduli agree at all times.
     base = ModelParams(R=0.0, c=0.0, v=0.0)
-    drive = circular_drive(base, 1.0, 0.0, 20.0)
+    drive = DriveSchedule(base, 1.0, 0.0, 20.0)
     trace = loschmidt_dynamical(_state(1.0, 0.0), drive, 2e-3)
     np.testing.assert_allclose(trace.values, 1.0, atol=1e-6)
 
 
 def test_echo_trace_shape_and_bounds():
     base = ModelParams(R=0.0, c=0.0, v=0.0)
-    drive = circular_drive(base, 1.0, RIGHT_ANGLE, 10.0)
+    drive = DriveSchedule(base, 1.0, RIGHT_ANGLE, 10.0)
     trace = loschmidt_dynamical(_state(1.0, 0.0), drive, 2e-3)
     assert trace.values[0] == pytest.approx(1.0, abs=1e-12)
     assert np.all(np.diff(trace.times) > 0)
@@ -681,7 +681,7 @@ def test_echo_trace_shape_and_bounds():
 
 def test_echo_equator_mean_approaches_half():
     base = ModelParams(R=0.0, c=0.0, v=0.0)
-    drive = circular_drive(base, 1.0, RIGHT_ANGLE, 50.0)
+    drive = DriveSchedule(base, 1.0, RIGHT_ANGLE, 50.0)
     trace = loschmidt_dynamical(_state(1.0, 0.0), drive, 2e-3)
     assert trace_mean(trace) == pytest.approx(0.5, abs=1e-3)
 

@@ -25,9 +25,9 @@ from dimerphase import (
     stationary_arrays,
     stationary_states,
 )
-from dimerphase._batch import TOL
 import dimerphase.model as model_mod
 from dimerphase.model import (
+    TOL,
     TWO_PI,
     Branch,
     _apply,
@@ -1084,6 +1084,35 @@ def test_kernel_ignores_block_size_and_order(points, block, data):
         assert fields(part) == fields(whole, rows)
 
 
+def test_kernel_of_no_points_is_empty():
+    states = stationary_arrays(np.array([]), np.array([]), 0.0, 1.0)
+    for name in ("energy", "amp1", "amp2", "imbalance", "residual"):
+        assert getattr(states, name).shape == (0, 4)
+    assert states.count.shape == states.failed.shape == (0,)
+
+
+# The gauge's hard cases: in the astroid's band, at its cusp, uncoupled, and the origin.
+_GAUGE_POINTS = [(0.25**1.5, 1.0, 0.75**1.5 * (1.0 + 1e-13)), (0.0, 1.0, 1.0), (0.3, 1.0, 0.0)]
+_GAUGE_POINTS += [(-1.8, 1.0, 0.0), (0.0, 1.0, 0.0)]
+
+
+@_BATCH_PROPERTY
+@given(points=kernel_batches)
+@example(points=[(R, c, v, phi) for R, c, v in _GAUGE_POINTS for phi in (0.7, 3.0, 6.28)])
+def test_phi_is_a_gauge_that_turns_only_amp2(points):
+    # U = diag(1, e^{-i phi}) takes the states at phi = 0 to those at phi: the
+    # energy, imbalance and residual are those at phi = 0 to the bit, and only
+    # amp2 turns, where amp1 > 0; at amp1 = 0 the gauge keeps amp2 = 1.
+    R, c, v, phi = _columns(*zip(*points))
+    turned, states = stationary_arrays(R, v, phi, c), stationary_arrays(R, v, 0.0, c)
+    for name in ("energy", "amp1", "imbalance", "residual", "count", "failed"):
+        assert getattr(turned, name).tobytes() == getattr(states, name).tobytes()
+    moved = states.amp1.real > 0.0
+    rotated = states.amp2 * _phase_factor(phi)[:, None].conjugate()
+    assert (turned.amp2[moved] == rotated[moved]).all()
+    assert turned.amp2[~moved].tobytes() == states.amp2[~moved].tobytes()
+
+
 @pytest.mark.parametrize(
     "R, v, c", [(math.nan, 1.0, 1.0), (0.0, math.inf, 1.0), (0.0, -1.0, 1.0), (0.0, 1.0, -1.0)]
 )
@@ -1167,7 +1196,7 @@ def test_amplitude_moduli_match_mpmath_from_tiny_to_huge_roots():
     t = 10.0 ** np.linspace(-320.0, 300.0, 1241)
     t = np.concatenate([t, -t])
     with np.errstate(over="ignore"):  # 1/t overflows below |t| ~ 5.6e-309.
-        amp1, amp2 = _amplitudes(t, 1.0 + 0.0j)
+        amp1, amp2 = _amplitudes(t)
     with mpmath.workdps(40):
         for x, a1, a2 in zip(t.tolist(), np.abs(amp1).tolist(), np.abs(amp2).tolist()):
             root = mpmath.sqrt(1 + mpmath.mpf(x) ** 2)
@@ -1175,23 +1204,28 @@ def test_amplitude_moduli_match_mpmath_from_tiny_to_huge_roots():
             assert abs(a2 * root - 1) <= 4e-16
 
 
-# The states of the seed-0 101x101 spectrum grid at two coupling phases, and
-# of points around the astroid, one digest per array.
-_GRID_DIGESTS = """
+# The states of the seed-0 101x101 spectrum grid at two coupling phases, of
+# points around the astroid and along the benchmark's loops, one digest per array.
+_GRID_DIGESTS = f"""
 import hashlib
 import numpy as np
-from dimerphase.model import stationary_arrays
+from dimerphase.model import ModelParams, phi_loop, stationary_arrays
 R, v = np.meshgrid(np.linspace(-2.0, 2.0, 101), np.linspace(0.0, 2.0, 101), indexing="ij")
 # 40,000 points a relative 1e-12 to 1e-6 off the astroid |R|^(2/3) + v^(2/3) = 1,
 # 19,012 of them in its band, built with exact operations only.
 u = np.linspace(0.0005, 0.9995, 20000)
 rel = np.array([(-1.0) ** k * 10.0 ** (-6.0 - 6.0 * k / 20000) for k in range(20000)])
 bias, coupling = u * np.sqrt(u) * (1.0 + rel), (1.0 - u) * np.sqrt(1.0 - u) * (1.0 + rel)
-near = np.r_[bias, -bias], np.r_[coupling, coupling]
-for phi, (R, v) in ((0.0, (R, v)), (0.7, (R, v)), (0.0, near)):
-    states = stationary_arrays(R.ravel(), v.ravel(), phi, 1.0)
+runs = [(R.ravel(), v.ravel(), phi, 1.0) for phi in (0.0, 0.7)]
+runs.append((np.r_[bias, -bias], np.r_[coupling, coupling], 0.0, 1.0))
+# The benchmark's twelve phi loops of 1,025 points, where amp2 turns row by row.
+for point in {_LOOP_POINTS!r}:
+    path = phi_loop(ModelParams(*point), 1024)
+    runs.append((path.R, path.v, path.phi, path.c))
+for k, run in enumerate(runs):
+    states = stationary_arrays(*run)
     for name in ("energy", "amp1", "amp2", "imbalance", "residual", "count", "failed"):
-        print(phi, name, hashlib.sha256(getattr(states, name).tobytes()).hexdigest())
+        print(k, name, hashlib.sha256(getattr(states, name).tobytes()).hexdigest())
 """
 
 

@@ -40,7 +40,6 @@ PUBLIC = [
     "berry_phase_perturbative",
     "berry_phase_small_overlap",
     "berry_phase_unit_overlap",
-    "circular_drive",
     "continue_branch",
     "delta_matrix",
     "eigenvector_rows",
@@ -58,7 +57,6 @@ PUBLIC = [
     "transport_sign",
     "triple_eigensystem",
     "triple_frame",
-    "zero_drive",
 ]
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
