@@ -82,15 +82,21 @@ def _side_roots(A, B, outer, inner):
 def real_roots(R, c, v) -> tuple[np.ndarray, ...]:
     """Real roots of the t-quartics at the points (R, c, v), 1-D arrays, and their multiplicities.
 
-    Returns roots and mult (k, 4): each row's distinct real roots ascending,
-    then NaN with mult 0.  At v = 0 of the roots -t and t, one state, only t
-    is given.  Also returns which rows could be solved: one where 2 (R -+ c)
-    or its ratio to v > 0 overflows gets no roots; and the astroid's count
-    and band, _expected_count, which hold where v > 0.
+    Returns roots and mult (k, 4): each row's distinct real roots in no set
+    order, and NaN with mult 0 where a root is absent (solve_quartic_real_roots
+    sorts its own).  At v = 0 of the roots -t and t, one state, only t is
+    given.  A row whose largest |R|, c or v is at or above 2^1020 is first
+    scaled below it by a power of two, which is exact and keeps its roots.
+    Also returns which rows could be solved: one where 2 (R -+ c) or its
+    ratio to v > 0 overflows gets no roots; and the astroid's count and band,
+    _expected_count of the unscaled point, which hold where v > 0.
     """
     roots, mult = np.full((len(R), 4), np.nan), np.ones((len(R), 4), dtype=int)
     with np.errstate(all="ignore"):
         expected, band = _expected_count(R, c, v)
+        # Below 2^1020, 2 (R -+ c) and the polish's Horner sums on [v, a2, 0, b2, -v] stay finite.
+        k = np.minimum(0, 1020 - np.frexp(np.maximum(np.maximum(np.abs(R), c), v))[1])
+        R, c, v = np.ldexp(R, k), np.ldexp(c, k), np.ldexp(v, k)
         a2, b2 = 2.0 * (R - c), 2.0 * (R + c)
         A, B = a2 / v, b2 / v
         solvable = np.isfinite(np.where(v == 0.0, a2, A)) & np.isfinite(np.where(v == 0.0, b2, B))
@@ -127,6 +133,4 @@ def real_roots(R, c, v) -> tuple[np.ndarray, ...]:
         roots[rows[r], g], mult[rows[r], g] = np.where(inverted, 1.0 / t, t), mu[r, g]
 
     mult[np.isnan(roots)] = 0
-    order = np.argsort(roots, axis=1, kind="stable")
-    roots, mult = np.take_along_axis(roots, order, 1), np.take_along_axis(mult, order, 1)
     return roots, mult, solvable, expected, band

@@ -65,7 +65,7 @@ class FrameLoop:
     """Closed loop of frame angles with a constant overlap s.
 
     thetas   polar angles in [0, pi], one per sample
-    phis     azimuths as an unwrapped loop coordinate, one per sample
+    phis     azimuths as an unwrapped loop coordinate, one per sample, finite
     overlap  modulus s of the unperturbed states' inner product, in [0, 1]
     """
 
@@ -81,6 +81,8 @@ class FrameLoop:
         if len(thetas) < 3:
             raise ValueError("a loop needs at least three samples")
         _check_theta(thetas)
+        if not np.isfinite(phis).all():
+            raise ValueError("phi samples must be finite")
         _check_overlap(self.overlap)
         object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "phis", phis)

@@ -275,9 +275,8 @@ def run_echo(cfg: ScanConfig):
     if _has_states(base.R, base.v):
         states = stationary_states(base).states
         initial = states[0]
-        # The base's nonlinearity_witness, from the same family.
-        if len(states) >= 2:
-            s = _pair_witness(initial.amp1, initial.amp2, states[1].amp1, states[1].amp2)
+        # The base's nonlinearity_witness, from the same family, which has at least two states.
+        s = _pair_witness(initial.amp1, initial.amp2, states[1].amp1, states[1].amp2)
     else:
         # Fully degenerate base: the first basis state is stationary at -c/2.
         initial = Eigenstate(1.0 + 0.0j, 0.0j, -0.5 * base.c, -1.0, 0.0)

@@ -231,13 +231,6 @@ def _phase_factor(phi):
     return np.cos(phi) + 1j * np.sin(phi)
 
 
-def _apply(R, c, v, phase, a1, a2):
-    """H(psi) psi of one amplitude pair as two complex numbers; phase is e^{i phi}."""
-    coup = 0.5 * v * phase
-    f = _apply_half(0.5 * R, 0.5 * c, coup.real, coup.imag, a1.real, a1.imag, a2.real, a2.imag)
-    return complex(f[0], f[1]), complex(f[2], f[3])
-
-
 def _residual(R, c, v, phase, a1, a2, energy):
     """Stationarity residual |H(psi) psi - E psi| of amplitude pairs; elementwise.
 
@@ -292,7 +285,7 @@ def solve_quartic_real_roots(point: Sequence[float]) -> list[tuple[float, int]]:
     roots, mult, solvable, _, _ = real_roots(*(np.array([x], dtype=float) for x in point))
     if not solvable[0]:
         raise ArithmeticError(f"the t-quartic at {tuple(point)} overflows")
-    return [(t, m) for t, m in zip(roots[0].tolist(), mult[0].tolist()) if m]
+    return sorted((t, m) for t, m in zip(roots[0].tolist(), mult[0].tolist()) if m)
 
 
 def _amplitudes(t):
@@ -311,7 +304,7 @@ def _amplitudes(t):
 
 def _states_at_roots(R, c, v, t, at, phi) -> StationaryArrays:
     """The states of the points (R[at], c[at], v[at]) at phases phi, from
-    candidate roots t (k, 4) of the k distinct points (R, c, v).
+    candidate roots t (k, 4), in any order, of the k distinct points (R, c, v).
 
     Each distinct point's states are built, tested, merged and sorted once,
     at phi = 0.  Amplitudes (|t|, -sign(t)) / sqrt(1 + t^2), built by
@@ -321,7 +314,7 @@ def _states_at_roots(R, c, v, t, at, phi) -> StationaryArrays:
     t = inf.  A state is kept when its residual |H(psi) psi - E psi| passes
     _is_stationary.
     Energies equal to within 1e-12 (relative) are one degenerate level: they
-    share one value and are ordered by imbalance.  phi is a gauge, U =
+    share one value and are ordered by imbalance, then by t.  phi is a gauge, U =
     diag(1, e^{-i phi}), which keeps energy, imbalance and residual: it
     enters once, as the turn of each output row's amp2 by e^{-i phi} where
     amp1 > 0; amp1 = 0 only at t = 0, where the gauge keeps amp2 = 1.  No
@@ -339,10 +332,10 @@ def _states_at_roots(R, c, v, t, at, phi) -> StationaryArrays:
         residual = _residual(R, c, v, 1.0, amp1, amp2, energy)
     energy = np.where(_is_stationary(residual, R, c, v), energy, np.nan)
 
-    # Sort by energy (rejected states, NaN, go last), merge, then sort by
-    # (energy, imbalance); both sorts are stable.
+    # Sort by (energy, t) (rejected states, NaN, go last), merge, then sort
+    # by (energy, imbalance), stable: the roots' order in t breaks every tie.
     rows = np.arange(len(t))[:, None]
-    order = np.argsort(energy, axis=1, kind="stable")
+    order = np.lexsort((t, energy), axis=1)
     energy = energy[rows, order]
     # Energies of opposite sign near -+9e307 differ by more than the largest
     # float: the difference is inf, which rightly does not merge them.

@@ -53,6 +53,13 @@ def test_frame_loop_requires_three_samples():
         FrameLoop(np.array([0.5, 0.5]), np.array([0.0, TWO_PI]), 0.2)
 
 
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+def test_frame_loop_rejects_non_finite_azimuths(phi):
+    # A non-finite azimuth would make every phase of the loop NaN.
+    with pytest.raises(ValueError, match="phi"):
+        FrameLoop(np.ones(4), np.array([0.0, 1.0, phi, 2.0]), 0.1)
+
+
 def test_frame_loop_builder_validation():
     with pytest.raises(ValueError):
         frame_loop(0.5, 0.0, n_points=2)

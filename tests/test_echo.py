@@ -28,7 +28,9 @@ from dimerphase import (
     trace_mean,
 )
 from dimerphase.echo import _pair_witness
-from dimerphase.model import TWO_PI, _apply, _overlap_parts, stationary_arrays
+from dimerphase.model import TWO_PI, _overlap_parts, stationary_arrays
+
+from test_model import _python_kernel
 
 RIGHT_ANGLE = math.pi / 2.0
 
@@ -422,7 +424,8 @@ def test_step_size_error_names_the_first_time_the_drift_adds_up_past_the_limit()
 
 
 def _rk4_reference(initial, drive, dt):
-    """The RK4 integrator with the drive's closed form at each stage time, as a reference."""
+    """The RK4 integrator in Python complex numbers, with the drive's closed form at each
+    stage time, as a reference: the model's formula comes from _python_kernel, not the package."""
     T = drive.total_time
     n_steps = max(1, round(T / dt))
     h = T / n_steps
@@ -433,16 +436,16 @@ def _rk4_reference(initial, drive, dt):
     for k in range(n_steps):
         t = k * h
         s0, s1, s2 = (
-            (R, drive.base.c, v, phase)
+            (0.5 * R, 0.5 * drive.base.c, 0.5 * v * phase)
             for R, v, phase in (_drive_reference(drive, s) for s in (t, t + 0.5 * h, t + h))
         )
-        f1, f2 = _apply(*s0, a1, a2)
+        f1, f2 = _python_kernel(*s0, a1, a2)
         k1a, k1b = -1j * f1, -1j * f2
-        f1, f2 = _apply(*s1, a1 + 0.5 * h * k1a, a2 + 0.5 * h * k1b)
+        f1, f2 = _python_kernel(*s1, a1 + 0.5 * h * k1a, a2 + 0.5 * h * k1b)
         k2a, k2b = -1j * f1, -1j * f2
-        f1, f2 = _apply(*s1, a1 + 0.5 * h * k2a, a2 + 0.5 * h * k2b)
+        f1, f2 = _python_kernel(*s1, a1 + 0.5 * h * k2a, a2 + 0.5 * h * k2b)
         k3a, k3b = -1j * f1, -1j * f2
-        f1, f2 = _apply(*s2, a1 + h * k3a, a2 + h * k3b)
+        f1, f2 = _python_kernel(*s2, a1 + h * k3a, a2 + h * k3b)
         k4a, k4b = -1j * f1, -1j * f2
         a1 = a1 + (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
         a2 = a2 + (h / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)

@@ -26,11 +26,11 @@ from dimerphase import (
     stationary_states,
 )
 import dimerphase.model as model_mod
+from dimerphase._batch import real_roots
 from dimerphase.model import (
     TOL,
     TWO_PI,
     Branch,
-    _apply,
     _amplitudes,
     _apply_half,
     _expected_count,
@@ -40,6 +40,7 @@ from dimerphase.model import (
     _point,
     _require_states,
     _residual,
+    _states_at_roots,
     reconstruct_states,
     solve_quartic_real_roots,
 )
@@ -75,9 +76,10 @@ def test_params_reduce_phi_below_two_pi(phi):
 
 
 def _hamiltonian_apply(params, a1, a2):
-    """H(psi) psi through the model's kernel."""
-    phase = cmath.exp(1j * params.phi)
-    return np.array(_apply(params.R, params.c, params.v, phase, complex(a1), complex(a2)))
+    """H(psi) psi of real amplitudes a1, a2 through the model's kernel."""
+    coup = 0.5 * params.v * cmath.exp(1j * params.phi)
+    f = _apply_half(0.5 * params.R, 0.5 * params.c, coup.real, coup.imag, a1, 0.0, a2, 0.0)
+    return np.array([complex(f[0], f[1]), complex(f[2], f[3])])
 
 
 def test_hamiltonian_apply_offdiagonal_flip():
@@ -1084,6 +1086,27 @@ def test_kernel_ignores_block_size_and_order(points, block, data):
         assert fields(part) == fields(whole, rows)
 
 
+@_BATCH_PROPERTY
+@given(points=kernel_batches, perm=st.permutations(range(4)))
+@example(
+    points=[(0.0, 0.0, 5e-324, 0.7), (5e-324, 0.0, 5e-324, 0.0), (0.0, 5e-324, 5e-324, 0.0)],
+    perm=[3, 2, 1, 0],
+)
+def test_kernel_reads_no_root_order(points, perm):
+    # real_roots returns each row's roots in no set order: the states built
+    # from them are the same bytes whatever order each row's roots come in.
+    # At subnormal v the energies -+v/2 round to -0.0 and 0.0, one level,
+    # and the states tie in imbalance too: only the roots can order them.
+    R, c, v, phi = _columns(*zip(*points))
+    roots = real_roots(R, c, v)[0]
+    roots[~_has_states(R, v)] = np.nan
+    at = np.arange(len(points))
+    want = _states_at_roots(R, c, v, roots, at, phi)
+    got = _states_at_roots(R, c, v, roots[:, perm], at, phi)
+    for name in ("energy", "amp1", "amp2", "imbalance", "residual", "count", "failed"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
 def test_kernel_of_no_points_is_empty():
     states = stationary_arrays(np.array([]), np.array([]), 0.0, 1.0)
     for name in ("energy", "amp1", "amp2", "imbalance", "residual"):
@@ -1164,17 +1187,44 @@ def test_kernel_keeps_every_state_at_any_scale(points):
         assert (states.residual[k, :n] < TOL * scale[k]).all()
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(points=kernel_batches, below=st.integers(0, 8) | st.integers(0, 1100))
+@example(points=[(-1.0, 0.0, 1.0, 0.0), (0.0, 1.5, 1.0, 0.0), (0.3, 1.0, 0.2, 0.0)], below=1)
+def test_kernel_is_exact_under_power_of_two_scaling(points, below):
+    # Scaling R, c and v by 2^k scales every energy by 2^k and keeps every
+    # other column's bytes, up to where the inputs and energies are floats:
+    # real_roots brings a row at or above 2^1020 below it before rooting.
+    # Values below 1e-300 are taken as 0: there the unscaled point rounds
+    # through subnormals, which the scaled one does not.
+    R, c, v, phi = _columns(*zip(*points))
+    R, c, v = (np.where(np.abs(x) < 1e-300, 0.0, x) for x in (R, c, v))
+    # below = 0 takes the largest input to [2^1022, 2^1023).
+    k = max(0, 1023 - np.frexp(np.max([np.abs(R), c, v]))[1] - below)
+    states = stationary_arrays(R, v, phi, c)
+    with np.errstate(over="ignore"):
+        energy = np.ldexp(states.energy, k)
+    assume(not np.isinf(energy).any())
+    scaled = stationary_arrays(np.ldexp(R, k), np.ldexp(v, k), phi, np.ldexp(c, k))
+    for name in ("amp1", "amp2", "imbalance", "count", "failed"):
+        assert getattr(scaled, name).tobytes() == getattr(states, name).tobytes()
+    assert scaled.energy.tobytes() == energy.tobytes()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_kernel_marks_overflowing_points_failed_and_solves_the_rest():
-    # 2 (R - c) overflows at R = 1e308; the quartic's 2 R / v overflows at
-    # v = 1e-300 and R = 1e10, and at v = 5e-324 and R = 2.  None
-    # may warn or stop the other points of the batch.  At v = 1.7e308 the
-    # polish's slope coefficients and v (1 + t^2) overflow, yet both states
-    # are found, at E = -+v/2.
-    R, v = [1e308, 1e308, 1e10, 2.0, 0.0, 1e10], [0.0, 1.0, 1e-300, 5e-324, 1.7e308, 1.0]
-    states = stationary_arrays(R, v, 0.0, 1.0)
-    assert states.failed.tolist() == [True, True, True, True, False, False]
-    assert states.count.tolist()[4:] == [2, 2]
+    # The quartic's 2 R / v overflows at v = 1 and R = 1e308, at v = 1e-300
+    # and R = 1e10, and at v = 5e-324 and R = 2.  None may warn or stop the
+    # other points of the batch.  At R = 1e308, v = 0, 2 (R - c) would
+    # overflow, but the row is scaled below 2^1020 first: its two states are
+    # at E = -(R + c)/2 and (R - c)/2.  At v = 1.7e308 the polish's slope
+    # coefficients and v (1 + t^2) overflow, yet both states are found, at
+    # E = -+v/2.  At R = c = v = 1.7e308 an energy overflows, and the point fails.
+    R = [1e308, 1e308, 1e10, 2.0, 0.0, 1e10, 1.7e308]
+    v = [0.0, 1.0, 1e-300, 5e-324, 1.7e308, 1.0, 1.7e308]
+    states = stationary_arrays(R, v, 0.0, [1.0] * 6 + [1.7e308])
+    assert states.failed.tolist() == [False, True, True, True, False, False, True]
+    assert states.count.tolist()[4:6] == [2, 2]
+    assert states.energy[0, :2].tolist() == [-5e307, 5e307]
     assert states.energy[4, :2].tolist() == [-0.85e308, 0.85e308]
 
 
