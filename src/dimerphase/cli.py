@@ -13,12 +13,16 @@ Exit codes: 0 success, 1 computation or I/O failure, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import math
 import re
 import sys
 from dataclasses import make_dataclass
 from typing import Optional, Sequence
+# CPython's built-in SHA-256, which hashlib falls back to; hashlib itself loads OpenSSL.
+if sys.version_info >= (3, 12):
+    from _sha2 import sha256
+else:
+    from _sha256 import sha256
 
 import numpy as np
 
@@ -177,7 +181,7 @@ def resolve_config(args: argparse.Namespace) -> ScanConfig:
                 raise UsageError(f"--{name}: echo takes a fixed value, not an axis")
 
     hashed = [f"mode={args.mode}"] + [f"{k}={_canonical(val[k])}" for k in sorted(val)]
-    digest = hashlib.sha256("\n".join(hashed).encode("utf-8")).hexdigest()[:12]
+    digest = sha256("\n".join(hashed).encode("utf-8")).hexdigest()[:12]
     summary = " ".join(f"{k}={raw[k]}" for k in sorted(raw))
     settings = {**dict.fromkeys(_KEYS), **val, "out": given.get("out")}
     return ScanConfig(mode=args.mode, **settings, config_hash=digest, summary=summary)

@@ -10,13 +10,13 @@ The echo starts a stationary state psi_0 of a base Hamiltonian and drives the
 base slowly around a loop.  Undriven, psi_0 would only pick up the phase
 exp(-i E t), so the echo against the undriven flow is the survival
 probability of the driven run, L(t) = |<psi_0|psi(t)>|^2.  For an adiabatic
-drive the surviving branch population is
+drive the population of psi_0 on one branch is
 
-    L = |cos(theta/2) + sin(theta/2) s|^2 / (1 + sin(theta) s),
+    P = |cos(theta/2) + sin(theta/2) s|^2 / (1 + sin(theta) s),
 
-drive-amplitude independent, equal to 1/2 on the equator for s = 0.  The
-dynamical trace oscillates around that level through the residual dynamical
-phase between the split branches; time-averaging recovers it.
+drive-amplitude independent, equal to 1/2 on the equator for s = 0.  On the
+linear base (R = v = c = 0) L(t) oscillates around P^2 + (1 - P)^2, the sum of
+the squared branch populations, which is P only on the equator.
 """
 
 from __future__ import annotations
@@ -156,7 +156,7 @@ def _pair_witness(lo1, lo2, hi1, hi2):
 
 
 def loschmidt_adiabatic(theta: float, overlap: float) -> float:
-    """Adiabatic echo level for drive polar angle theta and pair overlap s.
+    """Adiabatic population of psi_0 on one branch, for drive angle theta, overlap s.
 
     The squared half-angle sum is expanded through double-angle identities,
     (cos(t/2) + s sin(t/2))^2 = (1 + cos t)/2 + s sin t + s^2 (1 - cos t)/2,
@@ -307,7 +307,7 @@ def trace_mean(trace: EchoTrace) -> float:
     """sin^2-weighted time average of an echo trace.
 
     The window kills the oscillatory branch-interference term to high order
-    in 1/T, leaving the adiabatic echo level.
+    in 1/T, leaving the dephased level, not loschmidt_adiabatic's population.
     """
     T = trace.times[-1]
     if T <= 0.0:

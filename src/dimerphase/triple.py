@@ -124,5 +124,5 @@ def transport_sign(loop_angle: str, level: int) -> int:
     # modulus >= cos(pi/128) and its sign marks a flip.
     vecs = rows[:, row]
     dots = np.sum(vecs[:-1] * vecs[1:], axis=1)
-    closure = np.prod(np.sign(dots)) * float(np.dot(vecs[0], vecs[-1]))
+    closure = np.prod(np.sign(dots)) * np.sum(vecs[0] * vecs[-1])
     return 1 if closure > 0.0 else -1

@@ -3,11 +3,14 @@
 import contextlib
 import dataclasses
 import errno
+import hashlib
 import io
 import math
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -363,6 +366,55 @@ def test_different_values_hash_differently():
     assert _config_hash("spectrum", "--R", "0:1:3") != _config_hash("spectrum", "--R", "0:1:4")
     assert _config_hash("spectrum", "--R", "0:1:3") != _config_hash("spectrum", "--R", "0:2:3")
     assert _config_hash("spectrum") != _config_hash("berry")
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_NONNEGATIVE = st.floats(min_value=-0.0, allow_infinity=False)  # -0 passes x >= 0
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_SETTINGS = {"R": _FINITE, "v": _NONNEGATIVE, "c": _NONNEGATIVE}
+_ECHO_SETTINGS = {
+    **_SETTINGS,
+    "dt": _POSITIVE,
+    "T": _POSITIVE,
+    "theta": st.floats(min_value=0.0, max_value=math.pi),
+    "amp": _NONNEGATIVE,
+}
+
+
+@settings(derandomize=True, database=None, max_examples=200)
+@given(
+    st.tuples(st.sampled_from(["spectrum", "berry", "witness"]), st.fixed_dictionaries(_SETTINGS))
+    | st.tuples(st.just("echo"), st.fixed_dictionaries(_ECHO_SETTINGS))
+)
+def test_config_hash_is_sha256_of_the_canonical_text(run):
+    # Each setting as the repr of its float, -0 as 0, in key order after the mode.
+    mode, values = run
+    text = "\n".join([f"mode={mode}"] + [f"{k}={values[k] + 0.0!r}" for k in sorted(values)])
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
+    assert _config_hash(mode, *(f"--{k}={x!r}" for k, x in values.items())) == digest
+
+
+# A fresh interpreter, as a run starts: hashlib would load OpenSSL's libcrypto
+# (about 3.6 MiB of peak memory) for one short digest.
+_NO_OPENSSL_RUN = (
+    "import sys, dimerphase.cli as cli; "
+    "cli.main(['spectrum', '--R', '0:1:3', '--v', '0.5']); "
+    "assert not {'hashlib', '_hashlib'} & set(sys.modules)"
+)
+
+
+def test_a_run_leaves_hashlib_unloaded():
+    src = str(Path(__file__).parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_OPENSSL_RUN],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "# config-hash: " in proc.stdout
 
 
 def _render_per_cell(cfg, header, comments, rows):
