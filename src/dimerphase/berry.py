@@ -180,38 +180,33 @@ def berry_phase_unit_overlap(loop: FrameLoop) -> PhasePair:
     )
 
 
-def _loop_phase(v, energy, imbalance):
-    """berry_phase_closed_form elementwise, for v >= 0: NaN where it raises
-    InvalidStateError, and where E is NaN, as in a grid row with no state."""
-    v, energy, imbalance = (np.asarray(x, dtype=float) for x in (v, energy, imbalance))
-    # v and E scaled by one power of two, which is exact, so that the larger
-    # lies in [1/2, 1) and their squares neither over- nor underflow.
-    k = -np.frexp(np.fmax(np.abs(v), np.abs(energy)))[1]
-    v, energy = np.ldexp(v, k), np.ldexp(energy, k)
-    with np.errstate(all="ignore"):
-        e2 = 4.0 * energy * energy
-        # Inside the 1e-12 margin below, the radicand may round below 0.
-        radicand = np.fmax(0.0, 1.0 - (v * v) / e2)
-        gamma = _wrap(math.pi * (1.0 + np.copysign(np.sqrt(radicand), imbalance)))
-        # Written as not (4 E^2 < ...), so that a NaN energy fails it, v = 0 included.
-        valid = e2 >= v * v * (1.0 - 1e-12)
-    return np.where(valid, np.where(v == 0.0, 0.0, gamma), np.nan)
-
-
 def berry_phase_closed_form(v: float, energy: float, imbalance: float) -> float:
     """Coupling-phase-loop geometric phase of a dimer stationary state.
 
-    gamma = pi * (1 + m), reduced to [0, 2*pi).  Every stationary state
-    satisfies 4 E^2 >= v^2, and (v, E) fix |m| = sqrt(1 - v^2 / (4 E^2)); the
-    sign of m, which (v, E) cannot carry, is taken from the state's imbalance.
+    gamma = pi * (1 + m), reduced to [0, 2*pi): the Berry phase of the
+    instantaneous stationary states around the loop.  At c > 0 a slowly
+    driven state picks up a different phase, since its chemical potential
+    obeys no Hellmann-Feynman theorem.  Every stationary state satisfies
+    4 E^2 >= v^2, and (v, E) fix |m| = sqrt(1 - v^2 / (4 E^2)); the sign of m,
+    which (v, E) cannot carry, is taken from the state's imbalance.  From
+    (v, E) the result loses relative digits as gamma -> 0 (m -> -1), where
+    the berry grid, which reads 1 + m = 2 |amp2|^2 of the state, does not.
     """
     _check_finite(v=v, energy=energy, imbalance=imbalance)
     if v < 0.0:
         raise ValueError("coupling magnitude v must be >= 0")
-    gamma = float(_loop_phase(v, energy, imbalance))
-    if math.isnan(gamma):
+    if v == 0.0:
+        return 0.0
+    # v and E scaled by one power of two, which is exact, so that the larger
+    # lies in [1/2, 1) and their squares neither over- nor underflow.
+    k = -math.frexp(max(v, abs(energy)))[1]
+    v, energy = math.ldexp(v, k), math.ldexp(energy, k)
+    e2 = 4.0 * energy * energy
+    if e2 < v * v * (1.0 - 1e-12):
         raise InvalidStateError("4 E^2 >= v^2 fails: not a stationary-state energy")
-    return gamma
+    # Inside the 1e-12 margin above, the radicand may round below 0.
+    radicand = max(0.0, 1.0 - (v * v) / e2)
+    return _wrap(math.pi * (1.0 + math.copysign(math.sqrt(radicand), imbalance)))
 
 
 def berry_phase_discrete(branch: Sequence[Eigenstate]) -> float:

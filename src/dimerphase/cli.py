@@ -27,7 +27,7 @@ else:
 import numpy as np
 
 from . import __version__
-from .berry import _loop_phase
+from .berry import _wrap
 from .echo import (
     DriveSchedule,
     _pair_witness,
@@ -37,6 +37,7 @@ from .echo import (
 )
 from .errors import DimerPhaseError
 from .model import (
+    TWO_PI,
     Eigenstate,
     ModelParams,
     _has_states,
@@ -236,12 +237,12 @@ _BLOCK = 1024
 
 # Each grid mode's values: one row per point, NaN for a blank cell.
 _GRID_VALUES = {
-    "spectrum": lambda states, v: states.energy,
-    # The loop phase over pi of each point's lowest state.
-    "berry": lambda states, v: (
-        _loop_phase(v[:, None], states.energy[:, :1], states.imbalance[:, :1]) / math.pi
+    "spectrum": lambda states: states.energy,
+    # The loop phase over pi of each point's lowest state, pi (1 + m) = 2 pi |amp2|^2.
+    "berry": lambda states: (
+        _wrap(TWO_PI * (states.amp2[:, :1].real ** 2 + states.amp2[:, :1].imag ** 2)) / math.pi
     ),
-    "witness": lambda states, v: _pair_witness(
+    "witness": lambda states: _pair_witness(
         states.amp1[:, :1], states.amp2[:, :1], states.amp1[:, 1:2], states.amp2[:, 1:2]
     ),
 }
@@ -255,7 +256,7 @@ def run_grid_scan(cfg: ScanConfig):
     for first in range(0, len(R), _BLOCK):
         Rb, vb = R[first : first + _BLOCK], v[first : first + _BLOCK]
         states = stationary_arrays(Rb, vb, 0.0, cfg.c)
-        values = _GRID_VALUES[cfg.mode](states, vb)
+        values = _GRID_VALUES[cfg.mode](states)
         values[states.failed] = np.nan
         blocks.append(values)
     values = np.concatenate(blocks)

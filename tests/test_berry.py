@@ -29,7 +29,7 @@ from dimerphase import (
     solid_angle,
     stationary_states,
 )
-from dimerphase.berry import _companion_solid_angle, _loop_phase, _wrap
+from dimerphase.berry import _companion_solid_angle, _wrap
 
 TWO_PI = 2.0 * math.pi
 
@@ -381,31 +381,16 @@ def _loop_points(draw):
     return v, energy, imbalance
 
 
-def _closed_form_or_none(v, energy, imbalance):
-    try:
-        return berry_phase_closed_form(v, energy, imbalance)
-    except InvalidStateError:
-        return None
-
-
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
-@given(points=st.lists(_loop_points(), min_size=1, max_size=12))
-def test_loop_phase_on_arrays_equals_closed_form_by_point(points):
-    # Bit for bit, and both equal the formula in Python floats.
-    got = _loop_phase(*map(np.array, zip(*points)))
-    assert got.shape == (len(points),)
-    for value, point in zip(got.tolist(), points):
-        want = _closed_form_or_none(*point)
-        assert want == _closed_form_reference(*point)
-        if want is not None:
-            assert value.hex() == want.hex()
-
-
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
-@given(points=st.lists(_loop_points(), min_size=1, max_size=12))
-def test_loop_phase_is_nan_exactly_where_closed_form_raises(points):
-    got = _loop_phase(*map(np.array, zip(*points)))
-    assert np.isnan(got).tolist() == [_closed_form_or_none(*p) is None for p in points]
+@given(point=_loop_points())
+def test_closed_form_equals_reference_and_raises_exactly_where_it_has_none(point):
+    # Bit for bit, and InvalidStateError exactly where the reference has no state.
+    want = _closed_form_reference(*point)
+    if want is None:
+        with pytest.raises(InvalidStateError):
+            berry_phase_closed_form(*point)
+    else:
+        assert berry_phase_closed_form(*point).hex() == want.hex()
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e-150, 1.0, 1e150, 1e160, 1e300])
@@ -420,12 +405,6 @@ def test_loop_phase_matches_mpmath_at_any_scale(scale, imbalance):
         assert berry_phase_closed_form(v, energy, imbalance) == pytest.approx(
             float(want), rel=1e-15
         )
-
-
-def test_loop_phase_of_a_row_with_no_state_is_nan():
-    # A grid row with no state holds NaN energies, v = 0 (the origin) included.
-    got = _loop_phase(np.array([0.0, 1.0]), np.full(2, math.nan), np.full(2, math.nan))
-    assert np.isnan(got).all()
 
 
 # ---------------------------------------------------------------------------

@@ -123,7 +123,8 @@ def test_fully_degenerate_point_is_blank_in_every_grid_mode(mode):
     assert not any(h.startswith("# skipped:") for h in header)
 
 
-def test_failing_point_is_skipped_and_counted(monkeypatch, capsys):
+@pytest.mark.parametrize("mode", ["witness", "berry"])
+def test_failing_point_is_skipped_and_counted(mode, monkeypatch, capsys):
     # The three points are solved in one batch; the kernel reports the middle
     # one as failing its state-count check.
     real = cli.stationary_arrays
@@ -133,26 +134,7 @@ def test_failing_point_is_skipped_and_counted(monkeypatch, capsys):
         return dataclasses.replace(states, failed=states.failed | (R == 0.5))
 
     monkeypatch.setattr(cli, "stationary_arrays", fails_at_half_bias)
-    assert cli.main(["witness", "--R", "0:1:3", "--v", "0.5"]) == 0
-    header, _, rows = parse_csv(capsys.readouterr().out)
-    assert "# skipped: 1" in header
-    assert rows[1] == ["0.5", "0.5", ""]
-    assert rows[0][2] != "" and rows[2][2] != ""
-
-
-def test_raising_berry_cell_is_skipped_and_counted(monkeypatch, capsys):
-    # The kernel gives the middle point a lowest state of energy 0.1, which
-    # breaks 4 E^2 >= v^2 at v = 0.5: no loop phase, a blank cell.
-    real = cli.stationary_arrays
-
-    def breaks_bound_at_half_coupling(R, v, phi, c):
-        states = real(R, v, phi, c)
-        energy = states.energy.copy()
-        energy[v == 0.5, 0] = 0.1
-        return dataclasses.replace(states, energy=energy)
-
-    monkeypatch.setattr(cli, "stationary_arrays", breaks_bound_at_half_coupling)
-    assert cli.main(["berry", "--R", "0.5", "--v", "0:1:3"]) == 0
+    assert cli.main([mode, "--R", "0:1:3", "--v", "0.5"]) == 0
     header, _, rows = parse_csv(capsys.readouterr().out)
     assert "# skipped: 1" in header
     assert rows[1] == ["0.5", "0.5", ""]
@@ -183,9 +165,9 @@ def test_berry_vanishing_coupling():
 
 @pytest.mark.parametrize("k", [-560, -540, 500, 530])
 def test_berry_grid_is_scale_free(k, capsys):
-    # Scaling R, v and c by 2^k scales every energy by it, and the loop phase
-    # reads v / E and the sign of m only: every cell is the scale-1 cell, also
-    # where v^2 and 4 E^2 would underflow (k = -560, -540) or overflow (530).
+    # Scaling R, v and c by 2^k leaves each state's root t, so its amplitudes,
+    # as they are: every cell is the scale-1 cell, also where v^2 would
+    # underflow (k = -560, -540) or overflow (530).
     def cells(scale):
         R0, R1, v1, c = (repr(math.ldexp(x, scale)) for x in (-2.0, 2.0, 2.0, 1.0))
         assert cli.main(["berry", f"--R={R0}:{R1}:41", "--v", f"0:{v1}:41", "--c", c]) == 0
@@ -193,6 +175,19 @@ def test_berry_grid_is_scale_free(k, capsys):
         return [h for h in header if h.startswith("# skipped")], [row[2] for row in rows]
 
     assert cells(k) == cells(0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.floats(-150.0, math.log10(0.5)).map(lambda e: 10.0**e))
+def test_berry_cell_at_small_coupling_keeps_its_relative_digits(v):
+    # At R = 0 and c = 1 the lowest state is the lower self-trapped one, with
+    # 1 + m = 1 - sqrt(1 - v^2) = v^2 / (1 + sqrt(1 - v^2)), which -> 0 as v -> 0.
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["berry", "--R", "0", "--v", repr(v), "--c", "1"]) == 0
+    _, _, rows = parse_csv(out.getvalue())
+    want = v * v / (1.0 + math.sqrt(1.0 - v * v))
+    assert float(rows[0][2]) == pytest.approx(want, rel=1e-11, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
