@@ -27,9 +27,11 @@ from dimerphase import (
     frame_loop,
     phi_loop,
     solid_angle,
+    stationary_arrays,
     stationary_states,
 )
 from dimerphase.berry import _companion_solid_angle, _wrap
+from dimerphase.cli import _GRID_VALUES
 
 TWO_PI = 2.0 * math.pi
 
@@ -391,6 +393,61 @@ def test_closed_form_equals_reference_and_raises_exactly_where_it_has_none(point
             berry_phase_closed_form(*point)
     else:
         assert berry_phase_closed_form(*point).hex() == want.hex()
+
+
+@st.composite
+def _grid_points(draw):
+    """(R, c, v) of a grid row: generic, uncoupled, linear (m = 0 at R = 0), the
+    origin, which has no state, and couplings down to 1e-300."""
+    R = draw(st.one_of(st.just(0.0), st.floats(-10.0, 10.0), st.floats(-1e-3, 1e-3)))
+    c = draw(st.one_of(st.just(0.0), st.floats(0.0, 10.0)))
+    v = draw(st.one_of(st.just(0.0), st.floats(-300.0, 1.0).map(lambda e: 10.0**e)))
+    return R, c, v
+
+
+def _grid_loop_phase(points):
+    """The berry grid's loop phase over pi at each row, before failed rows are
+    blanked, and the closed form's over pi of the row's lowest state (NaN where
+    it raises)."""
+    R, c, v = map(np.array, zip(*points))
+    states = stationary_arrays(R, v, 0.0, c)
+    got = _GRID_VALUES["berry"](states)[:, 0]
+    want = []
+    for vk, energy, imbalance in zip(v.tolist(), states.energy[:, 0], states.imbalance[:, 0]):
+        try:
+            want.append(berry_phase_closed_form(vk, float(energy), float(imbalance)) / math.pi)
+        except (ValueError, InvalidStateError):
+            want.append(math.nan)
+    return got, np.array(want), states.imbalance[:, 0]
+
+
+# The origin, with no state, beside a row that has one.
+_ROWS_WITH_NO_STATE = [(0.0, 1.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 1.0)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(points=st.lists(_grid_points(), min_size=1, max_size=12))
+@example(points=_ROWS_WITH_NO_STATE)
+def test_loop_phase_on_arrays_equals_closed_form_by_point(points):
+    # The grid reads 2 |amp2|^2, the closed form sqrt(1 - v^2 / 4 E^2), whose
+    # radicand rounds by a few ulps; that moves |m| by at most about 2e-16 / |m|,
+    # and by sqrt(4e-16) at m = 0.  Compared on the circle of circumference 2.
+    got, want, imbalance = _grid_loop_phase(points)
+    assert got.shape == (len(points),)
+    for value, closed, m in zip(got.tolist(), want.tolist(), imbalance.tolist()):
+        if math.isnan(closed):
+            continue
+        distance = abs(value - closed)
+        assert min(distance, 2.0 - distance) <= 1e-15 * (1.0 + 1.0 / max(abs(m), 1e-8))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(points=st.lists(_grid_points(), min_size=1, max_size=12))
+@example(points=_ROWS_WITH_NO_STATE)
+def test_loop_phase_is_nan_exactly_where_closed_form_raises(points):
+    # A row with no state holds NaN energies, v = 0 (the origin) included.
+    got, want, _ = _grid_loop_phase(points)
+    assert np.isnan(got).tolist() == np.isnan(want).tolist()
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e-150, 1.0, 1e150, 1e160, 1e300])
