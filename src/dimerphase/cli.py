@@ -252,22 +252,24 @@ def run_grid_scan(cfg: ScanConfig):
     R_axis, v_axis = np.atleast_1d(cfg.R), np.atleast_1d(cfg.v)
     # Every (R, v) pair, R outer.
     R, v = np.repeat(R_axis, len(v_axis)), np.tile(v_axis, len(R_axis))
-    blocks = []
+    blocks, skipped = [], 0
     for first in range(0, len(R), _BLOCK):
         Rb, vb = R[first : first + _BLOCK], v[first : first + _BLOCK]
         states = stationary_arrays(Rb, vb, 0.0, cfg.c)
         values = _GRID_VALUES[cfg.mode](states)
+        # A point that the kernel marks failed is skipped: blank and counted.  The fully
+        # degenerate origin is not failed; it has no states, and blank cells by design.
         values[states.failed] = np.nan
+        skipped += np.count_nonzero(states.failed)
         blocks.append(values)
     values = np.concatenate(blocks)
-    # A point is skipped when its states fail the kernel's count check or its
-    # value raises; the fully degenerate origin has no states and blank cells by design.
-    skipped = np.count_nonzero(_has_states(R, v) & np.isnan(values[:, 0]))
     comments = [f"skipped: {skipped}"] if skipped else []
     # Each axis value is formatted once.
     R_cells = [cell for cell in _cells(R_axis) for _ in range(len(v_axis))]
     if cfg.mode == "witness":
-        ratio = v_axis / cfg.c if cfg.c > 0 else np.full_like(v_axis, np.nan)
+        # v/c past the largest float is written as inf.
+        with np.errstate(over="ignore"):
+            ratio = v_axis / cfg.c if cfg.c > 0 else np.full_like(v_axis, np.nan)
         coords = [list(_cells(ratio)) * len(R_axis), R_cells]
     else:
         coords = [R_cells, list(_cells(v_axis)) * len(R_axis)]

@@ -26,12 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    AmbiguousRegimeError,
-    InvalidStateError,
-    ModelDegenerateError,
-    StepSizeError,
-)
+from .errors import AmbiguousRegimeError, InvalidStateError, StepSizeError
 from .model import (
     TWO_PI,
     Eigenstate,
@@ -138,14 +133,10 @@ def nonlinearity_witness(params: ModelParams) -> WitnessReport:
 
     On the bias-free degeneracy this is the degenerate pair; elsewhere the two
     lowest states stand in for it.  Zero for a linear model, where the states
-    are orthogonal eigenvectors of one Hermitian matrix.
+    are orthogonal eigenvectors of one Hermitian matrix.  stationary_states
+    gives at least two states or raises.
     """
-    family = stationary_states(params)
-    if len(family) < 2:
-        raise ModelDegenerateError(
-            f"witness needs two stationary states, found {len(family)}"
-        )
-    lo, hi = family.states[0], family.states[1]
+    lo, hi = stationary_states(params).states[:2]
     value = float(_pair_witness(lo.amp1, lo.amp2, hi.amp1, hi.amp2))
     return WitnessReport(params, (lo.energy, hi.energy), value)
 

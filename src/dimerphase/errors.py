@@ -40,7 +40,3 @@ class AmbiguousRegimeError(DimerPhaseError):
 
 class StepSizeError(DimerPhaseError):
     """Integrator norm drift exceeded its bound; the time step is too large."""
-
-
-class ModelDegenerateError(DimerPhaseError):
-    """Model has too few stationary states for the requested diagnostic."""

@@ -163,7 +163,10 @@ class StationaryArrays:
     states cannot be trusted: v > 0 with a state count other than the
     astroid's (_expected_count; in its band any of 2..4), or a quartic that
     overflows.  The fully degenerate origin v = R = 0 has count 0 and is
-    not failed.
+    not failed.  Every other point that is not failed has at least two
+    states: where v > 0 the astroid's 2 or 4 (2 to 4 in its band), and at
+    v = 0 the polarized pair m = -+1, with the free-phase state
+    m = -R/c as a third where |R| < c.
     """
 
     energy: np.ndarray
@@ -310,9 +313,10 @@ def _states_at_roots(R, c, v, t, at, phi) -> StationaryArrays:
     at phi = 0.  Amplitudes (|t|, -sign(t)) / sqrt(1 + t^2), built by
     _amplitudes from min(|t|, 1/|t|), with amp2 = 1 at t = 0 and psi = (1, 0)
     at t = inf; energy E = -(v/4)(t + 1/t), with no square of t to over- or
-    underflow, whose v = 0 limits are -(R + c)/2 at t = 0 and (R - c)/2 at
-    t = inf.  A state is kept when its residual |H(psi) psi - E psi| passes
-    _is_stationary.
+    underflow, whose v = 0 limits are -(R/2 + c/2) at t = 0 and R/2 - c/2 at
+    t = inf: the diagonal of the halved H that _residual tests, finite for
+    every finite R and c.  A state is kept when its residual
+    |H(psi) psi - E psi| passes _is_stationary.
     Energies equal to within 1e-12 (relative) are one degenerate level: they
     share one value and are ordered by imbalance, then by t.  phi is a gauge, U =
     diag(1, e^{-i phi}), which keeps energy, imbalance and residual: it
@@ -327,7 +331,8 @@ def _states_at_roots(R, c, v, t, at, phi) -> StationaryArrays:
     with np.errstate(all="ignore"):
         amp1, amp2 = _amplitudes(t)
         energy = -(v / 4.0) * (t + 1.0 / t)
-        energy = np.where(t == 0.0, -0.5 * (R + c), np.where(np.isinf(t), 0.5 * (R - c), energy))
+        energy = np.where(np.isinf(t), 0.5 * R - 0.5 * c, energy)
+        energy = np.where(t == 0.0, -(0.5 * R + 0.5 * c), energy)
         imbalance = amp2 * amp2 - amp1 * amp1
         residual = _residual(R, c, v, 1.0, amp1, amp2, energy)
     energy = np.where(_is_stationary(residual, R, c, v), energy, np.nan)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dimerphase import cli
 
@@ -123,7 +123,7 @@ def test_fully_degenerate_point_is_blank_in_every_grid_mode(mode):
     assert not any(h.startswith("# skipped:") for h in header)
 
 
-@pytest.mark.parametrize("mode", ["witness", "berry"])
+@pytest.mark.parametrize("mode", ["witness", "berry", "spectrum"])
 def test_failing_point_is_skipped_and_counted(mode, monkeypatch, capsys):
     # The three points are solved in one batch; the kernel reports the middle
     # one as failing its state-count check.
@@ -137,7 +137,8 @@ def test_failing_point_is_skipped_and_counted(mode, monkeypatch, capsys):
     assert cli.main([mode, "--R", "0:1:3", "--v", "0.5"]) == 0
     header, _, rows = parse_csv(capsys.readouterr().out)
     assert "# skipped: 1" in header
-    assert rows[1] == ["0.5", "0.5", ""]
+    # Every value cell of the failed row is blank: one in berry and witness, four in spectrum.
+    assert rows[1][:2] == ["0.5", "0.5"] and set(rows[1][2:]) == {""}
     assert rows[0][2] != "" and rows[2][2] != ""
 
 
@@ -611,3 +612,23 @@ def test_axis_with_points_that_overflow_is_usage_error():
     # Finite endpoints whose linspace steps overflow to inf and nan.
     proc = run_cli("spectrum", "--R=1e308:-1e308:3", expect=2)
     assert "--R" in proc.stderr and "Warning" not in proc.stderr
+
+
+_EXTREMES = ["0", "-0", "5e-324", "1e-300", "0.5", "1", "1e300", "1e308", "1.7e308"]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    mode=st.sampled_from(["spectrum", "berry", "witness", "echo"]),
+    R=st.sampled_from(_EXTREMES + ["-1e308"]),
+    v=st.sampled_from(_EXTREMES),
+    c=st.sampled_from(_EXTREMES),
+)
+@example(mode="echo", R="1e308", v="0", c="1e308")
+def test_main_never_raises_at_extreme_settings(mode, R, v, c):
+    # From the bottom to the top of the float range a run writes its CSV or
+    # reports its failure: no point may raise out of main.
+    args = [mode, f"--R={R}", f"--v={v}", f"--c={c}"]
+    args += ["--T", "0.02", "--dt", "0.01"] if mode == "echo" else []
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(args) in (0, 1)

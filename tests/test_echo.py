@@ -16,7 +16,6 @@ from dimerphase import (
     EchoTrace,
     Eigenstate,
     InvalidStateError,
-    ModelDegenerateError,
     ModelParams,
     StepSizeError,
     evolve_nonlinear,
@@ -96,17 +95,6 @@ def test_witness_biased_point_is_bounded():
     rep = nonlinearity_witness(ModelParams(R=2.0, c=1.0, v=3.0))
     assert 0.0 <= rep.witness <= 1.0
     assert rep.pair_energies[0] <= rep.pair_energies[1]
-
-
-def test_witness_needs_a_pair(monkeypatch):
-    import dimerphase.echo as echo_mod
-    from dimerphase.model import StationaryFamily
-
-    params = ModelParams(R=0.0, c=1.0, v=0.5)
-    single = StationaryFamily(params=params, states=(_state(1.0, 0.0),))
-    monkeypatch.setattr(echo_mod, "stationary_states", lambda p: single)
-    with pytest.raises(ModelDegenerateError):
-        nonlinearity_witness(params)
 
 
 # ---------------------------------------------------------------------------

@@ -941,6 +941,41 @@ def test_uncoupled_bias_beyond_nonlinearity_is_fully_polarized():
     assert [s.imbalance for s in fam.states] == [-1.0, 1.0]
 
 
+# |R| and c log-uniform up to the top of the float range, from the subnormals.
+_uncoupled_scales = st.floats(-323.0, math.log10(1.78e308)).map(lambda e: 10.0**e)
+
+
+@st.composite
+def uncoupled_points(draw):
+    """(R, c) at v = 0, R != 0 of either sign; c drawn alone, 0, or a few ulps from |R|."""
+    R = draw(st.sampled_from([-1.0, 1.0])) * draw(_uncoupled_scales)
+    kind = draw(st.sampled_from(["apart", "zero", "near"]))
+    if kind == "apart":
+        return R, draw(_uncoupled_scales)
+    c, steps = abs(R), draw(st.integers(-3, 3))
+    for _ in range(abs(steps)):
+        c = math.nextafter(c, math.copysign(math.inf, steps))
+    return R, 0.0 if kind == "zero" else max(c, 0.0)
+
+
+@_PROPERTY
+@given(point=uncoupled_points())
+@example(point=(-1.0231437333429191e308, 1.0231437333429191e308))
+@example(point=(1e308, 1e308))
+def test_uncoupled_point_keeps_both_polarized_states(point):
+    # At v = 0 the polarized states m = +1 and -1 exist at every bias, at the
+    # diagonal of the halved H, -(R/2 + c/2) and R/2 - c/2, which are floats
+    # wherever R and c are; where |R| < c the free-phase state m = -R/c is a third.
+    R, c = point
+    states = stationary_arrays(R, 0.0, 0.0, c)
+    assert not states.failed[0]
+    assert states.count[0] == 2 + (abs(R) < c)
+    energy = states.energy[0, : states.count[0]].tolist()
+    for want in (-(R / 2 + c / 2), R / 2 - c / 2):
+        # Exact, unless the 1e-12 relative level merge joined the two.
+        assert min(abs(e - want) for e in energy) <= 1e-12 * abs(want)
+
+
 @pytest.mark.parametrize(
     ("R", "v", "count"),
     [

@@ -21,7 +21,6 @@ PUBLIC = [
     "FrameLoop",
     "InvalidStateError",
     "LoopTooCoarseError",
-    "ModelDegenerateError",
     "ModelParams",
     "NearSingularLoopError",
     "ParamPath",
