@@ -226,7 +226,8 @@ def berry_phase_discrete(branch: Sequence[Eigenstate]) -> float:
     else:
         a1 = np.array([s.amp1 for s in branch], dtype=complex)
         a2 = np.array([s.amp2 for s in branch], dtype=complex)
-    re, im = _overlap_parts(a1, a2, np.roll(a1, -1), np.roll(a2, -1))
+    parts = np.stack([a1.real, a1.imag, a2.real, a2.imag])
+    re, im = _overlap_parts(*parts, *np.roll(parts, -1, axis=1))
     modulus = np.hypot(re, im)
     coarse = np.flatnonzero(modulus < 0.5)
     if coarse.size:

@@ -143,7 +143,10 @@ def nonlinearity_witness(params: ModelParams) -> WitnessReport:
 
 def _pair_witness(lo1, lo2, hi1, hi2):
     """min(1, |<lo|hi>|) of state pairs by their amplitudes, elementwise; NaN stays NaN."""
-    return np.minimum(1.0, np.hypot(*_overlap_parts(lo1, lo2, hi1, hi2)))
+    overlap = _overlap_parts(
+        lo1.real, lo1.imag, lo2.real, lo2.imag, hi1.real, hi1.imag, hi2.real, hi2.imag
+    )
+    return np.minimum(1.0, np.hypot(*overlap))
 
 
 def loschmidt_adiabatic(theta: float, overlap: float) -> float:
@@ -290,7 +293,10 @@ def loschmidt_dynamical(initial: Eigenstate, drive: DriveSchedule, dt: float) ->
     times, traj = evolve_nonlinear(initial, drive, dt)
     # In Python's complex rounding, not numpy's complex product, which may fuse
     # a multiply and an add on some machines: the values do not depend on the CPU.
-    overlap = _overlap_parts(traj[0, 0], traj[0, 1], traj[:, 0], traj[:, 1])
+    x, y = traj.real, traj.imag
+    overlap = _overlap_parts(
+        x[0, 0], y[0, 0], x[0, 1], y[0, 1], x[:, 0], y[:, 0], x[:, 1], y[:, 1]
+    )
     return EchoTrace(times, np.hypot(*overlap) ** 2)
 
 

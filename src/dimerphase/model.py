@@ -445,16 +445,18 @@ def stationary_states(params: ModelParams) -> StationaryFamily:
     return StationaryFamily(params, tuple(states.take([0] * n, list(range(n)))))
 
 
-def _overlap_parts(a1, a2, b1, b2):
-    """Real and imaginary parts of the inner product <a|b> of amplitude pairs.
+def _overlap_parts(x1, y1, x2, y2, u1, w1, u2, w2):
+    """Real and imaginary parts of the inner product <a|b> of amplitude pairs,
+    from their real parts: a1 = x1 + i y1, a2 = x2 + i y2, b1 = u1 + i w1 and
+    b2 = u2 + i w2, as _apply_half takes them.
 
-    Works on Python complex numbers and elementwise on complex arrays alike,
+    Works on Python floats and elementwise on float arrays that broadcast,
     rounded as Python rounds a1.conjugate() * b1 + a2.conjugate() * b2; numpy's
     complex product rounds differently.  Take the modulus with np.hypot or
     abs(complex(re, im)), which round as Python's complex abs; math.hypot does not.
     """
-    re = (a1.real * b1.real + a1.imag * b1.imag) + (a2.real * b2.real + a2.imag * b2.imag)
-    im = (a1.real * b1.imag - a1.imag * b1.real) + (a2.real * b2.imag - a2.imag * b2.real)
+    re = (x1 * u1 + y1 * w1) + (x2 * u2 + y2 * w2)
+    im = (x1 * w1 - y1 * u1) + (x2 * w2 - y2 * u2)
     return re, im
 
 
@@ -479,35 +481,54 @@ def phi_loop(params: ModelParams, n_points: int) -> ParamPath:
 def continue_branch(path: ParamPath, seed: Eigenstate) -> Branch:
     """Track one stationary branch along a parameter path by maximum overlap.
 
-    At each point the candidate maximizing |<previous|candidate>| is taken,
-    the first one on a tie; if even the best overlap falls below 0.5 the
-    branch has been lost (folded away or the path is sampled too coarsely)
-    and BranchLostError is raised.  A point without trustworthy states
-    raises as stationary_states does; of the two, the error at the earlier
-    point is raised.
+    The seed must have finite amplitudes of norm 1 within 1e-6, or
+    InvalidStateError is raised.  At each point the candidate maximizing
+    |<previous|candidate>| is taken, the first one on a tie; if even the best
+    overlap falls below 0.5 the branch has been lost (folded away or the
+    path is sampled too coarsely) and BranchLostError is raised.  A point
+    without trustworthy states raises as stationary_states does; of the
+    two, the error at the earlier point is raised.
 
-    The whole path is solved in one stationary_arrays call.  One (n, 4, 4)
-    table then holds the overlap moduli of every candidate at point k-1 (the
-    seed at k = 0) with every candidate at point k, and the walk is one
-    lookup per point in its argmax.
+    The whole path is solved in one stationary_arrays call.  The candidates'
+    real and imaginary parts are laid out points last, as contiguous (4, n)
+    float arrays, so that each product of one (4, 4, n) table runs in loops
+    over the points.  table[i, j, k] is the overlap modulus of candidate i at
+    point k-1 (the seed at k = 0) with candidate j at point k, and the walk
+    is one lookup per point in its argmax over j.
     """
+    a1, a2 = complex(seed.amp1), complex(seed.amp2)
+    norm = math.hypot(a1.real, a1.imag, a2.real, a2.imag)
+    if not abs(norm - 1.0) <= 1e-6:
+        raise InvalidStateError(f"seed state has norm {norm!r}, not 1 within 1e-6")
     states = stationary_arrays(path.R, path.v, path.phi, path.c)
     n = len(path.R)
-    before1 = np.concatenate([np.full((1, 4), seed.amp1, dtype=complex), states.amp1[:-1]])
-    before2 = np.concatenate([np.full((1, 4), seed.amp2, dtype=complex), states.amp2[:-1]])
-    re, im = _overlap_parts(
-        before1[:, :, None], before2[:, :, None], states.amp1[:, None, :], states.amp2[:, None, :]
-    )
-    table = np.hypot(re, im)
+    # Float parts x1, y1, x2 and y2, points last and contiguous: after[p][j, k]
+    # is part p of candidate j at point k, before[p][i, k] that of candidate i
+    # at point k-1, with the seed's part in every row at k = 0.
+    after = [
+        np.ascontiguousarray(a.T)
+        for a in (states.amp1.real, states.amp1.imag, states.amp2.real, states.amp2.imag)
+    ]
+    before = [
+        np.hstack([np.full((4, 1), s), p[:, :-1]])
+        for s, p in zip((a1.real, a1.imag, a2.real, a2.imag), after)
+    ]
+    # One row i at a time: at 1,025 points a (4, 4, n) temporary per product
+    # is over glibc malloc's default 128 KiB mmap threshold, so its pages
+    # fault in afresh, where the (4, n) temporaries of a row reuse the heap.
+    table = np.empty((4, 4, n))
+    for i, row in enumerate(table):
+        np.hypot(*_overlap_parts(*(p[i] for p in before), *after), out=row)
     # A missing candidate (NaN) loses to every real one, as no overlap is below 0.
-    table[np.isnan(table)] = -1.0
-    best = table.argmax(axis=2).tolist()
+    np.fmax(table, -1.0, out=table)
+    # best[j * n + k]: the best candidate at point k after candidate j at point k-1.
+    best = table.argmax(axis=1).ravel().tolist()
     chosen, j = [], 0
-    for row in best:
-        j = row[j]
+    for k in range(n):
+        j = best[j * n + k]
         chosen.append(j)
     rows, chosen = np.arange(n), np.array(chosen)
-    walked = table[rows, np.r_[0, chosen[:-1]], chosen]
+    walked = table[np.r_[0, chosen[:-1]], chosen, rows]
 
     bad = states.failed | ~_has_states(path.R, path.v)
     stops = np.flatnonzero(bad | (walked < 0.5))

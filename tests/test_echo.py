@@ -570,7 +570,11 @@ def test_echo_overlap_rounds_as_python_complex_arithmetic():
     trace = loschmidt_dynamical(initial, drive, 0.002)
     _, traj = evolve_nonlinear(initial, drive, 0.002)
     a1, a2 = traj[0].tolist()
-    moduli = [abs(complex(*_overlap_parts(a1, a2, b1, b2))) for b1, b2 in traj.tolist()]
+    first = (a1.real, a1.imag, a2.real, a2.imag)
+    moduli = [
+        abs(complex(*_overlap_parts(*first, b1.real, b1.imag, b2.real, b2.imag)))
+        for b1, b2 in traj.tolist()
+    ]
     assert trace.values.tobytes() == (np.array(moduli) ** 2).tobytes()
 
 

@@ -4,6 +4,7 @@ import cmath
 import dataclasses
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -409,6 +410,42 @@ def test_continue_branch_reports_lost_branch(monkeypatch):
         continue_branch(phi_loop(params, 8), seed)
 
 
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(
+    scale=st.floats(0.0, 4.0) | st.sampled_from([1.0 - 2e-6, 1.0 - 5e-7, 1.0 + 5e-7, 1.0 + 2e-6]),
+    spoiled=st.none() | st.tuples(st.integers(0, 3), _NON_FINITE),
+)
+@example(scale=0.0, spoiled=None)
+@example(scale=0.4, spoiled=None)
+@example(scale=1.0, spoiled=(0, math.nan))
+@example(scale=1.0, spoiled=(3, math.inf))
+def test_continue_branch_checks_its_seed(scale, spoiled):
+    # A seed with a non-finite part or a norm off 1 by more than 1e-6 is
+    # refused by its norm, as evolve_nonlinear refuses such an initial state,
+    # before any overlap is taken; one within 1e-6 walks as the state itself.
+    params = ModelParams(R=0.3, c=2.0, v=0.5)
+    lowest = stationary_states(params).states[0]
+    parts = [lowest.amp1.real, lowest.amp1.imag, lowest.amp2.real, lowest.amp2.imag]
+    parts = [scale * x for x in parts]
+    if spoiled is not None:
+        parts[spoiled[0]] = spoiled[1]
+    seed = dataclasses.replace(
+        lowest, amp1=complex(parts[0], parts[1]), amp2=complex(parts[2], parts[3])
+    )
+    norm = math.hypot(*parts)
+    path = phi_loop(params, 16)
+    if abs(norm - 1.0) <= 1e-6:
+        branch = continue_branch(path, seed)
+        assert branch.energy.tobytes() == continue_branch(path, lowest).energy.tobytes()
+    else:
+        message = f"^seed state has norm {re.escape(repr(norm))},"
+        with pytest.raises(InvalidStateError, match=message):
+            continue_branch(path, seed)
+
+
 def _bias_sweep(start, R_stop, n):
     """n samples from start to bias R_stop, the other parameters fixed."""
     fixed = (np.full(n, x) for x in (start.c, start.v, start.phi))
@@ -544,6 +581,12 @@ _WALK_PROPERTY = settings(derandomize=True, database=None, deadline=None, max_ex
 @given(path=walk_paths(), pick=st.integers(0, 3))
 @example(path=phi_loop(ModelParams(0.0, 1.0, 1.0), 8), pick=1)
 @example(path=_bias_sweep(ModelParams(-1.0, 1.0, 0.0), 1.0, 5), pick=0)
+# At the loop benchmark's size, 1,024 segments, where the strategy draws at
+# most 40: a loop with two states, one with four, and a sweep of the lowest
+# state across the astroid at |R| = 0.936, where it folds away (overlap 0.61).
+@example(path=phi_loop(ModelParams(0.0, 0.5, 1.0), 1024), pick=0)
+@example(path=phi_loop(ModelParams(0.3, 2.0, 0.5), 1024), pick=2)
+@example(path=_bias_sweep(ModelParams(-2.0, 2.0, 0.5, 1.0), 2.0, 1025), pick=0)
 def test_walk_chooses_as_the_per_point_reference(path, pick):
     _walks_agree(path, _seed_state(path, pick))
 
@@ -620,34 +663,65 @@ def _python_overlap(a, b):
     return a.amp1.conjugate() * b.amp1 + a.amp2.conjugate() * b.amp2
 
 
+def _state_overlap(a, b):
+    """<a|b> of two states through _overlap_parts, on their real parts."""
+    parts = (a.amp1.real, a.amp1.imag, a.amp2.real, a.amp2.imag)
+    parts += (b.amp1.real, b.amp1.imag, b.amp2.real, b.amp2.imag)
+    return complex(*_overlap_parts(*parts))
+
+
 def test_state_overlap_hermitian_symmetry():
     fam = stationary_states(ModelParams(R=0.3, c=1.0, v=0.7, phi=0.4))
     a, b = fam.states[0], fam.states[1]
-    ab = complex(*_overlap_parts(a.amp1, a.amp2, b.amp1, b.amp2))
-    assert ab == pytest.approx(complex(*_overlap_parts(b.amp1, b.amp2, a.amp1, a.amp2)).conjugate())
-    assert abs(complex(*_overlap_parts(a.amp1, a.amp2, a.amp1, a.amp2))) == pytest.approx(
-        1.0, abs=1e-12
-    )
+    ab = _state_overlap(a, b)
+    assert ab == pytest.approx(_state_overlap(b, a).conjugate())
+    assert abs(_state_overlap(a, a)) == pytest.approx(1.0, abs=1e-12)
 
 
 _amplitude_parts = st.floats(-2.0, 2.0) | st.sampled_from([0.0, -0.0, 1e-300, -1e-170])
 
 
+def _python_inner(a1, a2, b1, b2):
+    """Hex of the parts and modulus of <a|b> in Python complex arithmetic."""
+    want = a1.conjugate() * b1 + a2.conjugate() * b2
+    return want.real.hex(), want.imag.hex(), abs(want).hex()
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
-@given(parts=st.lists(st.tuples(*[_amplitude_parts] * 8), min_size=1, max_size=8))
-def test_overlap_parts_round_as_python_complex(parts):
+@given(
+    parts=st.lists(st.tuples(*[_amplitude_parts] * 8), min_size=1, max_size=8),
+    columns=st.lists(st.tuples(*[_amplitude_parts] * 16), min_size=2, max_size=6),
+)
+def test_overlap_parts_round_as_python_complex(parts, columns):
     # One formula for scalars and arrays, bit for bit Python's complex product
-    # and sum; np.hypot of the parts is Python's complex abs.
-    pairs = [[complex(x, y) for x, y in zip(p[::2], p[1::2])] for p in parts]
-    arrays = [np.array(column) for column in zip(*pairs)]
-    re, im = _overlap_parts(*arrays)
+    # and sum; np.hypot of the parts is Python's complex abs.  Each drawn row
+    # is (x1, y1, x2, y2, u1, w1, u2, w2): a1 = x1 + i y1, ..., b2 = u2 + i w2.
+    re, im = _overlap_parts(*(np.array(column) for column in zip(*parts)))
     moduli = np.hypot(re, im).tolist()
-    for (a1, a2, b1, b2), x, y, modulus in zip(pairs, re.tolist(), im.tolist(), moduli):
-        want = a1.conjugate() * b1 + a2.conjugate() * b2
-        scalar = _overlap_parts(a1, a2, b1, b2)
+    for p, x, y, modulus in zip(parts, re.tolist(), im.tolist(), moduli):
+        want = _python_inner(*(complex(x, y) for x, y in zip(p[::2], p[1::2])))
+        scalar = _overlap_parts(*p)
         for got in ((x, y), scalar):
-            assert (got[0].hex(), got[1].hex()) == (want.real.hex(), want.imag.hex())
-        assert modulus.hex() == abs(want).hex()
+            assert (got[0].hex(), got[1].hex()) == want[:2]
+        assert modulus.hex() == want[2]
+
+    # The walk's table: parts (4, n + 1) of candidates by points, whose
+    # columns k and k + 1 meet at table[i, j, k], as (4, 1, n) against (1, 4, n).
+    # Each drawn column holds part p of candidate i at index 4 p + i.
+    grid = np.array(columns).T.reshape(4, 4, len(columns))
+    before, after = grid[:, :, :-1], grid[:, :, 1:]
+    re, im = _overlap_parts(*before[:, :, None], *after[:, None, :])
+    assert re.shape == im.shape == (4, 4, len(columns) - 1)
+    moduli = np.hypot(re, im)
+    for i, j, k in np.ndindex(re.shape):
+        a1, a2 = (complex(*grid[p : p + 2, i, k].tolist()) for p in (0, 2))
+        b1, b2 = (complex(*grid[p : p + 2, j, k + 1].tolist()) for p in (0, 2))
+        got = (float(re[i, j, k]).hex(), float(im[i, j, k]).hex(), float(moduli[i, j, k]).hex())
+        assert got == _python_inner(a1, a2, b1, b2)
+    # continue_branch builds it one row i at a time, (n,) against (4, n).
+    for i in range(4):
+        row = _overlap_parts(*before[:, i], *after)
+        assert (row[0].tobytes(), row[1].tobytes()) == (re[i].tobytes(), im[i].tobytes())
 
 
 def _python_kernel(hR, hc, coup, a1, a2):
