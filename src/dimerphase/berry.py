@@ -1,4 +1,9 @@
-"""Geometric phases for a pair of levels split by a weak perturbation.
+"""Geometric phases of the dimer's coupling-phase loop, and of the frame loops
+of a pair of levels split by a weak perturbation.
+
+Winding the coupling phase once carries each dimer stationary state around
+the degeneracy: berry_phase_closed_form reads the phase pi * (1 + m) from
+the state, berry_phase_discrete from a branch tracked around phi_loop.
 
 A degenerate pair is lifted by a perturbation whose matrix elements between
 the two unperturbed states define a frame: polar angle theta from the
@@ -30,7 +35,6 @@ from .model import (
     TWO_PI,
     Branch,
     Eigenstate,
-    _check_finite,
     _check_overlap,
     _check_theta,
     _overlap_parts,
@@ -180,33 +184,28 @@ def berry_phase_unit_overlap(loop: FrameLoop) -> PhasePair:
     )
 
 
-def berry_phase_closed_form(v: float, energy: float, imbalance: float) -> float:
-    """Coupling-phase-loop geometric phase of a dimer stationary state.
+def berry_phase_closed_form(state) -> float | np.ndarray:
+    """Coupling-phase-loop geometric phase of dimer stationary states.
 
-    gamma = pi * (1 + m), reduced to [0, 2*pi): the Berry phase of the
-    instantaneous stationary states around the loop.  At c > 0 a slowly
-    driven state picks up a different phase, since its chemical potential
-    obeys no Hellmann-Feynman theorem.  Every stationary state satisfies
-    4 E^2 >= v^2, and (v, E) fix |m| = sqrt(1 - v^2 / (4 E^2)); the sign of m,
-    which (v, E) cannot carry, is taken from the state's imbalance.  From
-    (v, E) the result loses relative digits as gamma -> 0 (m -> -1), where
-    the berry grid, which reads 1 + m = 2 |amp2|^2 of the state, does not.
+    gamma = pi * (1 + m) = 2 pi |amp2|^2, reduced to [0, 2*pi): the Berry
+    phase of the instantaneous stationary states around the loop, which keeps
+    its relative digits as it falls to 0 (m -> -1).  At c > 0 a slowly driven
+    state picks up a different phase, since its chemical potential obeys no
+    Hellmann-Feynman theorem.  At v = 0 the rule is the same: 0 for the
+    polarized states m = -+1, and pi (1 - R/c) for the free-phase state,
+    whose relative phase the loop winds.
+
+    state is an Eigenstate, a Branch or a StationaryArrays, read elementwise;
+    a row with no state (NaN) gives NaN.  A norm more than 1e-6 from 1, as
+    at an infinite amplitude, raises InvalidStateError.
     """
-    _check_finite(v=v, energy=energy, imbalance=imbalance)
-    if v < 0.0:
-        raise ValueError("coupling magnitude v must be >= 0")
-    if v == 0.0:
-        return 0.0
-    # v and E scaled by one power of two, which is exact, so that the larger
-    # lies in [1/2, 1) and their squares neither over- nor underflow.
-    k = -math.frexp(max(v, abs(energy)))[1]
-    v, energy = math.ldexp(v, k), math.ldexp(energy, k)
-    e2 = 4.0 * energy * energy
-    if e2 < v * v * (1.0 - 1e-12):
-        raise InvalidStateError("4 E^2 >= v^2 fails: not a stationary-state energy")
-    # Inside the 1e-12 margin above, the radicand may round below 0.
-    radicand = max(0.0, 1.0 - (v * v) / e2)
-    return _wrap(math.pi * (1.0 + math.copysign(math.sqrt(radicand), imbalance)))
+    norm = np.hypot(abs(state.amp1), abs(state.amp2))
+    off = np.abs(norm - 1.0) > 1e-6
+    if off.any():
+        first = float(np.extract(off, norm)[0])
+        raise InvalidStateError(f"state has norm {first!r}, not 1 within 1e-6")
+    a2 = state.amp2
+    return _wrap(TWO_PI * (a2.real * a2.real + a2.imag * a2.imag))
 
 
 def berry_phase_discrete(branch: Sequence[Eigenstate]) -> float:

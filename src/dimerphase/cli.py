@@ -27,7 +27,7 @@ else:
 import numpy as np
 
 from . import __version__
-from .berry import _wrap
+from .berry import berry_phase_closed_form
 from .echo import (
     DriveSchedule,
     _pair_witness,
@@ -37,7 +37,6 @@ from .echo import (
 )
 from .errors import DimerPhaseError
 from .model import (
-    TWO_PI,
     Eigenstate,
     ModelParams,
     _has_states,
@@ -230,18 +229,16 @@ _GRID_COLUMNS = {
 }
 
 # Grid points per stationary_arrays call, and CSV rows per chunk of text.  Block by block, a
-# 101 x 101 spectrum grid peaks at 35.1 MiB and a 10,001-row echo at 34.6 MiB; in one block, at
-# 41.3 and 35.6 MiB (VmHWM of a fresh interpreter, under PYTHONDONTWRITEBYTECODE=1).
+# 101 x 101 spectrum grid peaks at 31.5 MiB and a 10,001-row echo at 31.0 MiB; in one block, at
+# 37.7 and 32.0 MiB (VmHWM of a fresh interpreter, under PYTHONDONTWRITEBYTECODE=1).
 _BLOCK = 1024
 
 
 # Each grid mode's values: one row per point, NaN for a blank cell.
 _GRID_VALUES = {
     "spectrum": lambda states: states.energy,
-    # The loop phase over pi of each point's lowest state, pi (1 + m) = 2 pi |amp2|^2.
-    "berry": lambda states: (
-        _wrap(TWO_PI * (states.amp2[:, :1].real ** 2 + states.amp2[:, :1].imag ** 2)) / math.pi
-    ),
+    # The loop phase over pi of each point's lowest state.
+    "berry": lambda states: berry_phase_closed_form(states)[:, :1] / math.pi,
     "witness": lambda states: _pair_witness(
         states.amp1[:, :1], states.amp2[:, :1], states.amp1[:, 1:2], states.amp2[:, 1:2]
     ),

@@ -68,14 +68,14 @@ def test_criterion_01_root_count_transition():
 def test_criterion_02_phase_extremes():
     params = ModelParams(R=0.0, c=1.0, v=2.0)
     ground = stationary_states(params).states[0]
-    gamma = berry_phase_closed_form(params.v, ground.energy, ground.imbalance)
+    gamma = berry_phase_closed_form(ground)
     assert abs(gamma - math.pi) < 1e-9
     discrete = berry_phase_discrete(_ground_branch(params, 4096))
-    assert _mod_distance(discrete, math.pi) < 1e-5
+    assert _mod_distance(discrete, gamma) < 1e-5
 
     weak = ModelParams(R=0.0, c=1.0, v=0.05)
     ground_weak = stationary_states(weak).states[0]
-    assert berry_phase_closed_form(weak.v, ground_weak.energy, ground_weak.imbalance) < 0.05 * math.pi
+    assert berry_phase_closed_form(ground_weak) < 0.05 * math.pi
     _verdict(2, "loop phase is pi at weak nonlinearity, collapses at strong")
 
 
@@ -85,7 +85,7 @@ def test_criterion_03_closed_form_vs_discrete_loop():
         for v in (0.5, 1.0, 2.0):
             params = ModelParams(R=0.0, c=c, v=v)
             branch = _ground_branch(params, 4096)
-            expected = berry_phase_closed_form(v, branch[0].energy, branch[0].imbalance)
+            expected = berry_phase_closed_form(branch[0])
             got = berry_phase_discrete(branch)
             worst = max(worst, _mod_distance(got, expected))
     assert worst < 1e-5

@@ -7,7 +7,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dimerphase import (
     Eigenstate,
@@ -306,93 +306,57 @@ def test_loop_tripping_the_quadrature_guard_trips_the_unit_overlap_guard(thetas,
 # dimer closed form
 
 
+def _lowest_state(R, c, v):
+    return stationary_states(ModelParams(R=R, c=c, v=v)).states[0]
+
+
 def test_closed_form_half_filled_band():
-    assert berry_phase_closed_form(2.0, -1.0, 0.0) == pytest.approx(math.pi)
+    assert berry_phase_closed_form(_lowest_state(0.0, 0.0, 2.0)) == pytest.approx(math.pi)
 
 
 def test_closed_form_partial():
-    assert berry_phase_closed_form(1.2, -1.0, -0.8) == pytest.approx(0.2 * math.pi)
+    # The lower self-trapped state at (R, c, v) = (0, 2, 1.2) has m = -0.8.
+    assert berry_phase_closed_form(_lowest_state(0.0, 2.0, 1.2)) == pytest.approx(0.2 * math.pi)
 
 
 def test_closed_form_matches_tilt_geometry():
-    got = berry_phase_closed_form(1.0, -math.sqrt(2.0) / 2.0, -math.sqrt(0.5))
+    # At c = 0 the lowest state has m = R / hypot(R, v): -1/sqrt(2) at R = -v.
+    got = berry_phase_closed_form(_lowest_state(-1.0, 0.0, 1.0))
     assert got == pytest.approx(math.pi * (1.0 - 1.0 / math.sqrt(2.0)))
 
 
 def test_closed_form_zero_coupling():
-    assert berry_phase_closed_form(0.0, -1.0, -1.0) == 0.0
-
-
-def test_closed_form_rejects_unphysical_energy():
-    with pytest.raises(InvalidStateError):
-        berry_phase_closed_form(2.0, 0.0, 0.0)
-    with pytest.raises(InvalidStateError):
-        berry_phase_closed_form(2.0, 0.5, 0.0)
-    with pytest.raises(ValueError):
-        berry_phase_closed_form(-1.0, 1.0, 0.0)
+    # The polarized states m = -1 and m = +1, whose 2 pi wraps to 0.
+    states = stationary_states(ModelParams(R=1.0, c=0.0, v=0.0)).states
+    assert sorted(s.imbalance for s in states) == [-1.0, 1.0]
+    assert [berry_phase_closed_form(s) for s in states] == [0.0, 0.0]
 
 
 @pytest.mark.parametrize(
-    "v, energy, imbalance, name",
+    "state",
     [
-        (1.0, math.nan, 0.5, "energy"),
-        (math.nan, -1.0, 0.5, "v"),
-        (1.0, math.inf, 0.5, "energy"),
-        (1.0, -1.0, math.nan, "imbalance"),
-        (math.inf, -1.0, 0.5, "v"),
-        (1.0, -1.0, -math.inf, "imbalance"),
+        Eigenstate(0.6, 0.6 + 0.0j, -1.0, 0.0, 0.0),
+        Eigenstate(1.0, complex(math.inf, 0.0), -1.0, 0.0, 0.0),
     ],
+    ids=["norm-0.85", "infinite-amplitude"],
 )
-def test_closed_form_rejects_non_finite(v, energy, imbalance, name):
-    with pytest.raises(ValueError, match=name):
-        berry_phase_closed_form(v, energy, imbalance)
+def test_closed_form_rejects_a_state_whose_norm_is_not_one(state):
+    with pytest.raises(InvalidStateError, match="norm"):
+        berry_phase_closed_form(state)
 
 
-def _closed_form_reference(v, energy, imbalance):
-    """The loop phase of one finite point in Python floats, with v and E scaled
-    by one power of two so that their squares neither over- nor underflow;
-    None where it is no stationary state."""
-    if v == 0.0:
-        return 0.0
-    k = -math.frexp(max(abs(v), abs(energy)))[1]
-    v, energy = math.ldexp(v, k), math.ldexp(energy, k)
-    if 4.0 * energy * energy < v * v * (1.0 - 1e-12):
-        return None
-    radicand = max(0.0, 1.0 - (v * v) / (4.0 * energy * energy))
-    y = math.fmod(math.pi * (1.0 + math.copysign(math.sqrt(radicand), imbalance)), TWO_PI)
-    y = y + TWO_PI if y < 0.0 else y
-    return 0.0 if TWO_PI - y < 1e-12 else y
-
-
-@st.composite
-def _loop_points(draw):
-    """(v, E, m) with v = 0, E = 0, 4 E^2 on either side of v^2, either sign of m,
-    and v and E small enough that 4 E^2 underflows or large enough that it overflows."""
-    scales = (st.floats(0.0, 1e3), st.floats(0.0, 1e-150), st.floats(1e150, 1e300))
-    v = draw(st.one_of(st.just(0.0), *scales))
-    energy = draw(
-        st.one_of(
-            st.just(0.0),
-            st.floats(-1e3, 1e3),
-            # Across the bound 4 E^2 = v^2 (1 - 1e-12).
-            st.floats(-2e-12, 2e-12).map(lambda d: 0.5 * v * (1.0 + d)),
-            st.floats(-2e-12, 2e-12).map(lambda d: -0.5 * v * (1.0 + d)),
-        )
-    )
-    imbalance = draw(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1.0, 1.0)))
-    return v, energy, imbalance
-
-
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
-@given(point=_loop_points())
-def test_closed_form_equals_reference_and_raises_exactly_where_it_has_none(point):
-    # Bit for bit, and InvalidStateError exactly where the reference has no state.
-    want = _closed_form_reference(*point)
-    if want is None:
-        with pytest.raises(InvalidStateError):
-            berry_phase_closed_form(*point)
-    else:
-        assert berry_phase_closed_form(*point).hex() == want.hex()
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(c=st.floats(1e-3, 1e3), r=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+@example(c=1.0, r=0.3)
+def test_closed_form_of_the_free_phase_state_matches_its_loop(c, r):
+    # At v = 0 and 0 < |R| < c the free-phase state m = -R/c, whose relative
+    # phase the loop winds, has the loop phase pi (1 + m), as at v > 0.
+    R = r * c
+    assume(R != 0.0 and abs(R) < c)
+    params = ModelParams(R=R, c=c, v=0.0)
+    [free] = [s for s in stationary_states(params).states if s.amp1 != 0.0 and s.amp2 != 0.0]
+    discrete = berry_phase_discrete(continue_branch(phi_loop(params, 2048), free))
+    assert abs(math.remainder(berry_phase_closed_form(free) - discrete, TWO_PI)) < 1e-5
 
 
 @st.composite
@@ -407,18 +371,10 @@ def _grid_points(draw):
 
 def _grid_loop_phase(points):
     """The berry grid's loop phase over pi at each row, before failed rows are
-    blanked, and the closed form's over pi of the row's lowest state (NaN where
-    it raises)."""
+    blanked, and the rows' states."""
     R, c, v = map(np.array, zip(*points))
     states = stationary_arrays(R, v, 0.0, c)
-    got = _GRID_VALUES["berry"](states)[:, 0]
-    want = []
-    for vk, energy, imbalance in zip(v.tolist(), states.energy[:, 0], states.imbalance[:, 0]):
-        try:
-            want.append(berry_phase_closed_form(vk, float(energy), float(imbalance)) / math.pi)
-        except (ValueError, InvalidStateError):
-            want.append(math.nan)
-    return got, np.array(want), states.imbalance[:, 0]
+    return _GRID_VALUES["berry"](states)[:, 0], states
 
 
 # The origin, with no state, beside a row that has one.
@@ -429,39 +385,34 @@ _ROWS_WITH_NO_STATE = [(0.0, 1.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 1.0)]
 @given(points=st.lists(_grid_points(), min_size=1, max_size=12))
 @example(points=_ROWS_WITH_NO_STATE)
 def test_loop_phase_on_arrays_equals_closed_form_by_point(points):
-    # The grid reads 2 |amp2|^2, the closed form sqrt(1 - v^2 / 4 E^2), whose
-    # radicand rounds by a few ulps; that moves |m| by at most about 2e-16 / |m|,
-    # and by sqrt(4e-16) at m = 0.  Compared on the circle of circumference 2.
-    got, want, imbalance = _grid_loop_phase(points)
+    # Bit for bit: each cell is the closed form of the row's lowest state as a record.
+    got, states = _grid_loop_phase(points)
     assert got.shape == (len(points),)
-    for value, closed, m in zip(got.tolist(), want.tolist(), imbalance.tolist()):
-        if math.isnan(closed):
-            continue
-        distance = abs(value - closed)
-        assert min(distance, 2.0 - distance) <= 1e-15 * (1.0 + 1.0 / max(abs(m), 1e-8))
+    for k, value in enumerate(got.tolist()):
+        [lowest] = states.take([k], [0])
+        assert value.hex() == (berry_phase_closed_form(lowest) / math.pi).hex()
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(points=st.lists(_grid_points(), min_size=1, max_size=12))
 @example(points=_ROWS_WITH_NO_STATE)
-def test_loop_phase_is_nan_exactly_where_closed_form_raises(points):
-    # A row with no state holds NaN energies, v = 0 (the origin) included.
-    got, want, _ = _grid_loop_phase(points)
-    assert np.isnan(got).tolist() == np.isnan(want).tolist()
+def test_loop_phase_is_nan_exactly_where_the_row_has_no_state(points):
+    # A row with no state holds NaN amplitudes, v = 0 (the origin) included.
+    got, states = _grid_loop_phase(points)
+    assert np.isnan(got).tolist() == (states.count == 0).tolist()
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e-150, 1.0, 1e150, 1e160, 1e300])
 @pytest.mark.parametrize("imbalance", [0.6, -0.6])
 def test_loop_phase_matches_mpmath_at_any_scale(scale, imbalance):
-    # v^2 / 4 E^2 = 0.64, so |m| = 0.6; the squares under- or overflow at the
-    # outer scales, the quotient does not.
-    v, energy = 0.8 * scale, -0.5 * scale
+    # At c = 0 the lowest state has m = R / hypot(R, v), so (R, v) = (0.6, 0.8)
+    # and (-0.6, 0.8) give m = -+0.6 at every scale; their squares under- or
+    # overflow at the outer scales.
+    R, v = imbalance * scale, 0.8 * scale
     with mpmath.workdps(40):
-        ratio = mpmath.mpf(v) / (2 * mpmath.mpf(energy))
-        want = mpmath.pi * (1 + mpmath.sqrt(1 - ratio**2) * mpmath.sign(imbalance))
-        assert berry_phase_closed_form(v, energy, imbalance) == pytest.approx(
-            float(want), rel=1e-15
-        )
+        m = mpmath.mpf(R) / mpmath.hypot(mpmath.mpf(R), mpmath.mpf(v))
+        want = float(mpmath.pi * (1 + m))
+    assert berry_phase_closed_form(_lowest_state(R, 0.0, v)) == pytest.approx(want, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +441,11 @@ def test_discrete_degenerate_branch_loop():
 def test_discrete_matches_closed_form_generic():
     params = ModelParams(R=0.0, c=1.0, v=0.5)
     branch = _ground_branch(params, 2048)
-    expect = berry_phase_closed_form(params.v, branch[0].energy, branch[0].imbalance)
+    expect = berry_phase_closed_form(branch[0])
     assert berry_phase_discrete(branch) == pytest.approx(expect, abs=1e-5)
+    # A Branch is read column by column, as its records are one by one.
+    by_record = [berry_phase_closed_form(state) for state in branch]
+    assert berry_phase_closed_form(branch).tolist() == by_record
 
 
 @pytest.mark.parametrize(
@@ -504,7 +458,7 @@ def test_closed_form_matches_discrete_for_positive_imbalance(R, c, v, index):
     state = stationary_states(params).states[index]
     assert state.imbalance > 0.5
     branch = continue_branch(phi_loop(params, 2048), state)
-    got = berry_phase_closed_form(v, state.energy, state.imbalance)
+    got = berry_phase_closed_form(state)
     assert got == pytest.approx(math.pi * (1.0 + state.imbalance), abs=1e-9)
     assert got == pytest.approx(berry_phase_discrete(branch), abs=1e-5)
 

@@ -1,5 +1,7 @@
-"""The package's public surface: what it exports, and what the benchmark traces."""
+"""The package's public surface: what it exports, what the benchmark traces,
+and what each module imports."""
 
+import ast
 import importlib
 import inspect
 import json
@@ -59,6 +61,7 @@ PUBLIC = [
 ]
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+PACKAGE = Path(dimerphase.__file__).parent
 
 
 def test_exports_exactly_the_public_names():
@@ -83,3 +86,26 @@ def test_benchmark_layers_name_public_functions():
             assert inspect.isfunction(obj), f"{module_name}.{function} is not a function"
             assert obj.__module__ == module.__name__
         assert not function.startswith("_")
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+def test_modules_use_every_name_they_import():
+    # No linter runs on the package; this is its unused-import check.  The
+    # package's __init__.py imports names to export them, so it is left out.
+    unused = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names = sorted(set(_imported_names(tree)) - used)
+        if names:
+            unused[path.name] = names
+    assert unused == {}
