@@ -196,10 +196,13 @@ def berry_phase_closed_form(state) -> float | np.ndarray:
     whose relative phase the loop winds.
 
     state is an Eigenstate, a Branch or a StationaryArrays, read elementwise;
-    a row with no state (NaN) gives NaN.  A norm more than 1e-6 from 1, as
-    at an infinite amplitude, raises InvalidStateError.
+    a row with no state (NaN) gives NaN.  A norm more than 1e-6 from 1 raises
+    InvalidStateError; a finite state's non-finite energy or imbalance, ValueError.
     """
     norm = np.hypot(abs(state.amp1), abs(state.amp2))
+    for name in ("energy", "imbalance"):
+        if (np.isfinite(norm) & ~np.isfinite(getattr(state, name))).any():
+            raise ValueError(f"{name} must be finite where the amplitudes are")
     off = np.abs(norm - 1.0) > 1e-6
     if off.any():
         first = float(np.extract(off, norm)[0])

@@ -345,6 +345,32 @@ def test_closed_form_rejects_a_state_whose_norm_is_not_one(state):
         berry_phase_closed_form(state)
 
 
+@pytest.mark.parametrize(
+    "v, energy, imbalance, name",
+    [
+        (1.0, math.nan, 0.5, "energy"),
+        (math.nan, -1.0, 0.5, "v"),
+        (1.0, math.inf, 0.5, "energy"),
+        (1.0, -1.0, math.nan, "imbalance"),
+        (math.inf, -1.0, 0.5, "v"),
+        (1.0, -1.0, -math.inf, "imbalance"),
+    ],
+)
+def test_closed_form_rejects_non_finite(v, energy, imbalance, name):
+    # v reaches the closed form only through the model, which rejects it; a
+    # state with finite amplitudes but a non-finite energy or imbalance is no
+    # stationary state, as a single record and as a Branch column alike.
+    with pytest.raises(ValueError, match=name):
+        state = _lowest_state(0.0, 2.0, v)
+        berry_phase_closed_form(dataclasses.replace(state, energy=energy, imbalance=imbalance))
+    if name != "v":
+        branch = _ground_branch(ModelParams(R=0.0, c=2.0, v=v), 64)
+        column = getattr(branch, name).copy()
+        column[7] = energy if name == "energy" else imbalance
+        with pytest.raises(ValueError, match=name):
+            berry_phase_closed_form(dataclasses.replace(branch, **{name: column}))
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(c=st.floats(1e-3, 1e3), r=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
 @example(c=1.0, r=0.3)
