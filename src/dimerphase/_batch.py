@@ -87,9 +87,9 @@ def real_roots(R, c, v) -> tuple[np.ndarray, ...]:
     sorts its own).  At v = 0 of the roots -t and t, one state, only t is
     given.  A row whose largest |R|, c or v is at or above 2^1020 is first
     scaled below it by a power of two, which is exact and keeps its roots.
-    Also returns which rows could be solved: one where 2 (R -+ c) or its
-    ratio to v > 0 overflows gets no roots; and the astroid's count and band,
-    _expected_count of the unscaled point, which hold where v > 0.
+    Also returns which rows could be solved: 2 (R -+ c) stays below 2^1022 after the
+    scaling, so one where its ratio to v > 0 overflows gets no roots; and the astroid's
+    count and band, _expected_count of the unscaled point, which hold where v > 0.
     """
     roots, mult = np.full((len(R), 4), np.nan), np.ones((len(R), 4), dtype=int)
     with np.errstate(all="ignore"):

@@ -196,8 +196,9 @@ def berry_phase_closed_form(state) -> float | np.ndarray:
     whose relative phase the loop winds.
 
     state is an Eigenstate, a Branch or a StationaryArrays, read elementwise;
-    a row with no state (NaN) gives NaN.  A norm more than 1e-6 from 1 raises
-    InvalidStateError; a finite state's non-finite energy or imbalance, ValueError.
+    NaN amplitudes, a missing state as in a StationaryArrays row, give NaN.  Any other
+    norm more than 1e-6 from 1 (continue_branch's rule) raises InvalidStateError;
+    a finite state's non-finite energy or imbalance, ValueError.
     """
     norm = np.hypot(abs(state.amp1), abs(state.amp2))
     for name in ("energy", "imbalance"):
@@ -228,6 +229,7 @@ def berry_phase_discrete(branch: Sequence[Eigenstate]) -> float:
     else:
         a1 = np.array([s.amp1 for s in branch], dtype=complex)
         a2 = np.array([s.amp2 for s in branch], dtype=complex)
+    # Not _overlap: on strided complex views it made the loop benchmark's wall_s 8 % slower.
     parts = np.stack([a1.real, a1.imag, a2.real, a2.imag])
     re, im = _overlap_parts(*parts, *np.roll(parts, -1, axis=1))
     modulus = np.hypot(re, im)

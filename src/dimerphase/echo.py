@@ -36,7 +36,7 @@ from .model import (
     _check_overlap,
     _check_theta,
     _is_stationary,
-    _overlap_parts,
+    _overlap,
     _phase_factor,
     _reduce_phase,
     _residual,
@@ -143,10 +143,7 @@ def nonlinearity_witness(params: ModelParams) -> WitnessReport:
 
 def _pair_witness(lo1, lo2, hi1, hi2):
     """min(1, |<lo|hi>|) of state pairs by their amplitudes, elementwise; NaN stays NaN."""
-    overlap = _overlap_parts(
-        lo1.real, lo1.imag, lo2.real, lo2.imag, hi1.real, hi1.imag, hi2.real, hi2.imag
-    )
-    return np.minimum(1.0, np.hypot(*overlap))
+    return np.minimum(1.0, np.hypot(*_overlap(lo1, lo2, hi1, hi2)))
 
 
 def loschmidt_adiabatic(theta: float, overlap: float) -> float:
@@ -188,13 +185,13 @@ def evolve_nonlinear(
     """Integrate i d(psi)/dt = H(psi, t) psi with classical fixed-step RK4.
 
     The requested dt, positive and finite, is rounded so an integer number of
-    steps spans the drive; a count too large to store raises ValueError.
-    Step k samples the drive at k*h, k*h + h/2 and k*h + h, through
-    drive.samples on blocks of steps.  No step renormalizes: the drift is the
-    scheme's error estimate.  Once per block, the first stored time where
-    |norm - 1| exceeds 1e-6 (or is nan) raises StepSizeError.  The initial
-    norm is a hypot, which does not overflow; a state that it does not divide
-    to unit norm within 1e-6 (a zero, non-finite or subnormal one) raises
+    steps spans the drive; a count too large to store raises ValueError.  Step
+    k samples the drive at k*h, k*h + h/2 and k*h + h, through drive.samples
+    on blocks of steps.  No step renormalizes: the drift is the scheme's error
+    estimate.  Once per block, the first stored time where |norm - 1| exceeds
+    1e-6 (or is nan) raises StepSizeError.  The initial norm is a hypot, which
+    does not overflow; a state that it does not divide to unit norm within
+    1e-6 (a zero, subnormal or non-finite one, NaN too) raises
     InvalidStateError.  Returns (times, amplitudes) including both endpoints.
 
     The steps run on four floats per state, the real and imaginary parts
@@ -293,10 +290,7 @@ def loschmidt_dynamical(initial: Eigenstate, drive: DriveSchedule, dt: float) ->
     times, traj = evolve_nonlinear(initial, drive, dt)
     # In Python's complex rounding, not numpy's complex product, which may fuse
     # a multiply and an add on some machines: the values do not depend on the CPU.
-    x, y = traj.real, traj.imag
-    overlap = _overlap_parts(
-        x[0, 0], y[0, 0], x[0, 1], y[0, 1], x[:, 0], y[:, 0], x[:, 1], y[:, 1]
-    )
+    overlap = _overlap(traj[0, 0], traj[0, 1], traj[:, 0], traj[:, 1])
     return EchoTrace(times, np.hypot(*overlap) ** 2)
 
 

@@ -101,10 +101,6 @@ class Eigenstate:
     imbalance: float
     residual: float
 
-    @property
-    def amplitudes(self) -> np.ndarray:
-        return np.array([self.amp1, self.amp2])
-
 
 @dataclass(frozen=True)
 class StationaryFamily:
@@ -113,16 +109,26 @@ class StationaryFamily:
     params: ModelParams
     states: tuple[Eigenstate, ...]
 
-    @property
-    def energies(self) -> tuple[float, ...]:
-        return tuple(s.energy for s in self.states)
-
     def __len__(self) -> int:
         return len(self.states)
 
 
 @dataclass(frozen=True, eq=False)
-class Branch(Sequence):
+class _StateColumns:
+    """Eigenstate's five fields, in its order, as array columns."""
+
+    amp1: np.ndarray
+    amp2: np.ndarray
+    energy: np.ndarray
+    imbalance: np.ndarray
+    residual: np.ndarray
+
+    def _columns(self):
+        return (self.amp1, self.amp2, self.energy, self.imbalance, self.residual)
+
+
+@dataclass(frozen=True, eq=False)
+class Branch(_StateColumns, Sequence):
     """One tracked stationary state per path point, stored as columns.
 
     amp1, amp2, energy, imbalance and residual are 1-D arrays with one entry
@@ -131,15 +137,7 @@ class Branch(Sequence):
     iteration give Eigenstate records; a slice gives a list of them.
     """
 
-    amp1: np.ndarray
-    amp2: np.ndarray
-    energy: np.ndarray
-    imbalance: np.ndarray
-    residual: np.ndarray
     min_overlap: float
-
-    def _columns(self):
-        return (self.amp1, self.amp2, self.energy, self.imbalance, self.residual)
 
     def __len__(self) -> int:
         return len(self.energy)
@@ -154,31 +152,23 @@ class Branch(Sequence):
 
 
 @dataclass(frozen=True, eq=False)
-class StationaryArrays:
+class StationaryArrays(_StateColumns):
     """Stationary states at n parameter points, one row per point.
 
-    energy, amp1, amp2, imbalance and residual have shape (n, 4): row k holds
-    the count[k] states of point k, sorted by (energy, imbalance) as in a
-    StationaryFamily, and NaN after them.  failed[k] marks a point whose
-    states cannot be trusted: v > 0 with a state count other than the
-    astroid's (_expected_count; in its band any of 2..4), or a quartic that
-    overflows.  The fully degenerate origin v = R = 0 has count 0 and is
-    not failed.  Every other point that is not failed has at least two
-    states: where v > 0 the astroid's 2 or 4 (2 to 4 in its band), and at
-    v = 0 the polarized pair m = -+1, with the free-phase state
-    m = -R/c as a third where |R| < c.
+    amp1, amp2, energy, imbalance and residual, Eigenstate's fields in its
+    order, have shape (n, 4): row k holds the count[k] states of point k,
+    sorted by (energy, imbalance) as in a StationaryFamily, and NaN after
+    them.  failed[k] marks a point whose states cannot be trusted: v > 0 with
+    a state count other than the astroid's (_expected_count; in its band any
+    of 2..4), or a quartic that overflows.  The fully degenerate origin
+    v = R = 0 has count 0 and is not failed.  Every other point that is not
+    failed has at least two states: where v > 0 the astroid's 2 or 4 (2 to 4
+    in its band), and at v = 0 the polarized pair m = -+1, with the
+    free-phase state m = -R/c as a third where |R| < c.
     """
 
-    energy: np.ndarray
-    amp1: np.ndarray
-    amp2: np.ndarray
-    imbalance: np.ndarray
-    residual: np.ndarray
     count: np.ndarray
     failed: np.ndarray
-
-    def _columns(self):
-        return (self.amp1, self.amp2, self.energy, self.imbalance, self.residual)
 
     def take(self, k, j) -> list[Eigenstate]:
         """The states in rows k, columns j (index arrays of one length), as records."""
@@ -264,6 +254,14 @@ def _check_overlap(overlap: float) -> None:
         raise ValueError("overlap modulus must lie in [0, 1]")
 
 
+def _check_points(R, c, v, phi=0.0) -> None:
+    """Raise ValueError unless the parameter arrays are finite with c, v >= 0."""
+    if not all(np.isfinite(x).all() for x in (R, c, v, phi)):
+        raise ValueError("parameters must be finite")
+    if (v < 0.0).any() or (c < 0.0).any():
+        raise ValueError("v and c must be >= 0")
+
+
 def _has_states(R, v):
     """False only at the fully degenerate origin v = R = 0, which has no preferred states."""
     return (v > 0.0) | (R != 0.0)
@@ -280,12 +278,14 @@ def solve_quartic_real_roots(point: Sequence[float]) -> list[tuple[float, int]]:
     -cos beta/2 e^{-i phi}), whose imbalance m = cos beta makes it stationary,
     (R + c m) sin beta = v cos beta.  At v = 0 its roots are 0, the root
     math.inf of the vanished leading coefficient, and of the pair -t, t, one
-    state, only t.  One row of _batch.real_roots; raises ArithmeticError where
-    the quartic overflows.
+    state, only t.  One row of _batch.real_roots; raises ValueError where
+    stationary_arrays does, and ArithmeticError where the quartic overflows.
     """
     if len(point) != 3:
         raise ValueError("expected one point (R, c, v)")
-    roots, mult, solvable, _, _ = real_roots(*(np.array([x], dtype=float) for x in point))
+    R, c, v = (np.array([x], dtype=float) for x in point)
+    _check_points(R, c, v)
+    roots, mult, solvable, _, _ = real_roots(R, c, v)
     if not solvable[0]:
         raise ArithmeticError(f"the t-quartic at {tuple(point)} overflows")
     return sorted((t, m) for t, m in zip(roots[0].tolist(), mult[0].tolist()) if m)
@@ -361,11 +361,8 @@ def _states_at_roots(R, c, v, t, at, phi) -> StationaryArrays:
     amp1, amp2 = pick(amp1), pick(amp2)
     # amp1 > 0 leaves out amp1 = 0 and the NaN after the states, which stay nan + 0j.
     amp2 = np.where(amp1 > 0.0, amp2 * _phase_factor(phi)[:, None].conjugate(), amp2)
-    count = kept.sum(axis=1)
-    failed = np.zeros(len(at), dtype=bool)
-    return StationaryArrays(
-        energy, amp1.astype(complex), amp2, pick(imbalance), pick(residual), count, failed
-    )
+    columns = amp1.astype(complex), amp2, energy, pick(imbalance), pick(residual)
+    return StationaryArrays(*columns, kept.sum(axis=1), np.zeros(len(at), dtype=bool))
 
 
 def stationary_arrays(R, v, phi, c) -> StationaryArrays:
@@ -385,10 +382,7 @@ def stationary_arrays(R, v, phi, c) -> StationaryArrays:
     )
     if R.ndim != 1:
         raise ValueError("expected scalars or 1-D arrays of parameter values")
-    if not all(np.isfinite(x).all() for x in (R, v, phi, c)):
-        raise ValueError("parameters must be finite")
-    if (v < 0.0).any() or (c < 0.0).any():
-        raise ValueError("v and c must be >= 0")
+    _check_points(R, c, v, phi)
 
     # Each distinct (R, c, v) is solved once, found by lexsort: np.unique(axis=0) is 4-8x slower.
     order = np.lexsort((v, c, R))
@@ -460,6 +454,11 @@ def _overlap_parts(x1, y1, x2, y2, u1, w1, u2, w2):
     return re, im
 
 
+def _overlap(a1, a2, b1, b2):
+    """_overlap_parts of complex amplitude pairs (a1, a2) and (b1, b2), numbers or arrays."""
+    return _overlap_parts(a1.real, a1.imag, a2.real, a2.imag, b1.real, b1.imag, b2.real, b2.imag)
+
+
 def _point(path: ParamPath, k: int) -> ModelParams:
     """Sample k of a path as a record, for error messages."""
     return ModelParams(path.R[k], path.c[k], path.v[k], path.phi[k])
@@ -481,13 +480,13 @@ def phi_loop(params: ModelParams, n_points: int) -> ParamPath:
 def continue_branch(path: ParamPath, seed: Eigenstate) -> Branch:
     """Track one stationary branch along a parameter path by maximum overlap.
 
-    The seed must have finite amplitudes of norm 1 within 1e-6, or
-    InvalidStateError is raised.  At each point the candidate maximizing
-    |<previous|candidate>| is taken, the first one on a tie; if even the best
-    overlap falls below 0.5 the branch has been lost (folded away or the
-    path is sampled too coarsely) and BranchLostError is raised.  A point
-    without trustworthy states raises as stationary_states does; of the
-    two, the error at the earlier point is raised.
+    The seed must be finite (a NaN seed raises too) and of norm 1 within
+    1e-6, as in berry_phase_closed_form, or InvalidStateError is raised.  At each
+    point the candidate maximizing |<previous|candidate>| is taken, the first
+    one on a tie; if even the best overlap falls below 0.5 the branch has been
+    lost (folded away or the path is sampled too coarsely) and BranchLostError
+    is raised.  A point without trustworthy states raises as stationary_states
+    does; of the two, the error at the earlier point is raised.
 
     The whole path is solved in one stationary_arrays call.  The candidates'
     real and imaginary parts are laid out points last, as contiguous (4, n)
@@ -502,6 +501,7 @@ def continue_branch(path: ParamPath, seed: Eigenstate) -> Branch:
         raise InvalidStateError(f"seed state has norm {norm!r}, not 1 within 1e-6")
     states = stationary_arrays(path.R, path.v, path.phi, path.c)
     n = len(path.R)
+    # Not _overlap: on strided complex views it made the loop benchmark's wall_s 9 % slower.
     # Float parts x1, y1, x2 and y2, points last and contiguous: after[p][j, k]
     # is part p of candidate j at point k, before[p][i, k] that of candidate i
     # at point k-1, with the seed's part in every row at k = 0.

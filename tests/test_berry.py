@@ -345,6 +345,28 @@ def test_closed_form_rejects_a_state_whose_norm_is_not_one(state):
         berry_phase_closed_form(state)
 
 
+@pytest.mark.parametrize("scale", [1.0 + 5e-7, 1.0 + 2e-6])
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda params, state: continue_branch(phi_loop(params, 16), state),
+        lambda params, state: berry_phase_closed_form(state),
+    ],
+    ids=["continue_branch", "berry_phase_closed_form"],
+)
+def test_unit_norm_rule_has_one_tolerance(read, scale):
+    # Each function writes out |norm - 1| <= 1e-6 itself: a state scaled off
+    # norm 1 by 5e-7 passes both, one scaled off by 2e-6 neither.
+    params = ModelParams(R=0.3, c=2.0, v=0.5)
+    lowest = stationary_states(params).states[0]
+    state = dataclasses.replace(lowest, amp1=scale * lowest.amp1, amp2=scale * lowest.amp2)
+    if scale < 1.0 + 1e-6:
+        read(params, state)
+    else:
+        with pytest.raises(InvalidStateError, match="norm"):
+            read(params, state)
+
+
 @pytest.mark.parametrize(
     "v, energy, imbalance, name",
     [

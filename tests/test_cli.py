@@ -191,6 +191,26 @@ def test_berry_cell_at_small_coupling_keeps_its_relative_digits(v):
     assert float(rows[0][2]) == pytest.approx(want, rel=1e-11, abs=0.0)
 
 
+@pytest.mark.parametrize(
+    "command, last",
+    [
+        ("berry --R 0 --v 1e-23 --c 1", r".*,5e-47"),
+        ("berry --R 1e308 --v 1e308 --c 0", r".*,1\.70710678119"),
+        ("witness --R 0 --v 1e308 --c 1.5e308", r".*,0\.666666666667"),
+        ("spectrum --R 1e308 --v 0 --c 1e308", r"1e\+308,0,-1e\+308,0,,"),
+        ("spectrum --R 0 --v 1e-23 --c 1", r"0,1e-23(,[^,]+){4}"),
+        ("berry --R 0 --v 2 --c 0", r".*,1"),
+    ],
+)
+def test_console_step_rows_through_main(command, last, capsys):
+    # The rows that CI's console step checks at the entry point, far from
+    # scale 1 and at v -> 0: each is computed with no point skipped.
+    assert cli.main(command.split()) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert not any(line.startswith("# skipped:") for line in lines)
+    assert re.fullmatch(last, lines[-1]), lines[-1]
+
+
 # ---------------------------------------------------------------------------
 # witness
 

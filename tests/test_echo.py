@@ -610,7 +610,7 @@ def _two_flow_echo(initial, drive, times):
 
     def run(schedule):
         sol = solve_ivp(
-            rhs(schedule), (0.0, times[-1]), initial.amplitudes, method="DOP853",
+            rhs(schedule), (0.0, times[-1]), [initial.amp1, initial.amp2], method="DOP853",
             t_eval=times, rtol=1e-12, atol=1e-13,
         )
         return sol.y

@@ -32,10 +32,12 @@ from dimerphase.model import (
     TOL,
     TWO_PI,
     Branch,
+    StationaryArrays,
     _amplitudes,
     _apply_half,
     _expected_count,
     _has_states,
+    _overlap,
     _overlap_parts,
     _phase_factor,
     _point,
@@ -216,6 +218,18 @@ def test_quartic_rejects_wrong_length():
             solve_quartic_real_roots(point)
 
 
+@pytest.mark.parametrize(
+    "point", [(1.0, 1.0, math.inf), (0.0, -1.0, 1.0), (0.0, 1.0, -1.0), (math.nan, 1.0, 1.0)]
+)
+def test_quartic_refuses_what_stationary_arrays_refuses(point):
+    # A non-finite point or a negative c or v has no roots to make up.
+    R, c, v = point
+    with pytest.raises(ValueError) as refused:
+        stationary_arrays(R, v, 0.0, c)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
+        solve_quartic_real_roots(point)
+
+
 def test_quartic_matches_companion_roots_randomly():
     rng = np.random.default_rng(2024)
     for _ in range(1000):
@@ -263,13 +277,14 @@ def test_reconstruct_linear_ground_state():
 def test_family_two_states_weak_nonlinearity():
     fam = stationary_states(ModelParams(R=0.0, c=1.0, v=2.0))
     assert len(fam) == 2
-    np.testing.assert_allclose(fam.energies, [-1.0, 1.0], atol=1e-12)
+    np.testing.assert_allclose([s.energy for s in fam.states], [-1.0, 1.0], atol=1e-12)
 
 
 def test_family_four_states_strong_nonlinearity():
     fam = stationary_states(ModelParams(R=0.0, c=1.0, v=0.5))
     assert len(fam) == 4
-    np.testing.assert_allclose(fam.energies, [-0.5, -0.5, -0.25, 0.25], atol=1e-12)
+    energies = [s.energy for s in fam.states]
+    np.testing.assert_allclose(energies, [-0.5, -0.5, -0.25, 0.25], atol=1e-12)
     pair = [s for s in fam.states if abs(s.energy + 0.5) < 1e-9]
     np.testing.assert_allclose(
         [s.imbalance for s in pair],
@@ -281,7 +296,7 @@ def test_family_four_states_strong_nonlinearity():
 def test_family_critical_coupling_collapses_to_two():
     fam = stationary_states(ModelParams(R=0.0, c=1.0, v=1.0))
     assert len(fam) == 2
-    np.testing.assert_allclose(fam.energies, [-0.5, 0.5], atol=1e-12)
+    np.testing.assert_allclose([s.energy for s in fam.states], [-0.5, 0.5], atol=1e-12)
     assert all(abs(s.imbalance) < 1e-9 for s in fam.states)
 
 
@@ -309,7 +324,7 @@ def test_spectrum_symmetry_at_zero_bias():
             continue
         fam = stationary_states(ModelParams(R=0.0, c=c, v=v))
         expected = sorted([-v / 2.0, v / 2.0] + ([-c / 2.0] * 2 if c > v else []))
-        np.testing.assert_allclose(fam.energies, expected, atol=1e-9)
+        np.testing.assert_allclose([s.energy for s in fam.states], expected, atol=1e-9)
 
 
 def _hamiltonian_matrix(params, m):
@@ -330,8 +345,8 @@ def test_states_are_self_consistent_and_physical():
         )
         for st in stationary_states(params).states:
             m = abs(st.amp2) ** 2 - abs(st.amp1) ** 2
-            out = _hamiltonian_matrix(params, m) @ st.amplitudes
-            resid = np.linalg.norm(out - st.energy * st.amplitudes)
+            amps = np.array([st.amp1, st.amp2])
+            resid = np.linalg.norm(_hamiltonian_matrix(params, m) @ amps - st.energy * amps)
             assert resid < 1e-9
             assert 4.0 * st.energy**2 >= params.v**2 - 1e-9
             # gauge: first amplitude real and nonnegative
@@ -339,8 +354,8 @@ def test_states_are_self_consistent_and_physical():
 
 
 def test_energies_phi_independent():
-    a = stationary_states(ModelParams(R=0.4, c=1.5, v=0.8, phi=0.0)).energies
-    b = stationary_states(ModelParams(R=0.4, c=1.5, v=0.8, phi=1.9)).energies
+    a = [s.energy for s in stationary_states(ModelParams(R=0.4, c=1.5, v=0.8, phi=0.0)).states]
+    b = [s.energy for s in stationary_states(ModelParams(R=0.4, c=1.5, v=0.8, phi=1.9)).states]
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -484,6 +499,13 @@ def test_branch_is_a_sequence_of_records():
         assert (state.amp1, state.energy) == (branch.amp1[k], branch.energy[k])
     with pytest.raises(IndexError):
         branch[17]
+
+
+def test_state_columns_are_eigenstate_fields_in_its_order():
+    # Branch and StationaryArrays build records as Eigenstate(*columns).
+    names = [f.name for f in dataclasses.fields(Eigenstate)]
+    for columns in (Branch, StationaryArrays):
+        assert [f.name for f in dataclasses.fields(columns)][:5] == names
 
 
 def test_branch_min_overlap_is_the_smallest_accepted_step():
@@ -696,12 +718,15 @@ def test_overlap_parts_round_as_python_complex(parts, columns):
     # One formula for scalars and arrays, bit for bit Python's complex product
     # and sum; np.hypot of the parts is Python's complex abs.  Each drawn row
     # is (x1, y1, x2, y2, u1, w1, u2, w2): a1 = x1 + i y1, ..., b2 = u2 + i w2.
+    # _overlap takes the same pairs (a1, a2, b1, b2) as complex numbers or arrays.
     re, im = _overlap_parts(*(np.array(column) for column in zip(*parts)))
+    pairs = [[complex(x, y) for x, y in zip(p[::2], p[1::2])] for p in parts]
+    by_pairs = _overlap(*(np.array(column) for column in zip(*pairs)))
+    assert (by_pairs[0].tobytes(), by_pairs[1].tobytes()) == (re.tobytes(), im.tobytes())
     moduli = np.hypot(re, im).tolist()
-    for p, x, y, modulus in zip(parts, re.tolist(), im.tolist(), moduli):
-        want = _python_inner(*(complex(x, y) for x, y in zip(p[::2], p[1::2])))
-        scalar = _overlap_parts(*p)
-        for got in ((x, y), scalar):
+    for p, pair, x, y, modulus in zip(parts, pairs, re.tolist(), im.tolist(), moduli):
+        want = _python_inner(*pair)
+        for got in ((x, y), _overlap_parts(*p), _overlap(*pair)):
             assert (got[0].hex(), got[1].hex()) == want[:2]
         assert modulus.hex() == want[2]
 
@@ -806,11 +831,6 @@ def test_residual_rounds_as_python_complex(points):
     assert got.tobytes() == want.tobytes()
 
 
-def test_eigenstate_amplitudes_roundtrip():
-    st = Eigenstate(1.0 + 0.0j, 0.0j, 0.5, -1.0, 0.0)
-    np.testing.assert_allclose(st.amplitudes, [1.0, 0.0])
-
-
 # ---------------------------------------------------------------------------
 # properties over the whole parameter range
 
@@ -853,8 +873,8 @@ def test_phi_rotates_states_and_keeps_energies(R, c, v, phi):
 @given(R=biases, c=nonlinearities, v=couplings)
 def test_bias_reversal_keeps_energies(R, c, v):
     assume(_astroid_side(R, c, v) != 0)
-    plus = stationary_states(ModelParams(R=R, c=c, v=v)).energies
-    minus = stationary_states(ModelParams(R=-R, c=c, v=v)).energies
+    plus = [s.energy for s in stationary_states(ModelParams(R=R, c=c, v=v)).states]
+    minus = [s.energy for s in stationary_states(ModelParams(R=-R, c=c, v=v)).states]
     np.testing.assert_allclose(minus, plus, rtol=1e-12, atol=0.0)
 
 
@@ -1011,7 +1031,7 @@ def test_kernel_needs_no_eigenvalue_solver(monkeypatch):
 
 def test_uncoupled_bias_beyond_nonlinearity_is_fully_polarized():
     fam = stationary_states(ModelParams(R=-1.8, c=1.0, v=0.0))
-    assert fam.energies == pytest.approx([-1.4, 0.4], abs=1e-15)
+    assert [s.energy for s in fam.states] == pytest.approx([-1.4, 0.4], abs=1e-15)
     assert [s.imbalance for s in fam.states] == [-1.0, 1.0]
 
 
@@ -1068,7 +1088,8 @@ def test_tiny_coupling_keeps_every_state(R, v, count):
 def test_tiny_coupling_resolves_the_inner_pair():
     fam = stationary_states(ModelParams(R=0.3, c=1.0, v=1e-6))
     assert len(fam) == 4
-    np.testing.assert_allclose(fam.energies[2:], [-5.2414e-7, 5.2414e-7], rtol=1e-4)
+    energies = [s.energy for s in fam.states[2:]]
+    np.testing.assert_allclose(energies, [-5.2414e-7, 5.2414e-7], rtol=1e-4)
 
 
 def test_near_full_polarization_keeps_self_trapped_state():
